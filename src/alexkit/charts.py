@@ -288,7 +288,8 @@ def intrinsic_shortest_path(subset: Subset, start: int, end: int,
     chain.reverse()
     ids = subset.indices[np.array(chain, dtype=int)]
     gaps = subset.space.dist[ids[:-1], ids[1:]]
-    return Curve(points=ids, step=float(np.median(gaps)),
+    step = float(np.median(gaps)) if gaps.size else 0.0  # start == end
+    return Curve(points=ids, step=step,
                  kind="intrinsic-geodesic",
                  meta={"length": float(gaps.sum())})
 

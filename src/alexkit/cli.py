@@ -36,7 +36,7 @@ MAX_ELL = 1.0
 
 
 def _positive(name, value):
-    if value is not None and value <= 0:
+    if value is not None and not value > 0:  # NaN is not positive either
         raise Refusal(f"parameter {name} must be positive, got {value}")
     return value
 
@@ -288,6 +288,21 @@ def cmd_run(args):
 
 # ---------------------------------------------------------------------------
 
+def _missing_option(args) -> str | None:
+    """Usage error for an option this generator kind or flow mode needs."""
+    if args.command == "gen":
+        mode = f"gen {args.kind}"
+        need = {"polygon": "vertices", "regular-polygon": "n",
+                "suspension": "base"}.get(args.kind)
+    elif args.command == "flow" and not args.invariance:
+        mode, need = "flow without --invariance", "from"
+    else:
+        return None
+    if need and getattr(args, need) is None:
+        return f"{mode} requires --{need}"
+    return None
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="alexkit",
@@ -418,6 +433,9 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        missing = _missing_option(args)
+        if missing:
+            ap.error(missing)
         return args.func(args)
     except Refusal as e:
         print(f"refusal: {e}", file=sys.stderr)

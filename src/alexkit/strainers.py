@@ -6,9 +6,11 @@ a_i p b_j, b_i p b_j for i != j) > pi/2 - delta, measured at the ambient
 curvature.  ``delta_achieved`` is the smallest margin that would make all the
 inequalities hold, stored quantitatively because the trend tests need it.
 
-Search is heuristic (beam width 8, deterministic id-order tie-breaking):
-failure to find a strainer is NOT proof of absence.  Strainer lengths are
-capped at 1; all arguments using strainers are local.
+Search is a beam search (width 8, deterministic id-order tie-breaking) that
+drops every pair and beam already at margin >= delta.  That pruning is exact:
+the witness does not depend on delta except for whether it is returned.  The
+beam itself is heuristic: "no strainer found" is NOT proof of absence.
+Strainer lengths are capped at 1; all arguments using strainers are local.
 """
 
 from __future__ import annotations
@@ -73,20 +75,14 @@ class ClassificationMask:
 
 def _strainer_margin(space: Space, p: int, pairs) -> float:
     """Smallest delta for which the pairs form a (k, delta)-strainer at p."""
+    flat = np.array([int(i) for pair in pairs for i in pair], dtype=int)
+    x, y = np.triu_indices(flat.size, k=1)
+    u, v = flat[x], flat[y]
     d = space.dist
-    margin = 0.0
-    for a, b in pairs:
-        ang = comparison_angles_array(space.kappa, d[p, a], d[p, b], d[a, b])
-        margin = max(margin, math.pi - float(ang))
-    flat = [int(i) for pair in pairs for i in pair]
-    for x in range(len(flat)):
-        for y in range(x + 1, len(flat)):
-            if x // 2 == y // 2:
-                continue  # same pair: only the pi - delta condition applies
-            u, v = flat[x], flat[y]
-            ang = comparison_angles_array(space.kappa, d[p, u], d[p, v], d[u, v])
-            margin = max(margin, HALF_PI - float(ang))
-    return margin
+    ang = comparison_angles_array(space.kappa, d[p, u], d[p, v], d[u, v])
+    # same pair: the pi - delta condition; otherwise the pi/2 - delta one
+    margins = np.where(x // 2 == y // 2, math.pi, HALF_PI) - ang
+    return float(np.nanmax(margins, initial=0.0))
 
 
 def is_strainer(space: Space, p: int, pairs, delta: float) -> tuple[bool, float]:
@@ -106,11 +102,13 @@ def find_strainer(space: Space, p: int, k: int, delta: float, ell: float,
                   search_radius: float, beam_width: int = 8) -> Strainer | None:
     """Beam search for a (k, delta)-strainer at p with length > ell.
 
-    Picks the best first pair by maximal comparison angle, then greedily
+    Picks the best first pairs by maximal comparison angle, then greedily
     extends with pairs minimizing the achieved delta (beam width 8,
-    deterministic id-order tie-breaking).  Returns None when no candidate
-    assembly achieves a margin < delta; absence of a result is heuristic, not
-    a certificate.
+    deterministic id-order tie-breaking).  An extension's margin is never
+    below its parent's, so pairs and beams already at margin >= delta are
+    dropped before ranking; the pruning is exact, and the witness does not
+    depend on delta except for whether it is returned.  None means that no
+    beam reached a margin < delta: a heuristic result, not a certificate.
     """
     (p,) = space.check_ids([p])
     p = int(p)
@@ -131,47 +129,31 @@ def find_strainer(space: Space, p: int, k: int, delta: float, ell: float,
     ang = comparison_angles_array(
         space.kappa, dp[pool][:, None], dp[pool][None, :],
         d[np.ix_(pool, pool)])
-    np.fill_diagonal(ang, 0.0)
-    pair_margin = math.pi - ang          # the pi - delta condition
     cross_margin = HALF_PI - ang         # the pi/2 - delta condition
+    # the live pool pairs: pair margin (the pi - delta condition) below delta
+    iu, ju = np.triu_indices(pool.size, k=1)
+    pair_margin = math.pi - ang[iu, ju]
+    live = pair_margin < delta
+    iu, ju, pair_margin = iu[live], ju[live], pair_margin[live]
 
-    n = pool.size
-    iu, ju = np.triu_indices(n, k=1)
-    order = np.lexsort((pool[ju], pool[iu], pair_margin[iu, ju]))
-    beams = []
-    seen = set()
-    for t in order[: beam_width * 4]:
-        a, b = int(iu[t]), int(ju[t])
-        key = frozenset([(a, b)])
-        if key in seen:
-            continue
-        seen.add(key)
-        beams.append((float(pair_margin[a, b]), [(a, b)]))
-        if len(beams) >= beam_width:
-            break
+    def best(margins):
+        """The beam_width live pairs of least margin < delta; ties by pool id."""
+        keep = np.flatnonzero(margins < delta)
+        take = keep[np.lexsort((pool[ju[keep]], pool[iu[keep]], margins[keep]))]
+        return [(float(margins[t]), (int(iu[t]), int(ju[t])))
+                for t in take[:beam_width]]
 
+    beams = [(margin, [pr]) for margin, pr in best(pair_margin)]
     for _ in range(1, k):
         extensions = []
         for margin0, chosen in beams:
-            used = np.array([i for pr in chosen for i in pr], dtype=int)
+            used = [i for pr in chosen for i in pr]
             # worst cross margin of each pool point against the chosen points
             wc = cross_margin[:, used].max(axis=1)
             wc[used] = math.inf
-            cand = np.flatnonzero(np.isfinite(wc))
-            if cand.size < 2:
-                continue
-            m_ext = np.maximum(
-                np.maximum(pair_margin[np.ix_(cand, cand)],
-                           np.maximum(wc[cand][:, None], wc[cand][None, :])),
-                margin0)
-            ci, cj = np.triu_indices(cand.size, k=1)
-            vals = m_ext[ci, cj]
-            take = np.lexsort((pool[cand[cj]], pool[cand[ci]], vals))[: beam_width]
-            for t in take:
-                a, b = int(cand[ci[t]]), int(cand[cj[t]])
-                extensions.append((float(vals[t]), chosen + [(a, b)]))
-        if not extensions:
-            return None
+            margins = np.maximum(np.maximum(pair_margin, margin0),
+                                 np.maximum(wc[iu], wc[ju]))
+            extensions += [(m, chosen + [pr]) for m, pr in best(margins)]
         extensions.sort(key=lambda e: (e[0], [pool[i] for pr in e[1] for i in pr]))
         beams = []
         seen = set()
@@ -184,9 +166,9 @@ def find_strainer(space: Space, p: int, k: int, delta: float, ell: float,
             if len(beams) >= beam_width:
                 break
 
-    margin, chosen = beams[0]
-    if margin >= delta:
+    if not beams:
         return None
+    margin, chosen = beams[0]
     ids = [(int(pool[a]), int(pool[b])) for a, b in chosen]
     pts = [i for pr in ids for i in pr]
     length = float(dp[pts].min())

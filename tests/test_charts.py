@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,16 @@ class TestQuasigeodesic:
                                               axis=1)))
         out = quasigeodesic_check(space, path, center)
         assert out["max_violation"] <= 1e-6 + 4 * 0.02
+
+    def test_path_from_a_point_to_itself(self, square_with_interior):
+        space, _ = square_with_interior
+        sub = space.subsets["boundary"]
+        p = int(sub.indices[5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = intrinsic_shortest_path(sub, p, p)
+        assert path.points.tolist() == [p]
+        assert path.step == 0.0 and path.meta["length"] == 0.0
 
     def test_zigzag_negative_control(self, square_with_interior):
         space, _ = square_with_interior

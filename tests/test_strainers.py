@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -104,6 +106,62 @@ class TestFindStrainer:
         space, _ = square
         with pytest.raises(Refusal):
             find_strainer(space, 0, 1, delta=0.1, ell=1.5, search_radius=2.0)
+
+
+def witness_corpus_spaces():
+    """Small samples of the model spaces, each with its pitch h."""
+    sq, _ = models.gen_convex_polygon(UNIT_SQUARE, 0.1)
+    hexagon, _ = models.gen_regular_polygon(6, 0.1, circumradius=0.6)
+    cone, _ = models.gen_cone(math.pi, 0.5, 0.08)
+    seg, _ = models.gen_segment(1.0, 0.04)
+    susp, _ = models.gen_spherical_suspension(
+        models.gen_circle(2 * math.pi, 0.6), 0.35)
+    return [(sq, 0.1), (hexagon, 0.1), (cone, 0.08), (seg, 0.04), (susp, 0.35)]
+
+
+# SHA-256 of the canonical JSON of every witness (or None) in the corpus of
+# test_witness_corpus_digest, as the plain beam search (before any pruning)
+# returned them: search changes must keep strainer output byte-identical.
+WITNESS_CORPUS_SHA256 = \
+    "2f31381f1bfa28d94bcb442216c87cf8b4570b0148b691587c41fb4421ed796b"
+
+
+def test_witness_corpus_digest():
+    # about 12 base points per space x k in {1, 2, 3} x two (ell, radius)
+    # settings x six deltas: 2,412 cases, 1,209 of them found
+    out = []
+    for space, h in witness_corpus_spaces():
+        for p in range(0, space.n_points, max(1, space.n_points // 12)):
+            for k in (1, 2, 3):
+                for ell, radius in ((1.5 * h, 5 * h), (2.5 * h, 8 * h)):
+                    for delta in (0.05, 0.1, 0.2, 0.4, 0.8, 2.0):
+                        s = find_strainer(space, p, k, delta, ell, radius)
+                        out.append(None if s is None else s.to_dict())
+    assert len(out) == 2412
+    assert sum(s is not None for s in out) == 1209
+    blob = json.dumps(out, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == WITNESS_CORPUS_SHA256
+
+
+def test_search_is_exact_in_delta():
+    # the witness does not depend on delta except for whether it is returned:
+    # the same strainer at every delta above its margin, none at the margin,
+    # and is_strainer reproduces the margin bit for bit
+    found = 0
+    for space, h in witness_corpus_spaces():
+        for p in range(0, space.n_points, max(1, space.n_points // 12)):
+            for k in (1, 2, 3):
+                for ell, radius in ((1.5 * h, 5 * h), (2.5 * h, 8 * h)):
+                    s = find_strainer(space, p, k, 0.8, ell, radius)
+                    if s is None:
+                        continue
+                    found += 1
+                    got = s.delta_achieved
+                    for above in (np.nextafter(got, math.inf), (got + 0.8) / 2, 4.0):
+                        assert find_strainer(space, p, k, above, ell, radius) == s
+                    assert find_strainer(space, p, k, got, ell, radius) is None
+                    assert is_strainer(space, p, s.pairs, 0.8) == (True, got)
+    assert found == 206
 
 
 class TestClassify:
