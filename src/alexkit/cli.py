@@ -167,8 +167,9 @@ def cmd_qcheck(args):
     path_ids = json.loads(Path(args.path).read_text())
     if isinstance(path_ids, dict):
         path_ids = path_ids["points"]
+    path_ids = space.check_ids(path_ids)
     gaps = space.dist[path_ids[:-1], path_ids[1:]] if len(path_ids) > 1 else [0]
-    curve = Curve(points=np.asarray(path_ids), step=float(np.median(gaps)))
+    curve = Curve(points=path_ids, step=float(np.median(gaps)))
     out = quasigeodesic_check(space, curve, args.viewpoint)
     report = _report_base(args, "qcheck")
     report["result"] = out
@@ -250,7 +251,11 @@ def cmd_converge(args):
         gen = getattr(models, "gen_" + mem["generator"].replace("-", "_"), None)
         if gen is None:
             raise Refusal(f"unknown generator {mem['generator']!r} in family")
-        space, ann = gen(**mem.get("params", {}))
+        try:
+            space, ann = gen(**mem.get("params", {}))
+        except TypeError as e:  # a parameter the generator does not take, or lacks
+            raise Refusal(f"family member {mem.get('label', mem['generator'])!r}: "
+                          f"bad generator parameters: {e}") from None
         sub_name = mem.get("subset", "boundary")
         subset = _subset(space, sub_name)
         info = ann.subsets.get(sub_name)
@@ -336,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["per-edge", "loop-uniform"])
     g.add_argument("--lattice", default="triangular",
                    choices=["triangular", "square"])
-    g.add_argument("--seed", type=int, default=DEFAULT_SEED)
     g.set_defaults(func=cmd_gen)
 
     v = sub.add_parser("validate", help="check metric-space invariants")

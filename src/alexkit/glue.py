@@ -10,9 +10,13 @@ Three constructions share the same machinery:
 * a volume-convergence experiment harness comparing packing-based measure
   estimates along a family of spaces.
 
-The inductive blend is performed in chart coordinates (R^m) and pulled back
-by nearest-value inversion; chart order is net id order, fixed and recorded
-(the induction is order-dependent).
+The first two are one construction from a source to a target space; the
+projection is the case where the two are the same space.  A chart
+(:class:`NetChart`) sits at each point of the net: its strainer re-based
+along sampled shortest paths and mapped into the target.  One inductive
+blend (``_blend``) glues the charts in chart coordinates (R^m) and pulls
+back by nearest-value inversion; chart order is net id order, fixed and
+recorded (the induction is order-dependent).
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import KitError, Refusal
 from .space import (Space, Subset, ball, calibration_constant,
-                    effective_spacing, hausdorff_measure_estimate)
-from .strainers import Strainer, _strainer_margin, classify, is_strainer
+                    effective_spacing, greedy_packing_ids,
+                    hausdorff_measure_estimate)
+from .strainers import Strainer, classify, is_strainer
 
 NET_MIN_PITCH_FACTOR = 4.0       # r >= 4h keeps the net resolvable
 REBASE_MARGIN_SLACK = 0.05       # rebased strainers may lose this much margin
@@ -46,18 +51,7 @@ def discrete_net(subset: Subset, r: float) -> np.ndarray:
         raise Refusal(f"net scale r = {r} below 4h = {NET_MIN_PITCH_FACTOR * h}")
     amb = subset.ambient_matrix()
     half = r / 2.0
-    alive = np.ones(subset.size, dtype=bool)
-    kept = []
-    pos = 0
-    while True:
-        while pos < subset.size and not alive[pos]:
-            pos += 1
-        if pos == subset.size:
-            break
-        kept.append(pos)
-        alive &= amb[pos] > half
-        alive[pos] = False
-    kept = np.asarray(kept, dtype=int)
+    kept = greedy_packing_ids(subset.size, amb.__getitem__, half)
     net_ids = subset.indices[kept]
     sub = amb[np.ix_(kept, kept)]
     iu, ju = np.triu_indices(kept.size, k=1)
@@ -78,11 +72,19 @@ def bump(t):
 
 @dataclass
 class NetChart:
+    """The distance-map chart at a net point, from a source to a target space.
+
+    phi = d(a_i, .) in the source space is inverted by nearest value of
+    psi = d(target_a_i, .) over the inversion pool; for the collar projection
+    the two spaces are one and ``target_a_ids`` is ``a_ids``.
+    """
+
     base: int
-    a_ids: np.ndarray            # rebased strainer a-points
+    a_ids: np.ndarray            # rebased strainer a-points, source ids
     b_ids: np.ndarray
-    margin: float                # strainer margin after rebasing
-    inversion_pool: np.ndarray   # subset ids eligible for nearest-value lookup
+    margin: float                # margin of the rebased strainer in the target
+    inversion_pool: np.ndarray   # target ids eligible for nearest-value lookup
+    target_a_ids: np.ndarray     # images of the a-points, target ids
 
 
 @dataclass
@@ -120,13 +122,13 @@ class GlueMap:
         }
 
 
-def _ambient_paths(space: Space, sources: np.ndarray):
-    """Dijkstra over the ambient link graph from the given sources."""
+def _ambient_paths(space: Space, sources: np.ndarray) -> np.ndarray:
+    """Dijkstra predecessor rows over the ambient link graph from the sources."""
     link = space.link_radius()
     adj = np.where((space.dist > 0) & (space.dist <= link), space.dist, 0.0)
-    dist, pred = dijkstra(csr_matrix(adj), directed=False, indices=sources,
-                          return_predecessors=True)
-    return dist, pred
+    _, pred = dijkstra(csr_matrix(adj), directed=False, indices=sources,
+                       return_predecessors=True)
+    return pred
 
 
 def _walk_to_distance(space: Space, pred_row, source: int, target: int,
@@ -155,6 +157,68 @@ def _rebase_strainer(space: Space, witness: Strainer, pred_row,
         b_out.append(_walk_to_distance(space, pred_row, witness.base, b,
                                        target_distance))
     return np.asarray(a_out, dtype=int), np.asarray(b_out, dtype=int)
+
+
+def _net_charts(mask, net: np.ndarray, target: Subset, g: np.ndarray,
+                rebase_distance: float, pool_radius: float,
+                max_margin: float) -> list[NetChart]:
+    """One chart per net point, from the mask's space to the target's.
+
+    Each witness is re-based at ``rebase_distance`` along sampled shortest
+    paths and mapped by ``g`` (source id -> target id); its margin in the
+    target space must stay below ``max_margin``.  The inversion pool is the
+    target subset within ``pool_radius`` of the base's image.
+    """
+    source, space_t = mask.subset.space, target.space
+    pred_rows = _ambient_paths(source, net)
+    charts = []
+    for row, p in enumerate(net):
+        a_ids, b_ids = _rebase_strainer(source, mask.witnesses[int(p)],
+                                        pred_rows[row], rebase_distance)
+        ga, gb = g[a_ids], g[b_ids]
+        ok, margin = is_strainer(space_t, int(g[p]),
+                                 list(zip(ga.tolist(), gb.tolist())), max_margin)
+        if not ok:
+            raise Refusal(f"strainer gap at net point {int(p)}: rebased margin "
+                          f"{margin:.4f} >= {max_margin:.4f} in the target space")
+        pool = np.intersect1d(target.indices, ball(space_t, int(g[p]), pool_radius))
+        charts.append(NetChart(base=int(p), a_ids=a_ids, b_ids=b_ids, margin=margin,
+                               inversion_pool=pool, target_a_ids=ga))
+    return charts
+
+
+def _blend(source: Space, target: Space, charts: list[NetChart],
+           domain: np.ndarray, r: float):
+    """Glue the chart inversions, in net order, into a map domain -> target.
+
+    On each chart's ball B(base, 2r) the target value is the convex
+    combination (1 - chi) psi(f_prev) + chi phi where the map is already
+    defined, and phi where chi = 1; it is pulled back by nearest value over
+    the chart's inversion pool.  Returns the target id of each domain
+    position and the largest lookup residual it had at any chart.
+    """
+    assignment = np.full(domain.size, -1, dtype=int)
+    resid = np.zeros(domain.size)
+    for chart in charts:
+        dpk = source.dist[chart.base, domain]
+        in2u = np.flatnonzero(dpk < 2.0 * r)
+        if in2u.size == 0:
+            continue
+        chi = bump(dpk[in2u] / r)
+        use = (assignment[in2u] >= 0) | (chi >= 1.0)
+        idx, chi = in2u[use], chi[use][:, None]
+        prev = assignment[idx]
+        phi = source.dist[np.ix_(chart.a_ids, domain[idx])].T
+        psi_prev = target.dist[np.ix_(chart.target_a_ids, np.maximum(prev, 0))].T
+        targets = np.where((prev >= 0)[:, None],
+                           (1.0 - chi) * psi_prev + chi * phi, phi)
+        psi_pool = target.dist[np.ix_(chart.target_a_ids, chart.inversion_pool)].T
+        gaps = ((psi_pool[None, :, :] - targets[:, None, :]) ** 2).sum(axis=-1)
+        resid[idx] = np.maximum(resid[idx], np.sqrt(gaps.min(axis=1)))
+        assignment[idx] = chart.inversion_pool[np.argmin(gaps, axis=1)]
+    if (assignment < 0).any():
+        raise KitError("glue domain not fully covered by net charts")
+    return assignment, resid
 
 
 def build_projection(subset: Subset, m: int, delta: float, ell: float, r: float,
@@ -197,66 +261,21 @@ def build_projection(subset: Subset, m: int, delta: float, ell: float, r: float,
     net = discrete_net(subset, r)
     if rebase_distance is None:
         rebase_distance = max(ell * delta, 4.0 * r)
-    dist_rows, pred_rows = _ambient_paths(space, net)
-
-    charts = []
-    for row, p in enumerate(net):
-        a_ids, b_ids = _rebase_strainer(space, mask.witnesses[int(p)],
-                                        pred_rows[row], rebase_distance)
-        pairs = list(zip(a_ids.tolist(), b_ids.tolist()))
-        margin = _strainer_margin(space, int(p), pairs)
-        if margin >= delta + REBASE_MARGIN_SLACK:
-            raise Refusal(f"strainer gap at net point {int(p)}: rebased margin "
-                          f"{margin:.4f} >= {delta + REBASE_MARGIN_SLACK:.4f}")
-        pool = np.intersect1d(subset.indices, ball(space, int(p), 3.0 * r))
-        charts.append(NetChart(base=int(p), a_ids=a_ids, b_ids=b_ids,
-                               margin=float(margin), inversion_pool=pool))
+    charts = _net_charts(mask, net, subset, np.arange(space.n_points),
+                         rebase_distance, 3.0 * r, delta + REBASE_MARGIN_SLACK)
 
     d_to_sub = space.dist[:, subset.indices].min(axis=1)
     domain = np.flatnonzero(d_to_sub < rho)
     domain = np.union1d(domain, subset.indices)
-
-    assignment = np.full(domain.size, -1, dtype=int)
-    defined = np.zeros(domain.size, dtype=bool)
-    flagged = []
-    for chart in charts:
-        dpk = space.dist[chart.base, domain]
-        in2u = np.flatnonzero(dpk < 2.0 * r)
-        if in2u.size == 0:
-            continue
-        chi = bump(dpk[in2u] / r)
-        psi_pool = space.dist[np.ix_(chart.a_ids, chart.inversion_pool)].T
-        phi = space.dist[np.ix_(chart.a_ids, domain[in2u])].T
-        use = defined[in2u] | (chi >= 1.0)
-        idx = in2u[use]
-        chi_u = chi[use][:, None]
-        targets = np.where(
-            defined[idx][:, None],
-            (1.0 - chi_u) * _psi_of(space, chart, assignment, idx, defined)
-            + chi_u * phi[use],
-            phi[use])
-        gaps = ((psi_pool[None, :, :] - targets[:, None, :]) ** 2).sum(axis=-1)
-        best = np.argmin(gaps, axis=1)
-        resid = np.sqrt(gaps[np.arange(best.size), best])
-        over = resid > max(delta * r, 4.0 * h)
-        flagged.extend(domain[idx[over]].tolist())
-        assignment[idx] = chart.inversion_pool[best]
-        defined[idx] = True
-    if not defined.all():
-        raise KitError("glue domain not fully covered by net charts")
+    assignment, resid = _blend(space, space, charts, domain, r)
 
     sub_positions = np.searchsorted(domain, subset.indices)
     identity_exact = bool(np.all(assignment[sub_positions] == subset.indices))
+    flagged = domain[resid > max(delta * r, 4.0 * h)].tolist()
     return GlueMap(subset=subset, net=net, r=r, rho=rho, charts=charts,
                    domain=domain, assignment=assignment,
                    identity_exact=identity_exact,
-                   flagged_points=sorted(set(flagged)), warnings=warnings)
-
-
-def _psi_of(space, chart, assignment, idx, defined):
-    imgs = assignment[idx]
-    safe = np.where(imgs >= 0, imgs, 0)
-    return space.dist[np.ix_(chart.a_ids, safe)].T
+                   flagged_points=flagged, warnings=warnings)
 
 
 def _cap_positions(n: int, cap: int) -> np.ndarray:
@@ -394,48 +413,10 @@ def cross_space_almost_isometry(e_subset: Subset, f_subset: Subset,
                         name=f"{e_subset.name}(strained)",
                         link_radius=e_subset.link_radius)
     net = discrete_net(domain_sub, r)
-    rebase_distance = max(ell * delta, 4.0 * r)
-    dist_rows, pred_rows = _ambient_paths(space_e, net)
-
-    charts = []
-    for row, p in enumerate(net):
-        a_ids, b_ids = _rebase_strainer(space_e, mask.witnesses[int(p)],
-                                        pred_rows[row], rebase_distance)
-        ga, gb = g[a_ids], g[b_ids]
-        ok, lifted_margin = is_strainer(space_f, int(g[p]),
-                                        list(zip(ga.tolist(), gb.tolist())),
-                                        delta + lift_slack)
-        if not ok:
-            raise Refusal(f"strainer lift failure at net point {int(p)}: "
-                          f"margin {lifted_margin:.4f} in the target space")
-        pool = np.intersect1d(f_subset.indices,
-                              ball(space_f, int(g[p]), 4.0 * r))
-        charts.append({"base": int(p), "a_ids": a_ids, "fa_ids": ga,
-                       "margin": lifted_margin, "pool": pool})
-
+    charts = _net_charts(mask, net, f_subset, g, max(ell * delta, 4.0 * r),
+                         4.0 * r, delta + lift_slack)
     domain = mask.member_ids
-    assignment = np.full(domain.size, -1, dtype=int)
-    defined = np.zeros(domain.size, dtype=bool)
-    for chart in charts:
-        dpk = space_e.dist[chart["base"], domain]
-        in2u = np.flatnonzero(dpk < 2.0 * r)
-        if in2u.size == 0:
-            continue
-        chi = bump(dpk[in2u] / r)
-        use = defined[in2u] | (chi >= 1.0)
-        idx = in2u[use]
-        chi_u = chi[use][:, None]
-        phi = space_e.dist[np.ix_(chart["a_ids"], domain[idx])].T
-        imgs = np.where(assignment[idx] >= 0, assignment[idx], 0)
-        psi_prev = space_f.dist[np.ix_(chart["fa_ids"], imgs)].T
-        targets = np.where(defined[idx][:, None],
-                           (1.0 - chi_u) * psi_prev + chi_u * phi, phi)
-        psi_pool = space_f.dist[np.ix_(chart["fa_ids"], chart["pool"])].T
-        gaps = ((psi_pool[None, :, :] - targets[:, None, :]) ** 2).sum(axis=-1)
-        assignment[idx] = chart["pool"][np.argmin(gaps, axis=1)]
-        defined[idx] = True
-    if not defined.all():
-        raise KitError("strained set not fully covered by net charts")
+    assignment, _ = _blend(space_e, space_f, charts, domain, r)
 
     dd = space_e.dist[np.ix_(domain, domain)]
     fd = space_f.dist[np.ix_(assignment, assignment)]
@@ -446,7 +427,7 @@ def cross_space_almost_isometry(e_subset: Subset, f_subset: Subset,
     out = {
         "domain": domain, "assignment": assignment, "net": net,
         "distortion": distortion, "displacement": displacement,
-        "charts": [{"base": c["base"], "margin": c["margin"]} for c in charts],
+        "charts": [{"base": c.base, "margin": c.margin} for c in charts],
     }
     if epsilon is not None:
         out["epsilon"] = epsilon

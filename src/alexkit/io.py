@@ -25,17 +25,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import KitError, Refusal
-from .space import Space
+from .space import Space, euclidean_matrix
 
 SCHEMA_VERSION = 1
 
 
 def lower_triangle(dist: np.ndarray) -> list[float]:
-    n = dist.shape[0]
-    out = []
-    for i in range(1, n):
-        out.extend(float(x) for x in dist[i, :i])
-    return out
+    # a boolean mask selects in row-major order, with n^2 bytes of index
+    return dist[np.tri(dist.shape[0], k=-1, dtype=bool)].tolist()
 
 
 def from_lower_triangle(data, n: int) -> np.ndarray:
@@ -100,9 +97,7 @@ def space_from_dict(data: dict) -> Space:
     elif metric["type"] == "euclidean":
         if coords is None:
             raise KitError("euclidean metric type needs coords on every point")
-        diff = coords[:, None, :] - coords[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=-1))
-        np.fill_diagonal(dist, 0.0)
+        dist = euclidean_matrix(coords)
     else:
         raise KitError(f"unknown metric type {metric['type']!r}")
     space = Space(data["name"], data["kappa"], dist, coords=coords,

@@ -96,21 +96,26 @@ def _clamped_acos(x: float) -> float:
     return math.acos(x)
 
 
-def _cos_angle(kappa: float, a: float, b: float, c: float) -> float:
-    """cos of the angle between sides a, b with c opposite, no validation."""
+def _cos_angles(kappa: float, a, b, c):
+    """The kappa law of cosines: cos of the angle between sides a, b with c
+    opposite, elementwise over floats or arrays, no validation.
+
+    Returns (cos, degenerate).  ``degenerate`` marks a spherical vertex with
+    sin(a sqrt(kappa)) sin(b sqrt(kappa)) ~ 0, where cos is set to 1 (angle 0);
+    it is False for kappa <= 0.
+    """
     if kappa == 0.0:
-        return (a * a + b * b - c * c) / (2.0 * a * b)
+        return (a * a + b * b - c * c) / (2.0 * a * b), False
     if kappa > 0.0:
         s = math.sqrt(kappa)
-        denom = math.sin(a * s) * math.sin(b * s)
-        if abs(denom) < 1e-14:
-            raise UndefinedAngle(
-                f"spherical vertex degenerate: sin({a * s}) * sin({b * s}) ~ 0"
-            )
-        return (math.cos(c * s) - math.cos(a * s) * math.cos(b * s)) / denom
+        denom = np.sin(a * s) * np.sin(b * s)
+        num = np.cos(c * s) - np.cos(a * s) * np.cos(b * s)
+        degenerate = np.abs(denom) < 1e-14
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(degenerate, 1.0, num / denom), degenerate
     s = math.sqrt(-kappa)
-    denom = math.sinh(a * s) * math.sinh(b * s)
-    return (math.cosh(a * s) * math.cosh(b * s) - math.cosh(c * s)) / denom
+    denom = np.sinh(a * s) * np.sinh(b * s)
+    return (np.cosh(a * s) * np.cosh(b * s) - np.cosh(c * s)) / denom, False
 
 
 def comparison_angle(tri: KappaTriangle, degenerate_mode: str = "error") -> float:
@@ -129,13 +134,11 @@ def comparison_angle(tri: KappaTriangle, degenerate_mode: str = "error") -> floa
         if degenerate_mode == "zero":
             return 0.0
         raise NoComparisonTriangle(reason)
-    try:
-        cos_ang = _cos_angle(tri.kappa, a, b, tri.side_qr)
-    except UndefinedAngle:
-        if degenerate_mode == "zero":
-            return 0.0
-        raise
-    return _clamped_acos(cos_ang)
+    cos_ang, degenerate = _cos_angles(tri.kappa, a, b, tri.side_qr)
+    if degenerate and degenerate_mode == "error":
+        raise UndefinedAngle(f"spherical vertex degenerate: sin(a * sqrt(kappa)) * "
+                             f"sin(b * sqrt(kappa)) ~ 0 for a = {a}, b = {b}")
+    return _clamped_acos(float(cos_ang))
 
 
 def side_from_angle(kappa: float, l1: float, l2: float, angle: float) -> float:
@@ -191,19 +194,7 @@ def comparison_angles_array(kappa, a, b, c):
 
     sel = exists & ~bad_vertex
     if np.any(sel):
-        aa, bb, cc = a[sel], b[sel], c[sel]
-        if kappa == 0.0:
-            cos_ang = (aa * aa + bb * bb - cc * cc) / (2.0 * aa * bb)
-        elif kappa > 0.0:
-            s = math.sqrt(kappa)
-            denom = np.sin(aa * s) * np.sin(bb * s)
-            num = np.cos(cc * s) - np.cos(aa * s) * np.cos(bb * s)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cos_ang = np.where(np.abs(denom) < 1e-14, 1.0, num / denom)
-        else:
-            s = math.sqrt(-kappa)
-            denom = np.sinh(aa * s) * np.sinh(bb * s)
-            cos_ang = (np.cosh(aa * s) * np.cosh(bb * s) - np.cosh(cc * s)) / denom
+        cos_ang, _ = _cos_angles(kappa, a[sel], b[sel], c[sel])
         out[sel] = np.arccos(np.clip(cos_ang, -1.0, 1.0))
     out[bad_vertex] = np.nan
     return out

@@ -17,7 +17,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from .errors import KitError, Refusal
-from .space import Space, validate
+from .space import Space, euclidean_matrix, validate
 
 CORNER_EXCLUSION_FACTOR = 2.0  # regular ids stay 2h clear of corners
 
@@ -62,13 +62,6 @@ class ModelAnnotation:
                 d["singular_ids"] = info.singular_ids.tolist()
             out["subsets"][name] = d
         return out
-
-
-def _euclidean_matrix(coords: np.ndarray) -> np.ndarray:
-    diff = coords[:, None, :] - coords[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=-1))
-    np.fill_diagonal(d, 0.0)
-    return d
 
 
 def _register_annotation(space: Space, ann: ModelAnnotation):
@@ -200,7 +193,7 @@ def gen_convex_polygon(vertices, h: float, name: str | None = None,
         if inner.size:
             coords = np.vstack([bpts, inner])
 
-    dist = _euclidean_matrix(coords)
+    dist = euclidean_matrix(coords)
     space = Space(name or f"polygon{len(vertices)}", kappa=0.0, dist=dist,
                   coords=coords, resolution=pitch)
 
@@ -247,7 +240,7 @@ def gen_segment(length: float, h: float, name: str | None = None):
     pitch = length / m
     xs = np.arange(m + 1) * pitch
     coords = np.column_stack([xs, np.zeros_like(xs)])
-    dist = _euclidean_matrix(coords)
+    dist = euclidean_matrix(coords)
     space = Space(name or "segment", kappa=0.0, dist=dist, coords=coords,
                   resolution=pitch)
     ids = np.arange(m + 1)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from alexkit.cli import main
@@ -49,3 +51,32 @@ def test_nan_delta_refused(segment_file, capsys):
             "--delta", "nan", "--ell", "0.3"]
     assert exit_code(argv) == 2
     assert "delta must be positive" in capsys.readouterr().err
+
+
+def refused_cleanly(argv, capsys):
+    """Exit code and one-line message of a refused command; never a traceback."""
+    code = exit_code(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    return code, lines[0]
+
+
+@pytest.mark.parametrize("path", [[0, 1, 2, 99], [-1, 0, 1, 2]])
+def test_qcheck_path_id_out_of_range(path, segment_file, tmp_path, capsys):
+    path_file = tmp_path / "path.json"
+    path_file.write_text(json.dumps(path))
+    code, line = refused_cleanly(["qcheck", "--space", segment_file, "--path",
+                                  str(path_file), "--viewpoint", "3"], capsys)
+    assert code == 1 and "point id out of range 0..4" in line
+
+
+def test_converge_bad_member_parameter(tmp_path, capsys):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"members": [
+        {"generator": "segment", "label": "seg", "subset": "all",
+         "params": {"length": 1.0, "h": 0.25, "pitch": 3}}]}))
+    code, line = refused_cleanly(["converge", "--family", str(family), "--m", "1",
+                                  "--eps", "0.5"], capsys)
+    assert code == 2 and "'seg'" in line and "pitch" in line

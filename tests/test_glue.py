@@ -1,0 +1,77 @@
+"""Chart gluing: the collar projection and the cross-space almost isometry.
+
+The digests pin every output byte of both constructions; they were recorded
+before the two blends were merged into one, so they prove the merge kept the
+outputs.  Some pinned values are known defects (the collar's co-Lipschitz
+constant is negative and its map moves 3 subset points, so
+``identity_exact`` is False; the cross-space displacement exceeds the
+polygon's radius); a change that mends them re-records the digests.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from alexkit import models
+from alexkit.errors import Refusal
+from alexkit.glue import (bump, build_projection, cross_space_almost_isometry,
+                          discrete_net, projection_quality)
+from alexkit.io import dumps_stable
+
+
+def digest(obj) -> str:
+    return hashlib.sha256(dumps_stable(obj).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def collar():
+    # the collar-32gon benchmark workload at seed 0
+    space, _ = models.gen_regular_polygon(32, 0.04, circumradius=0.6)
+    gmap = build_projection(space.subsets["boundary"], 1, 0.25, 0.1, 0.16, rho=0.03)
+    return gmap, projection_quality(gmap)
+
+
+def test_projection_digest(collar):
+    gmap, quality = collar
+    assert (gmap.net.size, gmap.domain.size) == (32, 141)
+    assert gmap.to_dict()["quality"] == quality
+    assert digest(gmap.to_dict()) == (
+        "3f7dcb0af2eda9a4a821c95ed385ca36a0c4580f5b1ae5d72658973be277c325")
+
+
+def test_projection_domain_holds_the_subset(collar):
+    gmap, _ = collar
+    sub = gmap.subset.indices
+    assert np.isin(sub, gmap.domain).all()
+    assert gmap.image_of(int(sub[0])) in set(sub.tolist())
+    assert np.isin(gmap.assignment, sub).all()
+
+
+def test_cross_space_digest():
+    se, _ = models.gen_regular_polygon(32, 0.04, circumradius=0.6)
+    sf, _ = models.gen_regular_polygon(32, 0.03, circumradius=0.6)
+    nearest = np.argmin(((se.coords[:, None, :] - sf.coords[None, :, :]) ** 2)
+                        .sum(axis=-1), axis=1)
+    out = cross_space_almost_isometry(se.subsets["boundary"], sf.subsets["boundary"],
+                                      nearest, 1, 0.25, 0.1, 0.16, epsilon=0.03)
+    assert (out["net"].size, out["domain"].size) == (32, 96)
+    assert np.isin(out["assignment"], sf.subsets["boundary"].indices).all()
+    assert digest(out) == (
+        "d490b3f642c407927550c4b27a5a144a75c1e0900907783146b00bef818950df")
+
+
+def test_net_is_discrete_and_maximal():
+    space, _ = models.gen_regular_polygon(12, 0.05, circumradius=0.6)
+    sub = space.subsets["boundary"]
+    net = discrete_net(sub, 0.25)
+    d = space.dist[np.ix_(net, net)]
+    assert (d[np.triu_indices(net.size, 1)] > 0.125).all()
+    assert (space.dist[np.ix_(net, sub.indices)].min(axis=0) <= 0.125).all()
+    with pytest.raises(Refusal):
+        discrete_net(sub, 0.1)  # below 4h
+
+
+def test_bump_is_a_smoothstep_cutoff():
+    assert bump(0.5) == 1.0 and bump(1.0) == 1.0 and bump(2.0) == 0.0
+    assert bump(1.5) == pytest.approx(0.5)
