@@ -25,7 +25,7 @@ from .charts import (build_chart, intrinsic_shortest_path, metric_comparison,
 from .errors import KitError, Refusal
 from .flow import FlowConfig, extremal_invariance_test, gradient_curve
 from .glue import build_projection, projection_quality, volume_convergence_experiment
-from .io import dumps_stable, load_space, save_space, write_report
+from .io import dumps_stable, load_space, save_space
 from .space import (Curve, calibration_constant, hausdorff_measure_estimate,
                     packing_dimension_estimate, validate)
 from .strainers import classify, find_strainer, strainer_number

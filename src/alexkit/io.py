@@ -12,14 +12,21 @@ Space files are JSON with schema_version 1:
     }
 
 Matrix data is the strict lower triangle, row-major, 64-bit floats.  The
-"euclidean" metric type recomputes distances from coords on load.  Report
-JSON is written with sorted keys and no timestamps so identical runs are
-byte-identical.
+"euclidean" metric type recomputes distances from coords on load.
+
+``dumps_stable`` is the one JSON writer, for space files and CLI reports
+alike: sorted keys, one-space indent, ``repr`` floats, no timestamps, so
+identical runs are byte-identical.  It walks the object once.  A list made
+only of floats is written with one join in which each distinct float (by bit
+pattern) is formatted once: sampled lattices repeat distances, so a space
+file's matrix holds a fifth or less as many distinct values as entries.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -118,28 +125,63 @@ def load_space(path) -> Space:
 
 
 def dumps_stable(obj) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(_plain(obj), sort_keys=True, indent=1,
-                      separators=(",", ": ")) + "\n"
+    """Deterministic JSON: sorted keys, one-space indent, trailing newline.
+
+    Keys are written as ``str(key)``; tuples and numpy arrays as lists; numpy
+    scalars as Python numbers; non-finite floats as the JSON strings "inf",
+    "-inf" and "nan".  Any other type raises ``TypeError``.
+    """
+    return _encode(obj, "\n") + "\n"
 
 
-def write_report(path, obj):
-    Path(path).write_text(dumps_stable(obj))
-
-
-def _plain(obj):
-    import math
-
+def _encode(obj, newline: str) -> str:
+    # newline: a line break plus the indent of the line obj starts on
     if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+        obj = {str(k): v for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        inner = newline + " "
+        return "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(k) + ": " + _encode(obj[k], inner)
+            for k in sorted(obj)) + newline + "}"
     if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
+        obj = list(obj.tolist())  # a 0-d array of numbers raises TypeError
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + " "
+        sep = "," + inner
+        if set(map(type, obj)) == {float}:
+            body = _floats(obj, sep)
+        else:
+            body = sep.join([_encode(v, inner) for v in obj])
+        return "[" + inner + body + newline + "]"
     if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
+        obj = int(obj)
+    elif isinstance(obj, np.floating):
         obj = float(obj)
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)  # "inf" / "-inf" / "nan"; valid JSON strings
-    return obj
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _floats(values: list, sep: str) -> str:
+    # each distinct float is formatted once; grouped by bit pattern, not by
+    # value, because -0.0 == 0.0 but the two print differently
+    bits, inverse = np.unique(np.array(values).view(np.int64), return_inverse=True)
+    text = np.array([_float(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return sep.join(text[inverse].tolist())
+
+
+def _float(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else encode_basestring_ascii(repr(x))

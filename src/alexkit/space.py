@@ -75,7 +75,7 @@ class Space:
     def check_ids(self, ids) -> np.ndarray:
         ids = np.atleast_1d(np.asarray(ids, dtype=int))
         if ids.size and (ids.min() < 0 or ids.max() >= self.n_points):
-            raise KitError(f"point id out of range 0..{self.n_points - 1}")
+            raise Refusal(f"point id out of range 0..{self.n_points - 1}")
         return ids
 
     def subset(self, indices, name="subset", extremal=False, link_radius=None) -> "Subset":

@@ -69,7 +69,22 @@ def test_qcheck_path_id_out_of_range(path, segment_file, tmp_path, capsys):
     path_file.write_text(json.dumps(path))
     code, line = refused_cleanly(["qcheck", "--space", segment_file, "--path",
                                   str(path_file), "--viewpoint", "3"], capsys)
-    assert code == 1 and "point id out of range 0..4" in line
+    assert code == 2 and "point id out of range 0..4" in line
+
+
+@pytest.mark.parametrize("args", [
+    ["chart", "--subset", "all", "--base", "9999", "--k", "1", "--delta", "0.2"],
+    ["chart", "--subset", "all", "--base", "-1", "--k", "1", "--delta", "0.2"],
+    ["flow", "--toward-dist", "0", "--from", "9999"],
+    ["flow", "--toward-dist", "-5", "--from", "2"],
+    ["qcheck", "--path", "PATH", "--viewpoint", "99"],
+])
+def test_point_id_out_of_range_is_a_refusal(args, segment_file, tmp_path, capsys):
+    path_file = tmp_path / "path.json"
+    path_file.write_text("[0, 1, 2]")
+    argv = [str(path_file) if a == "PATH" else a for a in args]
+    code, line = refused_cleanly(argv + ["--space", segment_file], capsys)
+    assert code == 2 and line == "refusal: point id out of range 0..4"
 
 
 def test_converge_bad_member_parameter(tmp_path, capsys):

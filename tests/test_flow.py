@@ -1,0 +1,73 @@
+import numpy as np
+import pytest
+
+from alexkit import models
+from alexkit.errors import Refusal
+from alexkit.flow import (FlowConfig, directional_derivative,
+                          dist_gradient_lower_bound, extremal_invariance_test,
+                          gradient_curve)
+from alexkit.space import Subset
+
+H = 0.05
+
+
+@pytest.fixture(scope="module")
+def square():
+    space, _ = models.gen_convex_polygon([(0, 0), (1, 0), (1, 1), (0, 1)], H)
+    return space
+
+
+@pytest.fixture(scope="module")
+def cfg():
+    return FlowConfig(step=3 * H, witness_radius=6 * H)
+
+
+def nearest(space, ids, xy):
+    return int(ids[np.argmin(np.hypot(*(space.coords[ids] - xy).T))])
+
+
+def test_step_below_two_pitches_refused(square):
+    FlowConfig(step=2 * H, witness_radius=4 * H).check(square)
+    with pytest.raises(Refusal, match="below 2h"):
+        FlowConfig(step=1.9 * H, witness_radius=4 * H).check(square)
+
+
+def test_derivative_is_one_straight_away_from_q():
+    segment, _ = models.gen_segment(1.0, 0.1)
+    # x = 0.5 lies between q = 0 and w = 1 on the segment
+    assert directional_derivative(segment, 0, 5, 10) == 1.0
+
+
+def test_gradient_curves_ascend(square, cfg):
+    interior = square.subsets["interior"].indices
+    q = nearest(square, interior, (0.5, 0.5))
+    starts = [x for x in interior[::7] if x != q]
+    for x0 in starts:
+        curve = gradient_curve(square, q, int(x0), cfg)
+        assert np.all(np.diff(square.dist[q, curve.points]) > 0)
+        derivs = np.asarray(curve.meta["derivatives"])
+        assert np.all((derivs > cfg.stop_threshold) & (derivs <= 1.0))
+
+
+def test_invariance_separates_boundary_from_midline(square, cfg):
+    c = square.coords
+    boundary = square.subsets["boundary"]
+    q = nearest(square, square.subsets["interior"].indices, (0.5, 0.15))
+    result = extremal_invariance_test(boundary, q, boundary.indices, cfg)
+    assert result["max_deviation"] <= 2 * H and not result["stalls"]
+
+    # the lattice row closest to y = 0.5, away from the sides: not extremal
+    interior = square.subsets["interior"].indices
+    rows = np.unique(c[interior, 1])
+    row = rows[np.argmin(np.abs(rows - 0.5))]
+    on_row = interior[(c[interior, 1] == row) & (np.abs(c[interior, 0] - 0.5) < 0.35)]
+    midline = Subset(square, on_row, name="midline")
+    result = extremal_invariance_test(midline, q, midline.indices, cfg)
+    assert result["max_deviation"] > 5 * H
+
+
+def test_boundary_distance_has_a_gradient_on_a_band(square, cfg):
+    out = dist_gradient_lower_bound(square.subsets["boundary"],
+                                    {"inner": 2 * H, "outer": 4 * H}, cfg)
+    assert out["band_points"] > 0
+    assert out["epsilon"] > 0 and not out["flagged"]

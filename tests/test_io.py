@@ -1,10 +1,17 @@
+import hashlib
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from alexkit import models
 from alexkit.errors import KitError
-from alexkit.io import (from_lower_triangle, load_space, lower_triangle,
-                        save_space)
+from alexkit.io import (dumps_stable, from_lower_triangle, load_space,
+                        lower_triangle, save_space)
 
 
 @pytest.fixture(scope="module")
@@ -40,3 +47,84 @@ def test_lower_triangle_is_row_major():
 def test_wrong_triangle_length_refused():
     with pytest.raises(KitError, match="needs 3 entries, got 2"):
         from_lower_triangle([1.0, 2.0], 3)
+
+
+# SHA-256 of save_space's bytes for the triangle, recorded before the writer
+# became a one-pass encoder
+SAVED_DIGESTS = {
+    "matrix": "0ee2aa57dd022f4c2221a138deea3dca0dd0b5c28e790a2d6422818edace4344",
+    "euclidean": "8cce600c7b3e456f5c72b129a7f3180c47834e7890dc89aa06b801fd240b4afc",
+}
+
+
+@pytest.mark.parametrize("metric_type", sorted(SAVED_DIGESTS))
+def test_saved_bytes_digest(polygon, metric_type, tmp_path):
+    path = tmp_path / "space.json"
+    save_space(polygon, path, metric_type)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_DIGESTS[metric_type]
+
+
+def _plain(obj):
+    """The reference writer's conversion to plain JSON values."""
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_plain(v) for v in obj.tolist()]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        obj = float(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)  # "inf" / "-inf" / "nan"; valid JSON strings
+    return obj
+
+
+def reference_dumps(obj) -> str:
+    return json.dumps(_plain(obj), sort_keys=True, indent=1,
+                      separators=(",", ": ")) + "\n"
+
+
+def outcome(write, obj):
+    try:
+        return write(obj)
+    except Exception as e:  # the exception type is part of the contract
+        return type(e)
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 0.1,
+                  1e16, 1e-7, 5e-324]
+floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+float_runs = st.lists(st.sampled_from(SPECIAL_FLOATS) | floats, max_size=30).map(
+    lambda xs: xs + xs[: len(xs) // 2])  # repeated values
+numpy_values = (
+    hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=4), elements=floats)
+    | hnp.arrays(np.int64, hnp.array_shapes(max_dims=2, max_side=4))
+    | hnp.from_dtype(np.dtype(np.float64)) | hnp.from_dtype(np.dtype(np.float32))
+    | hnp.from_dtype(np.dtype(np.int32)) | hnp.from_dtype(np.dtype(np.uint64)))
+scalars = (st.none() | st.booleans() | st.integers() | floats | st.text(max_size=5)
+           | numpy_values | float_runs)
+keys = st.text(max_size=4) | st.integers(-3, 3) | st.booleans() | st.none() | floats
+# values the reference rejects: a set, complex numbers, numpy bools and a
+# 0-d array, which is not iterable
+unwritable = st.sampled_from([set(), 1j, np.complex128(1j), np.bool_(True),
+                              np.array(2.5), object()])
+
+
+def nested(leaves):
+    return st.recursive(leaves, lambda inner: (
+        st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(keys, inner, max_size=4)), max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested(scalars))
+def test_writer_matches_reference(obj):
+    assert dumps_stable(obj) == reference_dumps(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nested(scalars | unwritable))
+def test_writer_rejects_what_the_reference_rejects(obj):
+    assert outcome(dumps_stable, obj) == outcome(reference_dumps, obj)
