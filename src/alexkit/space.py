@@ -73,10 +73,17 @@ class Space:
         return DEFAULT_LINK_FACTOR * self.require_resolution()
 
     def check_ids(self, ids) -> np.ndarray:
-        ids = np.atleast_1d(np.asarray(ids, dtype=int))
-        if ids.size and (ids.min() < 0 or ids.max() >= self.n_points):
+        """The ids as a 1-D integer array; refuses non-integer or out-of-range ids.
+
+        Floats (even 2.0), strings and booleans are refused, not cast.
+        """
+        arr = np.atleast_1d(np.asarray(ids))
+        if arr.size and (arr.dtype.kind not in "iu" or isinstance(ids, (list, tuple))
+                         and any(isinstance(i, (bool, np.bool_)) for i in ids)):
+            raise Refusal("point ids must be integers")
+        if arr.size and (arr.min() < 0 or arr.max() >= self.n_points):
             raise Refusal(f"point id out of range 0..{self.n_points - 1}")
-        return ids
+        return arr.astype(int, copy=False)
 
     def subset(self, indices, name="subset", extremal=False, link_radius=None) -> "Subset":
         sub = Subset(self, indices, name=name, extremal_claim=extremal,

@@ -11,6 +11,14 @@ drops every pair and beam already at margin >= delta.  That pruning is exact:
 the witness does not depend on delta except for whether it is returned.  The
 beam itself is heuristic: "no strainer found" is NOT proof of absence.
 Strainer lengths are capped at 1; all arguments using strainers are local.
+
+One kernel runs the search for a block of base points at once: their pools
+padded to one width P, one (points, P, P) comparison-angle array, the live
+pairs of each point and every beam level as arrays over the block.  Blocks
+are runs of consecutive points sized so that the angle array stays within a
+fixed element budget.  ``classify`` scans a subset block by block, and
+``find_strainer`` is the kernel called on one point; both give the same
+witness at every point.
 """
 
 from __future__ import annotations
@@ -26,6 +34,9 @@ from .space import Space, Subset, ball, packing_number
 
 MAX_STRAINER_LENGTH = 1.0
 HALF_PI = math.pi / 2.0
+BEAM_WIDTH = 8
+# most elements in one block's (points, pool, pool) angle array
+_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -98,8 +109,157 @@ def is_strainer(space: Space, p: int, pairs, delta: float) -> tuple[bool, float]
     return bool(margin < delta), float(margin)
 
 
+def _blocks(space: Space, ids, k: int, ell: float, search_radius: float):
+    """Runs of consecutive base points with their pools (ell < d < R).
+
+    Points whose pool holds fewer than 2k points have no strainer and are
+    skipped.  A run grows while (points) x (largest pool)^2 stays within
+    _BLOCK_ELEMENTS, so one point with a large pool is a run of its own.
+    """
+    block, pools, width = [], [], 0
+    for p in ids:
+        dp = space.dist[p]
+        pool = np.flatnonzero((dp > ell) & (dp < search_radius))
+        if pool.size < 2 * k:
+            continue
+        grown = max(width, pool.size)
+        if block and (len(block) + 1) * grown * grown > _BLOCK_ELEMENTS:
+            yield block, pools
+            block, pools, grown = [], [], pool.size
+        block.append(p)
+        pools.append(pool)
+        width = grown
+    if block:
+        yield block, pools
+
+
+def _below(keep, values):
+    """The entries of each row of values where keep holds, left-aligned in
+    column order: (columns, values), padded with column 0 and value inf."""
+    rows, cols = np.nonzero(keep)
+    count = np.bincount(rows, minlength=keep.shape[0])
+    slot = np.arange(rows.size) - (np.cumsum(count) - count)[rows]
+    out = np.zeros((keep.shape[0], count.max(initial=0)), dtype=int)
+    out_values = np.full(out.shape, math.inf)
+    out[rows, slot] = cols
+    out_values[rows, slot] = values[rows, cols]
+    return out, out_values
+
+
+def _beam(space: Space, block: list[int], pools: list[np.ndarray], k: int,
+          delta: float) -> dict[int, Strainer]:
+    """The width-BEAM_WIDTH beam search at every base point of one block.
+
+    Pools are padded with the base point itself to the largest pool size P,
+    so a padded entry has a zero side and angle NaN, and is never live.  The
+    live pairs of each point (pair margin < delta) are listed row-major in
+    (C, L) arrays, which is (pool id i, pool id j) order because pools are
+    ascending; a stable sort on margin therefore breaks ties by pool id.
+    Beams are (C, B) arrays of margins (inf: no beam) and live-pair slots.
+    """
+    c_n, width = len(block), max(pool.size for pool in pools)
+    base = np.asarray(block)
+    pool_ids = np.repeat(base[:, None], width, axis=1)
+    for c, pool in enumerate(pools):
+        pool_ids[c, :pool.size] = pool
+    d = space.dist
+    dp = d[base[:, None], pool_ids]
+    ang = comparison_angles_array(space.kappa, dp[:, :, None], dp[:, None, :],
+                                  d[pool_ids[:, :, None], pool_ids[:, None, :]])
+
+    # the live pool pairs: pair margin (the pi - delta condition) below delta.
+    # No int64 comparison here or below: its first use in a process faults
+    # in 128 KiB of numpy code, which shows in the peak RSS of a CLI run.
+    pair_margin = (math.pi - ang).reshape(c_n, -1)
+    upper = ~np.tri(width, dtype=bool).ravel()
+    live, live_m = _below((pair_margin < delta) & upper, pair_margin)
+    if live.shape[1] == 0:
+        return {}
+    live_i, live_j = np.divmod(live, width)
+
+    rows = np.arange(c_n)[:, None]
+    if k == 1:
+        chosen = live_m.argmin(axis=1)[:, None, None]
+    else:
+        chosen = np.argsort(live_m, axis=1, kind="stable")[:, :BEAM_WIDTH, None]
+        cross = HALF_PI - ang          # the pi/2 - delta condition
+    margin = np.take_along_axis(live_m, chosen[:, :, 0], axis=1)
+
+    for level in range(1, k):
+        # each beam's worst cross margin (C, B, P) of every pool point against
+        # its chosen points, which themselves get inf
+        a, b = live_i[rows, chosen[:, :, -1]], live_j[rows, chosen[:, :, -1]]
+        wc = np.maximum(np.maximum(cross[rows, :, a], cross[rows, :, b]),
+                        -math.inf if level == 1 else wc[rows, parent])
+        np.put_along_axis(wc, a[:, :, None], math.inf, axis=2)
+        np.put_along_axis(wc, b[:, :, None], math.inf, axis=2)
+        # every beam extended by every live pair, then each beam's best
+        ext = np.maximum(np.maximum(live_m[:, None, :], margin[:, :, None]),
+                         np.maximum(np.take_along_axis(wc, live_i[:, None, :], axis=2),
+                                    np.take_along_axis(wc, live_j[:, None, :], axis=2)))
+        n_beams = ext.shape[1]
+        ext = ext.reshape(c_n * n_beams, -1)
+        top, top_m = _below(ext < delta, ext)
+        if top.shape[1] == 0:
+            return {}
+        first = np.argsort(top_m, axis=1, kind="stable")[:, :BEAM_WIDTH]
+        parent = np.repeat(np.arange(n_beams), first.shape[1])
+        cand_margin = np.take_along_axis(top_m, first, axis=1).reshape(c_n, -1)
+        cand = np.concatenate([chosen[:, parent], np.take_along_axis(
+            top, first, axis=1).reshape(c_n, -1, 1)], axis=2)
+        # candidates by (margin, chosen ids); the first of each set of pairs
+        order = np.lexsort([*np.moveaxis(cand, 2, 0)[::-1], cand_margin], axis=1)
+        cand = np.take_along_axis(cand, order[:, :, None], axis=1)
+        cand_margin = np.take_along_axis(cand_margin, order, axis=1)
+        # equal sets of pairs side by side, in candidate order (lexsort is
+        # stable, and the padding of margin inf is last)
+        pair_set = np.sort(cand, axis=2)
+        group = np.lexsort(np.moveaxis(pair_set, 2, 0)[::-1], axis=1)
+        pair_set = np.take_along_axis(pair_set, group[:, :, None], axis=1)
+        same = np.zeros(group.shape, dtype=bool)
+        same[:, 1:] = ~(pair_set[:, 1:] - pair_set[:, :-1]).any(axis=2)
+        repeat = np.empty_like(same)
+        np.put_along_axis(repeat, group, same, axis=1)
+        keep, margin = _below((cand_margin < delta) & ~repeat, cand_margin)
+        keep, margin = keep[:, :BEAM_WIDTH], margin[:, :BEAM_WIDTH]
+        chosen = np.take_along_axis(cand, keep[:, :, None], axis=1)
+        parent = parent[np.take_along_axis(order, keep, axis=1)]
+
+    hit = np.flatnonzero(margin[:, 0] < delta)
+    best = chosen[hit, 0]
+    pts = pool_ids[hit[:, None, None], np.stack([live_i[hit[:, None], best],
+                                            live_j[hit[:, None], best]], axis=2)]
+    length = d[base[hit, None], pts.reshape(hit.size, 2 * k)].min(axis=1)
+    return {block[c]: Strainer(base=block[c], pairs=tuple(map(tuple, pr)),
+                               delta_achieved=m, length=ln)
+            for c, pr, m, ln in zip(hit.tolist(), pts.tolist(),
+                                    margin[hit, 0].tolist(), length.tolist())}
+
+
+def _search(space: Space, ids: list[int], k: int, delta: float, ell: float,
+            search_radius: float, stop_at_first: bool = False) -> dict[int, Strainer]:
+    """The strainers found at the base points ids, in their order."""
+    if ell > MAX_STRAINER_LENGTH:
+        raise Refusal(f"strainer length bound ell = {ell} exceeds 1")
+    if ell >= search_radius:
+        raise Refusal("need ell < search_radius")
+    if k < 0:
+        raise Refusal(f"need k >= 0, got {k}")
+    if k == 0:
+        ids = ids[:1] if stop_at_first else ids
+        return {p: Strainer(base=p, pairs=(), delta_achieved=0.0, length=math.inf)
+                for p in ids}
+    found = {}
+    for block, pools in _blocks(space, ids, k, ell, search_radius):
+        found.update(_beam(space, block, pools, k, delta))
+        if stop_at_first and found:
+            first = next(iter(found))
+            return {first: found[first]}
+    return found
+
+
 def find_strainer(space: Space, p: int, k: int, delta: float, ell: float,
-                  search_radius: float, beam_width: int = 8) -> Strainer | None:
+                  search_radius: float) -> Strainer | None:
     """Beam search for a (k, delta)-strainer at p with length > ell.
 
     Picks the best first pairs by maximal comparison angle, then greedily
@@ -109,93 +269,28 @@ def find_strainer(space: Space, p: int, k: int, delta: float, ell: float,
     dropped before ranking; the pruning is exact, and the witness does not
     depend on delta except for whether it is returned.  None means that no
     beam reached a margin < delta: a heuristic result, not a certificate.
+    This is the one-point call of the block kernel that :func:`classify`
+    runs over a whole subset.
     """
-    (p,) = space.check_ids([p])
-    p = int(p)
-    if ell > MAX_STRAINER_LENGTH:
-        raise Refusal(f"strainer length bound ell = {ell} exceeds 1")
-    if ell >= search_radius:
-        raise Refusal("need ell < search_radius")
-    if k == 0:
-        return Strainer(base=p, pairs=(), delta_achieved=0.0, length=math.inf)
-
-    dp = space.dist[p]
-    pool = np.flatnonzero((dp > ell) & (dp < search_radius))
-    if pool.size < 2 * k:
-        return None
-
-    # pairwise comparison angles at p over the pool
-    d = space.dist
-    ang = comparison_angles_array(
-        space.kappa, dp[pool][:, None], dp[pool][None, :],
-        d[np.ix_(pool, pool)])
-    cross_margin = HALF_PI - ang         # the pi/2 - delta condition
-    # the live pool pairs: pair margin (the pi - delta condition) below delta
-    iu, ju = np.triu_indices(pool.size, k=1)
-    pair_margin = math.pi - ang[iu, ju]
-    live = pair_margin < delta
-    iu, ju, pair_margin = iu[live], ju[live], pair_margin[live]
-
-    def best(margins):
-        """The beam_width live pairs of least margin < delta; ties by pool id."""
-        keep = np.flatnonzero(margins < delta)
-        take = keep[np.lexsort((pool[ju[keep]], pool[iu[keep]], margins[keep]))]
-        return [(float(margins[t]), (int(iu[t]), int(ju[t])))
-                for t in take[:beam_width]]
-
-    beams = [(margin, [pr]) for margin, pr in best(pair_margin)]
-    for _ in range(1, k):
-        extensions = []
-        for margin0, chosen in beams:
-            used = [i for pr in chosen for i in pr]
-            # worst cross margin of each pool point against the chosen points
-            wc = cross_margin[:, used].max(axis=1)
-            wc[used] = math.inf
-            margins = np.maximum(np.maximum(pair_margin, margin0),
-                                 np.maximum(wc[iu], wc[ju]))
-            extensions += [(m, chosen + [pr]) for m, pr in best(margins)]
-        extensions.sort(key=lambda e: (e[0], [pool[i] for pr in e[1] for i in pr]))
-        beams = []
-        seen = set()
-        for margin, chosen in extensions:
-            key = frozenset(frozenset(pr) for pr in chosen)
-            if key in seen:
-                continue
-            seen.add(key)
-            beams.append((margin, chosen))
-            if len(beams) >= beam_width:
-                break
-
-    if not beams:
-        return None
-    margin, chosen = beams[0]
-    ids = [(int(pool[a]), int(pool[b])) for a, b in chosen]
-    pts = [i for pr in ids for i in pr]
-    length = float(dp[pts].min())
-    return Strainer(base=p, pairs=tuple(ids), delta_achieved=margin, length=length)
+    p = int(space.check_ids([p])[0])
+    return _search(space, [p], k, delta, ell, search_radius).get(p)
 
 
 def classify(subset: Subset, k: int, delta: float, ell: float,
-             search_radius: float, beam_width: int = 8,
-             stop_at_first: bool = False) -> ClassificationMask:
+             search_radius: float, stop_at_first: bool = False) -> ClassificationMask:
     """Run the strainer search at every subset point; keep the witnesses.
 
-    ``stop_at_first`` returns as soon as one member is found (used by
-    strainer-number searches where only non-emptiness matters).
+    The points are searched in blocks of consecutive points (sized by their
+    pools, see ``_blocks``), one array pass per block, with the witness at
+    each point exactly that of :func:`find_strainer`.  ``stop_at_first``
+    returns only the first member (used by strainer-number searches where
+    only non-emptiness matters); the rest of its block is searched anyway.
     """
-    members = []
-    witnesses = {}
-    for p in subset.indices:
-        s = find_strainer(subset.space, int(p), k, delta, ell, search_radius,
-                          beam_width)
-        if s is not None:
-            members.append(int(p))
-            witnesses[int(p)] = s
-            if stop_at_first:
-                break
+    witnesses = _search(subset.space, subset.indices.tolist(), k, delta, ell,
+                        search_radius, stop_at_first)
     return ClassificationMask(subset=subset, k=k, delta=delta, ell=ell,
                               search_radius=search_radius,
-                              member_ids=np.asarray(members, dtype=int),
+                              member_ids=np.asarray(list(witnesses), dtype=int),
                               witnesses=witnesses)
 
 

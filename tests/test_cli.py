@@ -72,6 +72,16 @@ def test_qcheck_path_id_out_of_range(path, segment_file, tmp_path, capsys):
     assert code == 2 and "point id out of range 0..4" in line
 
 
+@pytest.mark.parametrize("path", [[0, 1.7, 2.2], [0, 1, 2.0], ["0", "x"], ["1", "2"],
+                                  [True, False, True], [0, True, 2], [0, None, 2]])
+def test_qcheck_path_non_integer_id_refused(path, segment_file, tmp_path, capsys):
+    path_file = tmp_path / "path.json"
+    path_file.write_text(json.dumps(path))
+    code, line = refused_cleanly(["qcheck", "--space", segment_file, "--path",
+                                  str(path_file), "--viewpoint", "3"], capsys)
+    assert (code, line) == (2, "refusal: point ids must be integers")
+
+
 @pytest.mark.parametrize("args", [
     ["chart", "--subset", "all", "--base", "9999", "--k", "1", "--delta", "0.2"],
     ["chart", "--subset", "all", "--base", "-1", "--k", "1", "--delta", "0.2"],
@@ -95,3 +105,20 @@ def test_converge_bad_member_parameter(tmp_path, capsys):
     code, line = refused_cleanly(["converge", "--family", str(family), "--m", "1",
                                   "--eps", "0.5"], capsys)
     assert code == 2 and "'seg'" in line and "pitch" in line
+
+
+@pytest.mark.parametrize("command", [["dim"], ["strain", "--k", "2"]])
+def test_reports_are_byte_identical_across_runs(command, tmp_path):
+    space = str(tmp_path / "square.json")
+    assert main(["gen", "polygon", "--vertices", "[[0, 0], [1, 0], [1, 1], [0, 1]]",
+                 "--h", "0.1", "--out", space]) == 0
+    out = tmp_path / "report.json"
+    argv = [*command, "--space", space, "--subset", "all", "--delta", "0.1",
+            "--ell", "0.12", "--search-radius", "0.45", "--out", str(out)]
+    reports = []
+    for _ in range(2):
+        assert main(argv) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0])
+    assert report.get("strainer_number", report.get("member_count")) >= 2

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from alexkit import models
+from alexkit import models, strainers
 from alexkit.errors import KitError, Refusal
 from alexkit.kplane import comparison_angles_array
-from alexkit.space import Space, packing_dimension_estimate
+from alexkit.space import Space, Subset, packing_dimension_estimate
 from alexkit.strainers import (classify, find_strainer, is_strainer,
                                local_strainer_number, regular_points,
                                strainer_number, unstrained_mass)
@@ -107,6 +107,11 @@ class TestFindStrainer:
         with pytest.raises(Refusal):
             find_strainer(space, 0, 1, delta=0.1, ell=1.5, search_radius=2.0)
 
+    def test_negative_k_refused(self, square):
+        space, _ = square
+        with pytest.raises(Refusal):
+            find_strainer(space, 0, -1, delta=0.1, ell=0.05, search_radius=0.3)
+
 
 def witness_corpus_spaces():
     """Small samples of the model spaces, each with its pitch h."""
@@ -162,6 +167,65 @@ def test_search_is_exact_in_delta():
                     assert find_strainer(space, p, k, got, ell, radius) is None
                     assert is_strainer(space, p, s.pairs, 0.8) == (True, got)
     assert found == 206
+
+
+def classify_cases():
+    """(subset, k, delta, ell, radius) over the corpus spaces.
+
+    Each space is scanned whole (sizes 145, 127, 70, 26 and 82, none a
+    multiple of a block), and each polygon also on a subset whose id order
+    runs from boundary points into interior points, so that one block holds
+    pools of very different sizes.
+    """
+    for space, h in witness_corpus_spaces():
+        subsets = [Subset(space, np.arange(space.n_points), name="all")]
+        if "interior" in space.subsets:
+            edge = space.subsets["boundary"].indices
+            inner = space.subsets["interior"].indices
+            subsets.append(Subset(space, np.r_[edge[-7:], inner[::4]], name="mixed"))
+        for sub in subsets:
+            for k in (1, 2, 3):
+                for ell, radius in ((1.5 * h, 5 * h), (2.5 * h, 8 * h)):
+                    for delta in (0.1, 0.4):
+                        yield sub, k, delta, ell, radius
+
+
+# SHA-256 of the canonical JSON of classify(...).to_dict() over classify_cases,
+# recorded with the per-point search loop before scans ran in blocks.
+CLASSIFY_CASES_SHA256 = \
+    "0c143c86c6edf6cbede7e27498641b702c0892591c3677d5024470afd0db840e"
+
+
+@pytest.fixture(scope="module")
+def classified():
+    return [(case, classify(*case)) for case in classify_cases()]
+
+
+def test_classify_cases_digest(classified):
+    assert len(classified) == 84
+    blob = json.dumps([mask.to_dict() for _, mask in classified], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == CLASSIFY_CASES_SHA256
+
+
+def test_classify_is_find_strainer_at_every_point(classified):
+    for (sub, k, delta, ell, radius), mask in classified:
+        want = {}
+        for p in sub.indices.tolist():
+            s = find_strainer(sub.space, p, k, delta, ell, radius)
+            if s is not None:
+                want[p] = s
+        assert mask.witnesses == want
+        assert mask.member_ids.tolist() == list(want)
+        first = classify(sub, k, delta, ell, radius, stop_at_first=True)
+        assert first.member_ids.tolist() == list(want)[:1]
+        assert first.witnesses == {p: want[p] for p in list(want)[:1]}
+
+
+def test_block_size_does_not_change_masks(classified, monkeypatch):
+    # eight times the element budget: longer blocks with other boundaries
+    monkeypatch.setattr(strainers, "_BLOCK_ELEMENTS", 8 * strainers._BLOCK_ELEMENTS)
+    for case, mask in classified:
+        assert classify(*case).to_dict() == mask.to_dict()
 
 
 class TestClassify:
