@@ -20,6 +20,7 @@ from .space import Curve, Space, Subset, ball
 from .strainers import Strainer
 
 RATIO_QUANTILES = (0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0)
+ARC_LENGTH_TOLERANCE = 0.2  # path gaps may differ from the step by this fraction
 
 
 @dataclass
@@ -34,10 +35,6 @@ class Chart:
     @property
     def k(self) -> int:
         return self.strainer.k
-
-    def region_positions(self) -> np.ndarray:
-        pos = self.subset._pos
-        return np.array([pos[int(i)] for i in self.region], dtype=int)
 
     def to_dict(self) -> dict:
         return {
@@ -93,7 +90,7 @@ def build_chart(subset: Subset, strainer: Strainer, radius: float | None = None)
     fdiff = np.sqrt(((values[:, None, :] - values[None, :, :]) ** 2).sum(axis=-1))
     stats = {"extrinsic": _ratio_stats(fdiff, space.dist[np.ix_(region, region)])}
     d_e = subset.intrinsic_matrix()
-    pos = np.array([subset._pos[int(i)] for i in region], dtype=int)
+    pos = subset.position(region)
     stats["intrinsic"] = _ratio_stats(fdiff, d_e[np.ix_(pos, pos)])
     return Chart(subset=subset, strainer=strainer, radius=float(radius),
                  region=region, values=values, stats=stats)
@@ -120,24 +117,35 @@ def direction_grid(k: int, count: int) -> np.ndarray:
     raise Refusal(f"direction grids implemented for k <= 3, got k = {k}")
 
 
-def openness_measure(chart: Chart, direction_count: int = 16,
-                     probe_radius: float | None = None) -> dict:
+def direction_defects(values: np.ndarray, value: np.ndarray, dist: np.ndarray,
+                      dirs: np.ndarray) -> np.ndarray:
+    """Per direction xi, min over rows q of |(values_q - value) / dist_q - xi|."""
+    diffs = (values - value) / dist[:, None]
+    return np.linalg.norm(diffs[:, None, :] - dirs[None, :, :], axis=-1).min(axis=0)
+
+
+def nearest_values(pool: np.ndarray, targets: np.ndarray):
+    """Row of pool nearest to each row of targets, and its squared distance."""
+    gaps = ((pool[None, :, :] - targets[:, None, :]) ** 2).sum(axis=-1)
+    return np.argmin(gaps, axis=1), gaps.min(axis=1)
+
+
+def openness_measure(chart: Chart, direction_count: int = 16) -> dict:
     """Empirical direction-realizability defect of the chart map.
 
     For each region point p and each grid direction xi, finds a nearby subset
     point q minimizing |(f(q) - f(p)) / d(p, q) - xi|; the returned eps_open
     is the max over (p, xi) of that minimum.  A map whose defect is eps is
     (1 - eps)-open on the region.  Probe points are drawn from the whole
-    subset within probe_radius so that region-edge points can still realize
-    outward directions; isolated points are skipped and counted.
+    subset within probe_radius = max(4h, radius / 4) so that region-edge
+    points can still realize outward directions; isolated points are skipped
+    and counted.
     """
     if direction_count < 8:
         raise Refusal("need at least 8 directions per sphere dimension")
     subset = chart.subset
     space = subset.space
-    h = space.require_resolution()
-    if probe_radius is None:
-        probe_radius = max(4.0 * h, chart.radius / 4.0)
+    probe_radius = max(4.0 * space.require_resolution(), chart.radius / 4.0)
     dirs = direction_grid(chart.k, direction_count)
     a_ids = np.array([a for a, _ in chart.strainer.pairs], dtype=int)
     sub_vals = space.dist[np.ix_(a_ids, subset.indices)].T  # (S, k)
@@ -151,9 +159,7 @@ def openness_measure(chart: Chart, direction_count: int = 16,
         if near.size == 0:
             skipped += 1
             continue
-        diffs = (sub_vals[near] - chart.values[idx]) / dp[near][:, None]
-        gaps = np.linalg.norm(diffs[:, None, :] - dirs[None, :, :], axis=-1)
-        per_dir = gaps.min(axis=0)
+        per_dir = direction_defects(sub_vals[near], chart.values[idx], dp[near], dirs)
         j = int(np.argmax(per_dir))
         if per_dir[j] > eps_open:
             eps_open = float(per_dir[j])
@@ -172,7 +178,7 @@ def metric_comparison(subset: Subset, p: int, radius: float) -> dict:
     ids = np.intersect1d(subset.indices, ball(space, p, radius))
     if ids.size < 2:
         raise Refusal("fewer than 2 subset points in the ball")
-    pos = np.array([subset._pos[int(i)] for i in ids], dtype=int)
+    pos = subset.position(ids)
     d_e = subset.intrinsic_matrix()[np.ix_(pos, pos)]
     d = space.dist[np.ix_(ids, ids)]
     iu, ju = np.triu_indices(ids.size, k=1)
@@ -191,15 +197,14 @@ def metric_comparison(subset: Subset, p: int, radius: float) -> dict:
 # ---------------------------------------------------------------------------
 # comparison angles along curves
 
-def quasigeodesic_check(space: Space, path: Curve, p: int,
-                        gap_tolerance: float = 0.2) -> dict:
+def quasigeodesic_check(space: Space, path: Curve, p: int) -> dict:
     """Largest monotonicity violation of t -> angle(p, path(t), path(t + tau)).
 
     For each point on the path the comparison angle (zero convention) toward
     later points is computed over increasing tau, up to pi/sqrt(kappa) when
     kappa > 0; nonincreasing sequences characterize quasigeodesics.  The path
-    must be arc-length parametrized: consecutive gaps within ``gap_tolerance``
-    of the declared step.
+    must be arc-length parametrized: consecutive gaps within
+    ARC_LENGTH_TOLERANCE (20 %) of the declared step.
     """
     (p,) = space.check_ids([p])
     ids = path.points
@@ -209,7 +214,7 @@ def quasigeodesic_check(space: Space, path: Curve, p: int,
         raise KitError("viewpoint lies on the path")
     gaps = path.gaps(space)
     step = path.step if path.step else float(np.median(gaps))
-    if np.any(np.abs(gaps - step) > gap_tolerance * step):
+    if np.any(np.abs(gaps - step) > ARC_LENGTH_TOLERANCE * step):
         raise Refusal("path is not arc-length parametrized at its declared step")
     t = np.concatenate([[0.0], np.cumsum(gaps)])
     dp = space.dist[p, ids]
@@ -252,8 +257,7 @@ def _bottleneck_radius(amb: np.ndarray, i0: int, i1: int) -> float:
     return radius
 
 
-def intrinsic_shortest_path(subset: Subset, start: int, end: int,
-                            link_radius: float | None = None) -> Curve:
+def intrinsic_shortest_path(subset: Subset, start: int, end: int) -> Curve:
     """Shortest path in the subset's link graph as a Curve.
 
     Routing uses weights d^1.01: among the many tied shortest chains through
@@ -261,22 +265,18 @@ def intrinsic_shortest_path(subset: Subset, start: int, end: int,
     samples, near-uniform steps) while perturbing route selection by well
     under the sampling error.  The reported length is the true weight sum.
 
-    ``link_radius`` defaults to the smallest radius whose link graph joins
-    start to end: the longest edge on their path through a minimum spanning
-    tree of the subset's ambient distances.  The path then never jumps
-    further than it must, so it stays on the subset instead of cutting its
-    corners by up to the subset's own link radius.  An explicit value
-    overrides this.
+    The link radius is the smallest radius whose link graph joins start to
+    end: the longest edge on their path through a minimum spanning tree of
+    the subset's ambient distances.  The path then never jumps further than
+    it must, so it stays on the subset instead of cutting its corners by up
+    to the subset's own link radius.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
     amb = subset.ambient_matrix()
-    i0 = subset.position(start)
-    i1 = subset.position(end)
-    if link_radius is None:
-        link_radius = _bottleneck_radius(amb, i0, i1)
-    linked = (amb > 0) & (amb <= link_radius)
+    i0, i1 = subset.position([start, end]).tolist()
+    linked = (amb > 0) & (amb <= _bottleneck_radius(amb, i0, i1))
     dist, pred = dijkstra(csr_matrix(np.where(linked, amb**1.01, 0.0)),
                           directed=False, indices=i0,
                           return_predecessors=True)

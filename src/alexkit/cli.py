@@ -28,24 +28,19 @@ from .glue import build_projection, projection_quality, volume_convergence_exper
 from .io import dumps_stable, load_space, save_space
 from .space import (Curve, calibration_constant, hausdorff_measure_estimate,
                     packing_dimension_estimate, validate)
-from .strainers import classify, find_strainer, strainer_number
+from .strainers import classify, find_strainer, resolve_search_radius, strainer_number
 
 DEFAULT_SEED = 20260809
 MAX_DELTA = 0.3
 MAX_ELL = 1.0
 
 
-def _positive(name, value):
-    if value is not None and not value > 0:  # NaN is not positive either
-        raise Refusal(f"parameter {name} must be positive, got {value}")
-    return value
-
-
 def _check_param_ranges(args):
-    for name in ("delta", "ell", "eps", "h", "r", "rho", "radius",
+    for name in ("delta", "ell", "eps", "h", "r", "rho", "radius", "length", "side",
                  "search_radius", "witness_radius", "step"):
-        if hasattr(args, name):
-            _positive(name, getattr(args, name))
+        value = getattr(args, name, None)
+        if value is not None and not 0 < value < math.inf:  # nor NaN, nor inf
+            raise Refusal(f"parameter {name} must be positive and finite, got {value}")
     if getattr(args, "delta", None) is not None and args.delta > MAX_DELTA:
         raise Refusal(f"delta must be <= {MAX_DELTA}, got {args.delta}")
     if getattr(args, "ell", None) is not None and args.ell > MAX_ELL:
@@ -133,11 +128,9 @@ def cmd_validate(args):
 
 
 def cmd_strain(args):
-    _check_param_ranges(args)
     space = _load(args)
     subset = _subset(space, args.subset)
-    sr = args.search_radius or min(4.0 * args.ell, space.diameter)
-    mask = classify(subset, args.k, args.delta, args.ell, sr)
+    mask = classify(subset, args.k, args.delta, args.ell, args.search_radius)
     report = _report_base(args, "strain")
     report["mask"] = mask.to_dict()
     report["member_count"] = int(mask.member_ids.size)
@@ -146,10 +139,9 @@ def cmd_strain(args):
 
 
 def cmd_chart(args):
-    _check_param_ranges(args)
     space = _load(args)
     subset = _subset(space, args.subset)
-    sr = args.search_radius or min(4.0 * args.ell, space.diameter)
+    sr = resolve_search_radius(space, args.ell, args.search_radius)
     strainer = find_strainer(space, args.base, args.k, args.delta, args.ell, sr)
     if strainer is None:
         raise Refusal(f"no ({args.k}, {args.delta})-strainer found at point "
@@ -178,7 +170,6 @@ def cmd_qcheck(args):
 
 
 def cmd_flow(args):
-    _check_param_ranges(args)
     space = _load(args)
     step = args.step or 3.0 * space.require_resolution()
     cfg = FlowConfig(step=step, witness_radius=args.witness_radius or 2 * step,
@@ -199,11 +190,9 @@ def cmd_flow(args):
 
 
 def cmd_dim(args):
-    _check_param_ranges(args)
     space = _load(args)
     subset = _subset(space, args.subset)
-    sr = args.search_radius or min(4.0 * args.ell, space.diameter)
-    number = strainer_number(subset, args.delta, args.ell, sr)
+    number = strainer_number(subset, args.delta, args.ell, args.search_radius)
     report = _report_base(args, "dim")
     report["strainer_number"] = number
     if args.eps_grid:
@@ -215,7 +204,6 @@ def cmd_dim(args):
 
 
 def cmd_vol(args):
-    _check_param_ranges(args)
     space = _load(args)
     subset = _subset(space, args.subset)
     report = _report_base(args, "vol")
@@ -227,7 +215,6 @@ def cmd_vol(args):
 
 
 def cmd_glue(args):
-    _check_param_ranges(args)
     space = _load(args)
     subset = _subset(space, args.subset)
     gmap = build_projection(subset, args.m, args.delta, args.ell, args.r,
@@ -244,7 +231,6 @@ def cmd_glue(args):
 
 
 def cmd_converge(args):
-    _check_param_ranges(args)
     spec = json.loads(Path(args.family).read_text())
     members = []
     for mem in spec["members"]:
@@ -284,7 +270,7 @@ def cmd_run(args):
         if isinstance(value, bool):
             if value:
                 argv.append(f"--{key.replace('_', '-')}")
-        elif key in ("kind", "n", "length", "angle", "radius", "side"):
+        elif key == "kind":
             argv.append(str(value))
         else:
             argv.extend([f"--{key.replace('_', '-')}", str(value)])
@@ -440,6 +426,7 @@ def main(argv=None) -> int:
         missing = _missing_option(args)
         if missing:
             ap.error(missing)
+        _check_param_ranges(args)
         return args.func(args)
     except Refusal as e:
         print(f"refusal: {e}", file=sys.stderr)

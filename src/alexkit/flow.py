@@ -20,6 +20,7 @@ from .kplane import comparison_angles_array
 from .space import Curve, Space, Subset
 
 DEFAULT_STOP_THRESHOLD = 0.1  # discrete derivative noise floor is O(h/step)
+NEAR_CRITICAL_THRESHOLD = 0.3  # gradient estimates below this are flagged
 
 
 @dataclass(frozen=True)
@@ -120,15 +121,14 @@ def extremal_invariance_test(subset: Subset, q: int, starts, cfg: FlowConfig) ->
     return {"max_deviation": worst, "per_start": deviations, "stalls": stalls}
 
 
-def dist_gradient_lower_bound(subset: Subset, band: dict, cfg: FlowConfig,
-                              flag_threshold: float = 0.3) -> dict:
+def dist_gradient_lower_bound(subset: Subset, band: dict, cfg: FlowConfig) -> dict:
     """Empirical lower bound for |grad dist_E| on a band around the subset.
 
     For every ambient x with inner <= d(x, E) <= outer, the derivative of
     dist_E toward a witness w is the min over nearest subset points e of
     -cos angle(e, x, w); the per-point gradient estimate is the max over
     witnesses, and the returned bound the min over the band.  Points whose
-    estimate falls below ``flag_threshold`` are flagged (near-critical, e.g.
+    estimate falls below NEAR_CRITICAL_THRESHOLD (0.3) are flagged (e.g.
     close to a cut locus).
     """
     space = subset.space
@@ -158,7 +158,7 @@ def dist_gradient_lower_bound(subset: Subset, band: dict, cfg: FlowConfig,
             space.dist[np.ix_(nearest, ws)])
         derivs = (-np.cos(ang)).min(axis=0)  # worst over nearest points
         grad = float(derivs.max())
-        if grad < flag_threshold:
+        if grad < NEAR_CRITICAL_THRESHOLD:
             flagged.append(int(x))
         if grad < lowest:
             lowest = grad

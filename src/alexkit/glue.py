@@ -28,6 +28,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from .charts import direction_defects, direction_grid, nearest_values
 from .errors import KitError, Refusal
 from .space import (Space, Subset, ball, calibration_constant,
                     effective_spacing, greedy_packing_ids,
@@ -36,6 +37,7 @@ from .strainers import Strainer, classify, is_strainer
 
 NET_MIN_PITCH_FACTOR = 4.0       # r >= 4h keeps the net resolvable
 REBASE_MARGIN_SLACK = 0.05       # rebased strainers may lose this much margin
+LIFT_MARGIN_SLACK = 0.1          # ... and lifted ones, in the other space, this much
 QUALITY_PAIR_FLOOR_FACTOR = 2.0  # ratio stats use pairs with d >= 2r
 QUALITY_POINT_CAP = 2500
 
@@ -159,17 +161,18 @@ def _rebase_strainer(space: Space, witness: Strainer, pred_row,
     return np.asarray(a_out, dtype=int), np.asarray(b_out, dtype=int)
 
 
-def _net_charts(mask, net: np.ndarray, target: Subset, g: np.ndarray,
-                rebase_distance: float, pool_radius: float,
-                max_margin: float) -> list[NetChart]:
+def _net_charts(mask, net: np.ndarray, target: Subset, g: np.ndarray, r: float,
+                pool_radius: float, max_margin: float) -> list[NetChart]:
     """One chart per net point, from the mask's space to the target's.
 
-    Each witness is re-based at ``rebase_distance`` along sampled shortest
-    paths and mapped by ``g`` (source id -> target id); its margin in the
-    target space must stay below ``max_margin``.  The inversion pool is the
-    target subset within ``pool_radius`` of the base's image.
+    Each witness is re-based at distance max(ell * delta, 4r) along sampled
+    shortest paths and mapped by ``g`` (source id -> target id); its margin in
+    the target space must stay below ``max_margin``.  The inversion pool is
+    the target subset within ``pool_radius`` of the base's image.
     """
     source, space_t = mask.subset.space, target.space
+    ell, delta = mask.ell, mask.delta
+    rebase_distance = max(ell * delta, 4.0 * r)
     pred_rows = _ambient_paths(source, net)
     charts = []
     for row, p in enumerate(net):
@@ -213,28 +216,27 @@ def _blend(source: Space, target: Space, charts: list[NetChart],
         targets = np.where((prev >= 0)[:, None],
                            (1.0 - chi) * psi_prev + chi * phi, phi)
         psi_pool = target.dist[np.ix_(chart.target_a_ids, chart.inversion_pool)].T
-        gaps = ((psi_pool[None, :, :] - targets[:, None, :]) ** 2).sum(axis=-1)
-        resid[idx] = np.maximum(resid[idx], np.sqrt(gaps.min(axis=1)))
-        assignment[idx] = chart.inversion_pool[np.argmin(gaps, axis=1)]
+        nearest, gap = nearest_values(psi_pool, targets)
+        resid[idx] = np.maximum(resid[idx], np.sqrt(gap))
+        assignment[idx] = chart.inversion_pool[nearest]
     if (assignment < 0).any():
         raise KitError("glue domain not fully covered by net charts")
     return assignment, resid
 
 
 def build_projection(subset: Subset, m: int, delta: float, ell: float, r: float,
-                     rho: float | None = None,
-                     search_radius: float | None = None,
-                     rebase_distance: float | None = None) -> GlueMap:
+                     rho: float | None = None) -> GlueMap:
     """Blend local strainer charts into a projection U_rho(E) -> E.
 
-    Every subset point must be (m, delta)-strained with length > ell (checked
-    up front; violators are listed in the refusal).  A maximal r/2-discrete
-    net is built, a strainer found at each net point with its points re-based
-    at ``rebase_distance`` along sampled shortest paths, and the local chart
-    inversions are blended inductively over net order: on each new chart ball
-    the target value is the convex combination (1 - chi) psi(f_prev) +
-    chi phi, pulled back by nearest-value lookup over the chart's own piece
-    of the subset.  The restriction to the subset is the identity exactly.
+    Every subset point must be (m, delta)-strained with length > ell, searched
+    out to min(4 ell, diameter) (checked up front; violators are listed in the
+    refusal).  A maximal r/2-discrete net is built, a strainer found at each
+    net point with its points re-based at max(ell * delta, 4r) along sampled
+    shortest paths, and the local chart inversions are blended inductively
+    over net order: on each new chart ball the target value is the convex
+    combination (1 - chi) psi(f_prev) + chi phi, pulled back by nearest-value
+    lookup over the chart's own piece of the subset (radius 3r).  The
+    restriction to the subset is the identity exactly.
     """
     space = subset.space
     h = space.require_resolution()
@@ -249,9 +251,7 @@ def build_projection(subset: Subset, m: int, delta: float, ell: float, r: float,
             f"net scale r = {r} exceeds ell*delta = {ell * delta}; the "
             "asymptotic regime r < ell*delta^2 is out of reach at this "
             "resolution, chart validity is verified empirically instead")
-    if search_radius is None:
-        search_radius = min(4.0 * ell, space.diameter)
-    mask = classify(subset, m, delta, ell, search_radius)
+    mask = classify(subset, m, delta, ell)
     violators = np.setdiff1d(subset.indices, mask.member_ids)
     if violators.size:
         raise Refusal(
@@ -259,10 +259,8 @@ def build_projection(subset: Subset, m: int, delta: float, ell: float, r: float,
             f"strained with length > {ell}: first ids {violators[:10].tolist()}")
 
     net = discrete_net(subset, r)
-    if rebase_distance is None:
-        rebase_distance = max(ell * delta, 4.0 * r)
-    charts = _net_charts(mask, net, subset, np.arange(space.n_points),
-                         rebase_distance, 3.0 * r, delta + REBASE_MARGIN_SLACK)
+    charts = _net_charts(mask, net, subset, np.arange(space.n_points), r,
+                         3.0 * r, delta + REBASE_MARGIN_SLACK)
 
     d_to_sub = space.dist[:, subset.indices].min(axis=1)
     domain = np.flatnonzero(d_to_sub < rho)
@@ -285,19 +283,18 @@ def _cap_positions(n: int, cap: int) -> np.ndarray:
     return np.unique((np.arange(cap) * stride).astype(int))
 
 
-def projection_quality(gmap: GlueMap, pair_floor: float | None = None) -> dict:
+def projection_quality(gmap: GlueMap) -> dict:
     """Measured Lipschitz/co-Lipschitz constants and the blend-consistency
     statistics of a glue map.
 
-    Ratio statistics use pairs at distance >= pair_floor (default 2r):
-    below that the nearest-value lookup granularity, not the map, dominates.
-    Co-Lipschitz is measured through the direction-realizability defect of
-    psi_j o f per net chart.
+    Ratio statistics use pairs at distance >= pair_floor =
+    QUALITY_PAIR_FLOOR_FACTOR * r (2r): below that the nearest-value lookup
+    granularity, not the map, dominates.  Co-Lipschitz is measured through
+    the direction-realizability defect of psi_j o f per net chart.
     """
     space = gmap.subset.space
     h = space.require_resolution()
-    if pair_floor is None:
-        pair_floor = QUALITY_PAIR_FLOOR_FACTOR * gmap.r
+    pair_floor = QUALITY_PAIR_FLOOR_FACTOR * gmap.r
     domain = gmap.domain
     take = _cap_positions(domain.size, QUALITY_POINT_CAP)
     pts = domain[take]
@@ -328,8 +325,7 @@ def projection_quality(gmap: GlueMap, pair_floor: float | None = None) -> dict:
         psi_f = space.dist[np.ix_(chart.a_ids, gmap.assignment[near])].T
         # single-chart inversion vs the glued map
         psi_pool = space.dist[np.ix_(chart.a_ids, chart.inversion_pool)].T
-        gaps = ((psi_pool[None, :, :] - phi[:, None, :]) ** 2).sum(axis=-1)
-        solo = chart.inversion_pool[np.argmin(gaps, axis=1)]
+        solo = chart.inversion_pool[nearest_values(psi_pool, phi)[0]]
         clm1 = max(clm1, float(
             space.dist[solo, gmap.assignment[near]].max() / gmap.r))
         # blend-difference quotient over pairs
@@ -363,8 +359,6 @@ def projection_quality(gmap: GlueMap, pair_floor: float | None = None) -> dict:
 
 
 def _composite_openness(space, ids, values, inner, probe, k):
-    from .charts import direction_grid
-
     dirs = direction_grid(k, 16)
     eps = None
     d = space.dist[np.ix_(ids, ids)]
@@ -372,9 +366,8 @@ def _composite_openness(space, ids, values, inner, probe, k):
         near = np.flatnonzero((d[i] > 0) & (d[i] <= probe))
         if near.size == 0:
             continue
-        diffs = (values[near] - values[i]) / d[i, near][:, None]
-        gaps = np.linalg.norm(diffs[:, None, :] - dirs[None, :, :], axis=-1)
-        worst = float(gaps.min(axis=0).max())
+        worst = float(direction_defects(values[near], values[i], d[i, near],
+                                        dirs).max())
         eps = worst if eps is None else max(eps, worst)
     return eps
 
@@ -385,9 +378,7 @@ def _composite_openness(space, ids, values, inner, probe, k):
 def cross_space_almost_isometry(e_subset: Subset, f_subset: Subset,
                                 correspondence, m: int, delta: float,
                                 ell: float, r: float,
-                                epsilon: float | None = None,
-                                search_radius: float | None = None,
-                                lift_slack: float = 0.1) -> dict:
+                                epsilon: float | None = None) -> dict:
     """Chart-glued map from the strained part of E to F along a Hausdorff
     approximation.
 
@@ -395,7 +386,9 @@ def cross_space_almost_isometry(e_subset: Subset, f_subset: Subset,
     must cover E and the strainer points.  At each net point the distance map
     from the strainer is matched with the distance map from the images of the
     strainer points in F; local inverses are glued with the same smoothstep
-    blend as the collar projection.  Distortion is measured over pairs at
+    blend as the collar projection.  Strainers are searched out to
+    min(4 ell, diameter), inverted over pools of radius 4r, and may lose
+    LIFT_MARGIN_SLACK of margin in F.  Distortion is measured over pairs at
     distance >= r (extrinsic metrics); displacement is reported against
     ``epsilon``.
     """
@@ -404,17 +397,15 @@ def cross_space_almost_isometry(e_subset: Subset, f_subset: Subset,
     g = np.asarray(correspondence, dtype=int)
     if g.shape[0] != space_e.n_points:
         raise Refusal("correspondence must cover every ambient point of E's space")
-    if search_radius is None:
-        search_radius = min(4.0 * ell, space_e.diameter)
-    mask = classify(e_subset, m, delta, ell, search_radius)
+    mask = classify(e_subset, m, delta, ell)
     if mask.is_empty():
         raise Refusal("no strained points to map")
     domain_sub = Subset(space_e, mask.member_ids,
                         name=f"{e_subset.name}(strained)",
                         link_radius=e_subset.link_radius)
     net = discrete_net(domain_sub, r)
-    charts = _net_charts(mask, net, f_subset, g, max(ell * delta, 4.0 * r),
-                         4.0 * r, delta + lift_slack)
+    charts = _net_charts(mask, net, f_subset, g, r, 4.0 * r,
+                         delta + LIFT_MARGIN_SLACK)
     domain = mask.member_ids
     assignment, _ = _blend(space_e, space_f, charts, domain, r)
 

@@ -158,14 +158,13 @@ def _lattice_in_polygon(vertices: np.ndarray, pitch: float, margin: float,
 
 
 def gen_convex_polygon(vertices, h: float, name: str | None = None,
-                       interior: bool = True, interior_pitch: float | None = None,
-                       boundary_mode: str = "per-edge", lattice: str = "triangular"):
+                       interior: bool = True, boundary_mode: str = "per-edge",
+                       lattice: str = "triangular"):
     """Sampled filled convex polygon with its boundary marked extremal.
 
-    Triangular-lattice interior at ``interior_pitch`` (defaults to h) plus an
-    arc-length boundary sample at pitch h.  The boundary subset is annotated
-    with the exact perimeter; corner samples are singular, boundary points
-    more than 2h from every corner are regular.
+    Lattice interior and arc-length boundary sample, both at pitch h.  The
+    boundary subset is annotated with the exact perimeter; corner samples are
+    singular, boundary points more than 2h from every corner are regular.
 
     ``boundary_mode="loop-uniform"`` uses one exact pitch around the whole
     loop (corners approximated by nearest samples); the per-edge default puts
@@ -188,8 +187,7 @@ def gen_convex_polygon(vertices, h: float, name: str | None = None,
 
     coords = bpts
     if interior:
-        ip = interior_pitch if interior_pitch is not None else h
-        inner = _lattice_in_polygon(vertices, ip, margin=0.35 * ip, lattice=lattice)
+        inner = _lattice_in_polygon(vertices, h, margin=0.35 * h, lattice=lattice)
         if inner.size:
             coords = np.vstack([bpts, inner])
 

@@ -120,17 +120,20 @@ class Subset:
             link_radius = space.link_radius() if space.resolution is not None else None
         self.link_radius = link_radius
         self._intrinsic = None
-        self._pos = {int(i): k for k, i in enumerate(self.indices)}
 
     @property
     def size(self) -> int:
         return self.indices.size
 
-    def position(self, point_id: int) -> int:
-        try:
-            return self._pos[int(point_id)]
-        except KeyError:
-            raise KitError(f"point {point_id} not in subset {self.name!r}")
+    def position(self, point_ids):
+        """Position in ``indices`` of one id (an int) or of each id (an
+        array); a non-member raises KitError."""
+        ids = np.asarray(point_ids)
+        pos = np.searchsorted(self.indices, ids)
+        missing = self.indices[np.minimum(pos, self.size - 1)] != ids
+        if missing.any():
+            raise KitError(f"point {ids[missing].flat[0]} not in subset {self.name!r}")
+        return int(pos) if pos.ndim == 0 else pos
 
     def ambient_matrix(self) -> np.ndarray:
         return self.space.dist[np.ix_(self.indices, self.indices)]
@@ -160,12 +163,6 @@ class Curve:
     def gaps(self, space: Space) -> np.ndarray:
         p = self.points
         return space.dist[p[:-1], p[1:]]
-
-    def check_step_invariant(self, space: Space) -> bool:
-        # discrete steps may undershoot, never grossly overshoot
-        if len(self.points) < 2:
-            return True
-        return bool(self.gaps(space).max() <= self.step * 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +203,7 @@ class ValidationReport:
 TRIANGLE_SLACK = 1e-9
 EXHAUSTIVE_TRIANGLE_LIMIT = 300
 RANDOM_TRIPLES = 100_000
+VALIDATE_BLOCK_ELEMENTS = 2**16  # most elements in one row block of validate
 
 
 def validate(space: Space, seed: int = 0) -> ValidationReport:
@@ -224,21 +222,31 @@ def validate(space: Space, seed: int = 0) -> ValidationReport:
     checks.append(CheckResult("zero_diagonal", bool(diag.max() == 0.0),
                               f"max |d(i,i)| = {diag.max()}", (i,)))
 
-    asym = np.abs(d - d.T)
-    if asym.max() > 0:
-        i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
-        checks.append(CheckResult("symmetry", False,
-                                  f"d({i},{j}) != d({j},{i})", (int(i), int(j))))
+    # max |d - d^T| and min off-diagonal d, one block of rows at a time so
+    # that no N x N temporary is made.  As with numpy's max and min, the first
+    # extreme in row-major order wins and so does the first NaN: a NaN
+    # distance fails positivity, while a NaN asymmetry is not > 0.
+    asym, asym_at, m, m_at = 0.0, None, math.inf, (0, 0)
+    step = max(1, VALIDATE_BLOCK_ELEMENTS // max(n, 1))
+    for a in range(0, n, step):
+        block = d[a:a + step] - d[:, a:a + step].T
+        np.abs(block, out=block)
+        j = int(np.argmax(block))
+        if asym == asym and not block.flat[j] <= asym:
+            asym, asym_at = float(block.flat[j]), divmod(a * n + j, n)
+        block = d[a:a + step] + 0.0           # a copy, with -0.0 read as 0.0
+        block.reshape(-1)[a::n + 1] += math.inf  # the diagonal entries (i, a + i)
+        j = int(np.argmin(block))
+        if m == m and not block.flat[j] >= m:
+            m, m_at = float(block.flat[j]), divmod(a * n + j, n)
+    if asym > 0:
+        i, j = asym_at
+        checks.append(CheckResult("symmetry", False, f"d({i},{j}) != d({j},{i})", (i, j)))
     else:
         checks.append(CheckResult("symmetry", True))
-
-    off = d + np.diag(np.full(n, np.inf))
-    m = float(off.min())
     if n > 1:
-        i, j = np.unravel_index(int(np.argmin(off)), off.shape)
         checks.append(CheckResult("positivity", bool(m > 0.0),
-                                  f"min off-diagonal distance = {m}",
-                                  (int(i), int(j))))
+                                  f"min off-diagonal distance = {m}", m_at))
     else:
         checks.append(CheckResult("positivity", True))
 
@@ -521,6 +529,9 @@ def packing_dimension_estimate(space: Space, indices, eps_grid) -> dict:
 # ---------------------------------------------------------------------------
 # extremality checker
 
+EXTERIOR_CAP = 200  # most exterior points extremality_check samples
+
+
 @dataclass
 class ExtremalityReport:
     subset: str
@@ -543,22 +554,23 @@ class ExtremalityReport:
         }
 
 
-def extremality_check(subset: Subset, angle_tol: float | None = None,
-                      witness_radius: float | None = None,
-                      exterior_cap: int = 200,
-                      min_exterior_distance: float | None = None) -> ExtremalityReport:
+def extremality_check(subset: Subset,
+                      witness_radius: float | None = None) -> ExtremalityReport:
     """Test the defining property of an extremal subset on the sample.
 
     For sampled exterior points q, finds local minima p of dist_q restricted
     to the subset (local in the link graph) and checks criticality there: the
     comparison angle at p between q and every witness w with d(p, w) <=
-    witness_radius must be <= pi/2 + angle_tol.  An angle beyond pi/2 means a
-    direction in which dist_q still increases, i.e. p is not critical.
+    witness_radius (default 4 link radii) must be <= pi/2 + angle_tol, with
+    angle_tol = 0.05 + 2h / witness_radius since the first-order witness
+    error is O(h / witness_radius).  An angle beyond pi/2 means a direction
+    in which dist_q still increases, i.e. p is not critical.
 
-    Exterior points closer to the subset than ``min_exterior_distance``
-    (default 4h) are skipped: the discrete foot point is laterally off by up
-    to h/2, so their witness angles carry an O(h / d(q, E)) error that says
-    nothing about criticality at sample resolution.
+    At most EXTERIOR_CAP exterior points are sampled, evenly in id order.
+    Those closer to the subset than 4h are skipped: the discrete foot point
+    is laterally off by up to h/2, so their witness angles carry an
+    O(h / d(q, E)) error that says nothing about criticality at sample
+    resolution.
     """
     space = subset.space
     h = space.require_resolution()
@@ -566,21 +578,16 @@ def extremality_check(subset: Subset, angle_tol: float | None = None,
         witness_radius = 4.0 * subset.link_radius
     if witness_radius < 2.0 * h:
         raise Refusal(f"witness_radius {witness_radius} below 2 * resolution")
-    if angle_tol is None:
-        # first-order witness error is O(h / witness_radius)
-        angle_tol = 0.05 + 2.0 * h / witness_radius
-    if min_exterior_distance is None:
-        min_exterior_distance = 4.0 * h
+    angle_tol = 0.05 + 2.0 * h / witness_radius
 
     inside = np.zeros(space.n_points, dtype=bool)
     inside[subset.indices] = True
     exterior = np.flatnonzero(~inside)
-    far_enough = (space.dist[np.ix_(exterior, subset.indices)].min(axis=1)
-                  >= min_exterior_distance)
+    far_enough = space.dist[np.ix_(exterior, subset.indices)].min(axis=1) >= 4.0 * h
     exterior = exterior[far_enough]
-    if exterior.size > exterior_cap:
-        stride = exterior.size / exterior_cap
-        exterior = exterior[(np.arange(exterior_cap) * stride).astype(int)]
+    if exterior.size > EXTERIOR_CAP:
+        stride = exterior.size / EXTERIOR_CAP
+        exterior = exterior[(np.arange(EXTERIOR_CAP) * stride).astype(int)]
 
     amb = subset.ambient_matrix()
     link = (amb > 0) & (amb <= subset.link_radius)

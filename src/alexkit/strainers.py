@@ -33,6 +33,7 @@ from .kplane import comparison_angles_array
 from .space import Space, Subset, ball, packing_number
 
 MAX_STRAINER_LENGTH = 1.0
+MAX_STRAINER_NUMBER = 8          # strainer_number searches k = 1 .. 8
 HALF_PI = math.pi / 2.0
 BEAM_WIDTH = 8
 # most elements in one block's (points, pool, pool) angle array
@@ -67,10 +68,6 @@ class ClassificationMask:
     search_radius: float
     member_ids: np.ndarray
     witnesses: dict[int, Strainer] = field(default_factory=dict)
-
-    @property
-    def margins(self) -> dict[int, float]:
-        return {p: s.delta_achieved for p, s in self.witnesses.items()}
 
     def is_empty(self) -> bool:
         return self.member_ids.size == 0
@@ -107,6 +104,12 @@ def is_strainer(space: Space, p: int, pairs, delta: float) -> tuple[bool, float]
         return True, 0.0
     margin = _strainer_margin(space, int(p), pairs)
     return bool(margin < delta), float(margin)
+
+
+def resolve_search_radius(space: Space, ell: float, search_radius: float | None) -> float:
+    """The outer radius R of the search annulus ell < d < R: the given value,
+    or by default min(4 ell, diameter)."""
+    return min(4.0 * ell, space.diameter) if search_radius is None else search_radius
 
 
 def _blocks(space: Space, ids, k: int, ell: float, search_radius: float):
@@ -277,15 +280,19 @@ def find_strainer(space: Space, p: int, k: int, delta: float, ell: float,
 
 
 def classify(subset: Subset, k: int, delta: float, ell: float,
-             search_radius: float, stop_at_first: bool = False) -> ClassificationMask:
+             search_radius: float | None = None,
+             stop_at_first: bool = False) -> ClassificationMask:
     """Run the strainer search at every subset point; keep the witnesses.
 
-    The points are searched in blocks of consecutive points (sized by their
-    pools, see ``_blocks``), one array pass per block, with the witness at
-    each point exactly that of :func:`find_strainer`.  ``stop_at_first``
-    returns only the first member (used by strainer-number searches where
-    only non-emptiness matters); the rest of its block is searched anyway.
+    ``search_radius`` defaults to min(4 ell, diameter)
+    (:func:`resolve_search_radius`).  The points are searched in blocks of
+    consecutive points (sized by their pools, see ``_blocks``), one array
+    pass per block, with the witness at each point exactly that of
+    :func:`find_strainer`.  ``stop_at_first`` returns only the first member
+    (used by strainer-number searches where only non-emptiness matters); the
+    rest of its block is searched anyway.
     """
+    search_radius = resolve_search_radius(subset.space, ell, search_radius)
     witnesses = _search(subset.space, subset.indices.tolist(), k, delta, ell,
                         search_radius, stop_at_first)
     return ClassificationMask(subset=subset, k=k, delta=delta, ell=ell,
@@ -295,31 +302,29 @@ def classify(subset: Subset, k: int, delta: float, ell: float,
 
 
 def strainer_number(subset: Subset, delta: float, ell: float,
-                    search_radius: float | None = None, max_k: int = 8) -> int:
+                    search_radius: float | None = None) -> int:
     """Largest k for which some subset point is (k, delta)-strained.
 
-    Searched k = 1, 2, ... until the classification mask comes up empty.
-    Emptiness is heuristic (beam search), so the result is a best-effort
-    value, exact on the model spaces the search was tuned for.
+    Searched k = 1, 2, ..., MAX_STRAINER_NUMBER until the classification mask
+    comes up empty.  Emptiness is heuristic (beam search), so the result is a
+    best-effort value, exact on the model spaces the search was tuned for.
+    ``search_radius`` defaults to min(4 ell, diameter); like every scan this
+    refuses when it is not above ell.
     """
-    if search_radius is None:
-        search_radius = min(4.0 * ell, subset.space.diameter)
-        if search_radius <= ell:
-            search_radius = 2.0 * ell
-    for k in range(1, max_k + 1):
+    search_radius = resolve_search_radius(subset.space, ell, search_radius)
+    for k in range(1, MAX_STRAINER_NUMBER + 1):
         mask = classify(subset, k, delta, ell, search_radius, stop_at_first=True)
         if mask.is_empty():
             return k - 1
-    return max_k
+    return MAX_STRAINER_NUMBER
 
 
-def local_strainer_number(subset: Subset, p: int, delta: float,
-                          scales, ell_factor: float = 0.25) -> dict:
+def local_strainer_number(subset: Subset, p: int, delta: float, scales) -> dict:
     """Strainer number of subset-intersect-ball(p, r) per scale r.
 
-    Scales must be descending and >= 4h.  The returned value is the number
-    stabilized over the two smallest scales; the full per-scale profile is
-    reported alongside.
+    Each scale searches with ell = r / 4 and search radius r.  Scales must be
+    descending and >= 4h.  The returned value is the number stabilized over
+    the two smallest scales; the full per-scale profile is reported alongside.
     """
     space = subset.space
     h = space.require_resolution()
@@ -336,8 +341,7 @@ def local_strainer_number(subset: Subset, p: int, delta: float,
             continue
         local = Subset(space, ids, name=f"{subset.name}|B({p},{r})",
                        link_radius=subset.link_radius)
-        profile[r] = strainer_number(local, delta, ell=ell_factor * r,
-                                     search_radius=r)
+        profile[r] = strainer_number(local, delta, ell=0.25 * r, search_radius=r)
     vals = [profile[r] for r in scales[-2:]]
     stable = len(set(vals)) == 1
     return {"value": vals[-1], "stable": stable, "profile": profile}
@@ -359,8 +363,7 @@ def regular_points(subset: Subset, m: int, delta_schedule=(0.2, 0.1, 0.05),
     h = subset.space.require_resolution()
     if ell is None:
         ell = 4.0 * h
-    if search_radius is None:
-        search_radius = min(4.0 * ell, subset.space.diameter)
+    search_radius = resolve_search_radius(subset.space, ell, search_radius)
     masks = []
     current: set[int] | None = None
     for d in sched:
@@ -386,8 +389,6 @@ def unstrained_mass(subset: Subset, m: int, k: int, delta: float, ell: float,
     h = subset.space.require_resolution()
     if eps < 2.0 * h:
         raise Refusal(f"eps must be >= 2h = {2 * h}")
-    if search_radius is None:
-        search_radius = min(4.0 * ell, subset.space.diameter)
     mask = classify(subset, k, delta, ell, search_radius)
     rest = np.setdiff1d(subset.indices, mask.member_ids)
     if rest.size == 0:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from alexkit.cli import main
+from alexkit.io import load_space
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +52,30 @@ def test_nan_delta_refused(segment_file, capsys):
             "--delta", "nan", "--ell", "0.3"]
     assert exit_code(argv) == 2
     assert "delta must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "regular-polygon", "--n", "8", "--h", "nan"],
+    ["gen", "segment", "--h", "inf"],
+    ["gen", "segment", "--h", "0.1", "--length", "inf"],
+])
+def test_non_finite_parameter_refused(argv, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    code, line = refused_cleanly(argv + ["--out", str(out)], capsys)
+    assert code == 2 and "must be positive and finite" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, subset, size", [
+    ({"kind": "regular-polygon", "n": 8, "h": 0.25}, "boundary", 8 * 3),
+    ({"kind": "segment", "length": 0.5, "h": 0.25}, "all", 3),
+])
+def test_run_passes_generator_parameters_as_options(config, subset, size, tmp_path):
+    out = tmp_path / "space.json"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"command": "gen", "out": str(out), **config}))
+    assert exit_code(["run", "--config", str(cfg)]) == 0
+    assert load_space(str(out)).subsets[subset].size == size
 
 
 def refused_cleanly(argv, capsys):

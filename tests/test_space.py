@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from alexkit import models
-from alexkit.errors import Refusal
+from alexkit import space as space_module
+from alexkit.errors import KitError, Refusal
 from alexkit.space import (Space, ball, extremality_check,
                            hausdorff_measure_estimate, intrinsic_metric,
                            packing_dimension_estimate, packing_number, validate)
@@ -40,6 +41,27 @@ class TestValidate:
         rep = validate(Space("bad", 1.0, d))
         assert not rep.passed
         assert any(c.name == "diameter_bound" for c in rep.failures())
+
+    def test_nan_distance_fails_positivity(self):
+        d = np.array([[0, 1.0, np.nan], [1.0, 0, 1], [1, 1, 0]])
+        rep = validate(Space("bad", 0.0, d))
+        fail = [c for c in rep.failures() if c.name == "positivity"]
+        assert fail and fail[0].worst == (0, 2) and "nan" in fail[0].detail
+
+    def test_row_blocks_do_not_change_the_report(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        d = rng.uniform(1, 2, (40, 40))
+        d = d + d.T
+        np.fill_diagonal(d, 0)
+        d[30, 5] += 0.5          # the same asymmetry twice: (5, 30) is first
+        d[7, 12] += 0.5
+        d[35, 36] = d[36, 35] = 0.1  # the least distance twice: (4, 9) is first
+        d[4, 9] = d[9, 4] = 0.1
+        whole = validate(Space("bad", 0.0, d)).to_dict()
+        monkeypatch.setattr(space_module, "VALIDATE_BLOCK_ELEMENTS", 1)
+        assert validate(Space("bad", 0.0, d)).to_dict() == whole
+        checks = {c["name"]: c["worst"] for c in whole["checks"]}
+        assert checks["symmetry"] == [5, 30] and checks["positivity"] == [4, 9]
 
     def test_random_triple_mode_on_large_space(self):
         rng = np.random.default_rng(0)
@@ -83,6 +105,15 @@ class TestIntrinsicMetric:
         # two edges along the boundary, against the sqrt(2) chord
         assert d_e[i, j] == pytest.approx(2.0, abs=0.02)
         assert space.dist[corners[0], corners[2]] == pytest.approx(math.sqrt(2))
+
+    def test_positions_of_members_and_refusal_of_others(self):
+        space, _ = models.gen_segment(1.0, 0.25)
+        sub = space.subset([1, 3, 4], name="odd")
+        assert sub.position(3) == 1 and isinstance(sub.position(3), int)
+        assert sub.position([4, 1]).tolist() == [2, 0]
+        for outside in (0, 2, [1, 2], 5):
+            with pytest.raises(KitError, match="not in subset 'odd'"):
+                sub.position(outside)
 
     def test_convex_space_intrinsic_equals_ambient(self, square):
         space, _ = square

@@ -287,6 +287,15 @@ class TestStrainerNumber:
         space, _ = models.gen_cone(math.pi / 2, 0.5, 0.025)
         assert strainer_number(space.subsets["vertex"], 0.1, ell=0.05) == 0
 
+    def test_refuses_when_the_default_radius_is_not_above_ell(self):
+        # the default search radius is min(4 ell, diameter) = 0.04 < ell
+        space, _ = models.gen_segment(0.04, 0.01)
+        sub = space.subsets["all"]
+        with pytest.raises(Refusal, match="need ell < search_radius"):
+            strainer_number(sub, 0.1, ell=0.05)
+        with pytest.raises(Refusal, match="need ell < search_radius"):
+            classify(sub, 1, 0.1, ell=0.05)
+
 
 class TestLocalStrainerNumber:
     def test_edge_midpoint_is_one_at_all_scales(self, fine_boundary):
