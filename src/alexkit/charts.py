@@ -13,10 +13,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
+# intrinsic_metric is called through its home module, where wrappers are installed
+from . import space as _space
 from .errors import KitError, Refusal
 from .kplane import comparison_angles_array
-from .space import Curve, Space, Subset, ball
+from .space import (Curve, Space, Subset, ball, graph_path, link_graph, linked,
+                    shortest_path_tree)
 from .strainers import Strainer
 
 RATIO_QUANTILES = (0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0)
@@ -89,9 +93,8 @@ def build_chart(subset: Subset, strainer: Strainer, radius: float | None = None)
 
     fdiff = np.sqrt(((values[:, None, :] - values[None, :, :]) ** 2).sum(axis=-1))
     stats = {"extrinsic": _ratio_stats(fdiff, space.dist[np.ix_(region, region)])}
-    d_e = subset.intrinsic_matrix()
-    pos = subset.position(region)
-    stats["intrinsic"] = _ratio_stats(fdiff, d_e[np.ix_(pos, pos)])
+    d_e = _space.intrinsic_metric(subset, region)[:, subset.position(region)]
+    stats["intrinsic"] = _ratio_stats(fdiff, d_e)
     return Chart(subset=subset, strainer=strainer, radius=float(radius),
                  region=region, values=values, stats=stats)
 
@@ -155,7 +158,7 @@ def openness_measure(chart: Chart, direction_count: int = 16) -> dict:
     skipped = 0
     for idx, p in enumerate(chart.region):
         dp = space.dist[p, subset.indices]
-        near = np.flatnonzero((dp > 0) & (dp <= probe_radius))
+        near = np.flatnonzero(linked(dp, probe_radius))
         if near.size == 0:
             skipped += 1
             continue
@@ -178,8 +181,7 @@ def metric_comparison(subset: Subset, p: int, radius: float) -> dict:
     ids = np.intersect1d(subset.indices, ball(space, p, radius))
     if ids.size < 2:
         raise Refusal("fewer than 2 subset points in the ball")
-    pos = subset.position(ids)
-    d_e = subset.intrinsic_matrix()[np.ix_(pos, pos)]
+    d_e = _space.intrinsic_metric(subset, ids)[:, subset.position(ids)]
     d = space.dist[np.ix_(ids, ids)]
     iu, ju = np.triu_indices(ids.size, k=1)
     ratios = d_e[iu, ju] / d[iu, ju]
@@ -242,19 +244,12 @@ def _bottleneck_radius(amb: np.ndarray, i0: int, i1: int) -> float:
 
     Returns inf when no path of positive-length edges joins them.
     """
-    from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
-
     _, pred = breadth_first_order(minimum_spanning_tree(amb), i0,
                                   directed=False, return_predecessors=True)
-    radius = 0.0
-    node = i1
-    while node != i0:
-        prev = int(pred[node])
-        if prev < 0:
-            return math.inf
-        radius = max(radius, float(amb[prev, node]))
-        node = prev
-    return radius
+    chain = graph_path(pred, i0, i1)
+    if chain is None:
+        return math.inf
+    return float(amb[chain[:-1], chain[1:]].max(initial=0.0))
 
 
 def intrinsic_shortest_path(subset: Subset, start: int, end: int) -> Curve:
@@ -271,22 +266,14 @@ def intrinsic_shortest_path(subset: Subset, start: int, end: int) -> Curve:
     it must, so it stays on the subset instead of cutting its corners by up
     to the subset's own link radius.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-
     amb = subset.ambient_matrix()
     i0, i1 = subset.position([start, end]).tolist()
-    linked = (amb > 0) & (amb <= _bottleneck_radius(amb, i0, i1))
-    dist, pred = dijkstra(csr_matrix(np.where(linked, amb**1.01, 0.0)),
-                          directed=False, indices=i0,
-                          return_predecessors=True)
-    if not np.isfinite(dist[i1]):
+    graph = link_graph(amb, _bottleneck_radius(amb, i0, i1))
+    graph.data **= 1.01
+    chain = graph_path(shortest_path_tree(graph, i0)[1], i0, i1)
+    if chain is None:
         raise KitError(f"{start} and {end} are in different link components")
-    chain = [i1]
-    while chain[-1] != i0:
-        chain.append(int(pred[chain[-1]]))
-    chain.reverse()
-    ids = subset.indices[np.array(chain, dtype=int)]
+    ids = subset.indices[chain]
     gaps = subset.space.dist[ids[:-1], ids[1:]]
     step = float(np.median(gaps)) if gaps.size else 0.0  # start == end
     return Curve(points=ids, step=step,

@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, models
-from .charts import (build_chart, intrinsic_shortest_path, metric_comparison,
-                     openness_measure, quasigeodesic_check)
+from .charts import build_chart, openness_measure, quasigeodesic_check
 from .errors import KitError, Refusal
 from .flow import FlowConfig, extremal_invariance_test, gradient_curve
 from .glue import build_projection, projection_quality, volume_convergence_experiment

@@ -25,14 +25,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .charts import direction_defects, direction_grid, nearest_values
 from .errors import KitError, Refusal
 from .space import (Space, Subset, ball, calibration_constant,
-                    effective_spacing, greedy_packing_ids,
-                    hausdorff_measure_estimate)
+                    effective_spacing, graph_path, greedy_packing_ids,
+                    hausdorff_measure_estimate, link_graph, linked,
+                    shortest_path_tree)
 from .strainers import Strainer, classify, is_strainer
 
 NET_MIN_PITCH_FACTOR = 4.0       # r >= 4h keeps the net resolvable
@@ -124,26 +123,13 @@ class GlueMap:
         }
 
 
-def _ambient_paths(space: Space, sources: np.ndarray) -> np.ndarray:
-    """Dijkstra predecessor rows over the ambient link graph from the sources."""
-    link = space.link_radius()
-    adj = np.where((space.dist > 0) & (space.dist <= link), space.dist, 0.0)
-    _, pred = dijkstra(csr_matrix(adj), directed=False, indices=sources,
-                       return_predecessors=True)
-    return pred
-
-
 def _walk_to_distance(space: Space, pred_row, source: int, target: int,
                       distance: float) -> int:
     """First node at metric distance >= ``distance`` along the graph path
     from source to target; falls back to target if the path is shorter."""
-    chain = [target]
-    while chain[-1] != source:
-        nxt = int(pred_row[chain[-1]])
-        if nxt < 0:
-            raise KitError(f"no graph path from {source} to {target}")
-        chain.append(nxt)
-    chain.reverse()
+    chain = graph_path(pred_row, source, target)
+    if chain is None:
+        raise KitError(f"no graph path from {source} to {target}")
     for node in chain:
         if space.dist[source, node] >= distance:
             return int(node)
@@ -173,7 +159,8 @@ def _net_charts(mask, net: np.ndarray, target: Subset, g: np.ndarray, r: float,
     source, space_t = mask.subset.space, target.space
     ell, delta = mask.ell, mask.delta
     rebase_distance = max(ell * delta, 4.0 * r)
-    pred_rows = _ambient_paths(source, net)
+    graph = link_graph(source.dist, source.link_radius())
+    _, pred_rows = shortest_path_tree(graph, net)
     charts = []
     for row, p in enumerate(net):
         a_ids, b_ids = _rebase_strainer(source, mask.witnesses[int(p)],
@@ -363,7 +350,7 @@ def _composite_openness(space, ids, values, inner, probe, k):
     eps = None
     d = space.dist[np.ix_(ids, ids)]
     for i in inner:
-        near = np.flatnonzero((d[i] > 0) & (d[i] <= probe))
+        near = np.flatnonzero(linked(d[i], probe))
         if near.size == 0:
             continue
         worst = float(direction_defects(values[near], values[i], d[i, near],

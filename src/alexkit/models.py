@@ -227,7 +227,8 @@ def regular_polygon_vertices(n: int, circumradius: float = 1.0) -> np.ndarray:
 def gen_regular_polygon(n: int, h: float, circumradius: float = 1.0, **kwargs):
     """Regular n-gon inscribed in a circle; perimeter 2 n R sin(pi/n)."""
     return gen_convex_polygon(regular_polygon_vertices(n, circumradius), h,
-                              name=kwargs.pop("name", f"regular{n}gon"), **kwargs)
+                              name=kwargs.pop("name", None) or f"regular{n}gon",
+                              **kwargs)
 
 
 def gen_segment(length: float, h: float, name: str | None = None):
@@ -340,7 +341,7 @@ def gen_pillow(side: float, h: float, name: str | None = None):
 
     rows, cols, vals = [], [], []
 
-    def add_edges(node_of):
+    def add_edges(node_of, skip_shared):
         for di, dj in _PILLOW_OFFSETS:
             w = math.hypot(di, dj) * pitch
             for j in range(m + 1):
@@ -352,13 +353,15 @@ def gen_pillow(side: float, h: float, name: str | None = None):
                     if not 0 <= ii <= m:
                         continue
                     a, b = node_of(i, j), node_of(ii, jj)
-                    if a != b:
+                    if not (skip_shared and max(a, b) < n_a):
                         rows.append(a)
                         cols.append(b)
                         vals.append(w)
 
-    add_edges(lambda i, j: int(idx_a[j, i]))
-    add_edges(node_b)
+    # csr_matrix sums duplicate entries, so an edge between two shared
+    # boundary nodes is added with sheet A only
+    add_edges(lambda i, j: int(idx_a[j, i]), skip_shared=False)
+    add_edges(node_b, skip_shared=True)
 
     graph = csr_matrix((vals, (rows, cols)), shape=(n, n))
     dist = shortest_path(graph, method="D", directed=False)

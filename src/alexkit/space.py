@@ -7,7 +7,10 @@ matrix, a lower curvature bound tag ``kappa``, optional generator coordinates
 idealized space it approximates).
 
 All matrices are immutable after construction and safe to share across
-threads; the intrinsic metric of a Subset is memoized idempotently.
+threads.  Link graphs and shortest paths have one owner here: the link rule
+(:func:`linked`), its csr graph (:func:`link_graph`), Dijkstra from given
+sources (:func:`shortest_path_tree`) and the walk along its predecessors
+(:func:`graph_path`).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import KitError, Refusal
 from .kplane import comparison_angles_array
@@ -100,12 +103,12 @@ class Space:
 
 
 class Subset:
-    """A marked subset of a Space with a lazily computed intrinsic metric.
+    """A marked subset of a Space, with the link radius of its intrinsic metric.
 
     The intrinsic metric d_E is the shortest-path metric of the graph on the
     subset with edges between points at ambient distance <= link_radius,
-    weighted by ambient distance.  Always d <= d_E; pairs in different graph
-    components get +inf and are flagged.
+    weighted by ambient distance (:func:`intrinsic_metric`).  Always d <= d_E;
+    pairs in different graph components are at +inf.
     """
 
     def __init__(self, space, indices, name="subset", extremal_claim=False,
@@ -119,7 +122,6 @@ class Subset:
         if link_radius is None:
             link_radius = space.link_radius() if space.resolution is not None else None
         self.link_radius = link_radius
-        self._intrinsic = None
 
     @property
     def size(self) -> int:
@@ -137,12 +139,6 @@ class Subset:
 
     def ambient_matrix(self) -> np.ndarray:
         return self.space.dist[np.ix_(self.indices, self.indices)]
-
-    def intrinsic_matrix(self) -> np.ndarray:
-        return intrinsic_metric(self)
-
-    def has_disconnected_pairs(self) -> bool:
-        return bool(np.isinf(self.intrinsic_matrix()).any())
 
     def __repr__(self):
         return f"Subset({self.name!r}, size={self.size}, of {self.space.name!r})"
@@ -289,7 +285,7 @@ def _triangle_check(d, n, seed):
 
 
 # ---------------------------------------------------------------------------
-# balls and the intrinsic metric
+# balls, link graphs and the intrinsic metric
 
 def ball(space: Space, p: int, r: float) -> np.ndarray:
     """Open ball {q : d(p, q) < r}; contains p itself iff r > 0."""
@@ -299,19 +295,50 @@ def ball(space: Space, p: int, r: float) -> np.ndarray:
     return np.flatnonzero(space.dist[p] < r)
 
 
-def intrinsic_metric(subset: Subset) -> np.ndarray:
-    """Shortest-path distances of the link graph; memoized on the subset."""
-    if subset._intrinsic is not None:
-        return subset._intrinsic
+def linked(d: np.ndarray, radius: float) -> np.ndarray:
+    """The link rule: 0 < d <= radius, elementwise."""
+    return (d > 0) & (d <= radius)
+
+
+def link_graph(d: np.ndarray, radius: float) -> csr_matrix:
+    """The graph of the link rule on a square distance matrix, weighted by d.
+
+    Built from the mask: from (row, col) lists, scipy would sum duplicates,
+    which adds 64 KiB of its code to the peak RSS of a CLI run."""
+    mask = linked(d, radius)
+    graph = csr_matrix(mask, dtype=float)
+    graph.data = d[mask]  # both in row-major order
+    return graph
+
+
+def shortest_path_tree(graph: csr_matrix, sources) -> tuple[np.ndarray, np.ndarray]:
+    """Dijkstra distances and predecessors from each source; no path: inf, -9999."""
+    return dijkstra(graph, directed=False, indices=sources, return_predecessors=True)
+
+
+def graph_path(pred: np.ndarray, source: int, target: int) -> np.ndarray | None:
+    """The nodes from source to target along a predecessor row; None if the
+    row holds no path between them."""
+    chain = [target]
+    while chain[-1] != source:
+        prev = int(pred[chain[-1]])
+        if prev < 0:
+            return None
+        chain.append(prev)
+    return np.array(chain[::-1], dtype=int)
+
+
+def intrinsic_metric(subset: Subset, ids) -> np.ndarray:
+    """Link-graph distances d_E from each of the ids (rows) to every subset
+    point (columns, in ``subset.indices`` order).
+
+    Dijkstra runs from the given ids only; pass ``subset.indices`` for all
+    pairs.  A non-member id raises KitError.
+    """
     if subset.link_radius is None or subset.link_radius <= 0:
         raise Refusal("subset has no positive link_radius")
-    amb = subset.ambient_matrix()
-    adj = np.where((amb > 0) & (amb <= subset.link_radius), amb, 0.0)
-    graph = csr_matrix(adj)
-    d_e = shortest_path(graph, method="D", directed=False)
-    subset._intrinsic = d_e
-    subset._intrinsic.setflags(write=False)
-    return d_e
+    graph = link_graph(subset.ambient_matrix(), subset.link_radius)
+    return dijkstra(graph, directed=False, indices=subset.position(ids))
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +492,7 @@ def hausdorff_measure_estimate(subset: Subset, m: int, eps: float,
     if metric == "extrinsic":
         matrix = subset.ambient_matrix()
     elif metric == "intrinsic":
-        matrix = subset.intrinsic_matrix()
+        matrix = intrinsic_metric(subset, subset.indices)
     else:
         raise KitError(f"metric must be extrinsic|intrinsic, got {metric!r}")
     beta = len(greedy_packing_ids(len(matrix), matrix.__getitem__, eps))
@@ -590,7 +617,7 @@ def extremality_check(subset: Subset,
         exterior = exterior[(np.arange(EXTERIOR_CAP) * stride).astype(int)]
 
     amb = subset.ambient_matrix()
-    link = (amb > 0) & (amb <= subset.link_radius)
+    link = linked(amb, subset.link_radius)
 
     worst_excess = -np.inf
     worst_triple = (-1, -1, -1)
@@ -605,7 +632,7 @@ def extremality_check(subset: Subset,
             p = int(subset.indices[pos])
             minima_count += 1
             dp = space.dist[p]
-            ws = np.flatnonzero((dp > 0) & (dp <= witness_radius))
+            ws = np.flatnonzero(linked(dp, witness_radius))
             ws = ws[ws != q]
             if ws.size == 0:
                 continue

@@ -354,8 +354,9 @@ def regular_points(subset: Subset, m: int, delta_schedule=(0.2, 0.1, 0.05),
 
     The member set at the smallest feasible delta is the empirical regular
     set.  The limit delta -> 0 is not decidable from a finite sample, so the
-    schedule makes the approximation explicit.  Nestedness is enforced: a
-    point dropped at one delta stays dropped at all smaller ones.
+    schedule makes the approximation explicit.  One scan runs at the largest
+    delta; since the search is exact in delta, the mask at each smaller delta
+    is the witnesses with delta_achieved below it, so the masks are nested.
     """
     sched = [float(d) for d in delta_schedule]
     if any(d2 >= d1 for d1, d2 in zip(sched, sched[1:])):
@@ -363,22 +364,16 @@ def regular_points(subset: Subset, m: int, delta_schedule=(0.2, 0.1, 0.05),
     h = subset.space.require_resolution()
     if ell is None:
         ell = 4.0 * h
-    search_radius = resolve_search_radius(subset.space, ell, search_radius)
+    scan = classify(subset, m, sched[0], ell, search_radius)
     masks = []
-    current: set[int] | None = None
     for d in sched:
-        mask = classify(subset, m, d, ell, search_radius)
-        ids = set(mask.member_ids.tolist())
-        if current is not None:
-            ids &= current
-            mask.member_ids = np.asarray(sorted(ids), dtype=int)
-            mask.witnesses = {p: w for p, w in mask.witnesses.items() if p in ids}
-        current = ids
-        masks.append(mask)
-    final = masks[-1]
+        witnesses = {p: w for p, w in scan.witnesses.items() if w.delta_achieved < d}
+        masks.append(ClassificationMask(
+            subset=subset, k=m, delta=d, ell=ell, search_radius=scan.search_radius,
+            member_ids=np.asarray(list(witnesses), dtype=int), witnesses=witnesses))
     return {
         "masks": masks,
-        "regular_ids": final.member_ids,
+        "regular_ids": masks[-1].member_ids,
         "fractions": {m_.delta: m_.member_ids.size / subset.size for m_ in masks},
     }
 

@@ -78,6 +78,15 @@ def test_run_passes_generator_parameters_as_options(config, subset, size, tmp_pa
     assert load_space(str(out)).subsets[subset].size == size
 
 
+@pytest.mark.parametrize("extra, name", [([], "regular8gon"),
+                                         (["--name", "octagon"], "octagon")])
+def test_gen_regular_polygon_name(extra, name, tmp_path):
+    out = tmp_path / "space.json"
+    assert main(["gen", "regular-polygon", "--n", "8", "--h", "0.25", *extra,
+                 "--out", str(out)]) == 0
+    assert load_space(str(out)).name == name
+
+
 def refused_cleanly(argv, capsys):
     """Exit code and one-line message of a refused command; never a traceback."""
     code = exit_code(argv)

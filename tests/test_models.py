@@ -112,6 +112,17 @@ class TestPillow:
         i, j = ann.extra["corner_ids"][0], ann.extra["corner_ids"][1]
         assert space.dist[i, j] == pytest.approx(1.0, abs=2 * space.resolution)
 
+    def test_seam_edges_count_once(self, pillow):
+        space, ann = pillow
+        # sheet A's row j = 0 is ids 0..m, one side of the glued seam
+        side, h = ann.extra["side"], space.resolution
+        m = round(side / h)
+        seam = np.arange(m + 1)
+        np.testing.assert_allclose(space.dist[seam[:-1], seam[1:]], h, rtol=0, atol=1e-12)
+        c = ann.extra["corner_ids"]
+        for i, j in ((0, 1), (0, 2), (1, 3), (2, 3)):
+            assert space.dist[c[i], c[j]] == pytest.approx(side, abs=1e-9)
+
 
 class TestSuspension:
     def test_suspension_of_two_points_is_circle(self):

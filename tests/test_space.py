@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from alexkit import models
 from alexkit import space as space_module
@@ -99,11 +101,10 @@ class TestIntrinsicMetric:
     def test_square_boundary_opposite_corners(self):
         space, ann = models.gen_convex_polygon(UNIT_SQUARE, 0.01, interior=False)
         sub = space.subsets["boundary"]
-        d_e = intrinsic_metric(sub)
         corners = ann.subsets["boundary"].singular_ids
-        i, j = sub.position(corners[0]), sub.position(corners[2])
+        d_e = intrinsic_metric(sub, corners[0])
         # two edges along the boundary, against the sqrt(2) chord
-        assert d_e[i, j] == pytest.approx(2.0, abs=0.02)
+        assert d_e[sub.position(corners[2])] == pytest.approx(2.0, abs=0.02)
         assert space.dist[corners[0], corners[2]] == pytest.approx(math.sqrt(2))
 
     def test_positions_of_members_and_refusal_of_others(self):
@@ -118,13 +119,13 @@ class TestIntrinsicMetric:
     def test_convex_space_intrinsic_equals_ambient(self, square):
         space, _ = square
         sub = space.all_points_subset()
-        d_e = intrinsic_metric(sub)
+        d_e = intrinsic_metric(sub, sub.indices)
         assert np.all(d_e <= space.dist + 2 * sub.link_radius + 1e-9)
 
     def test_lower_bound_by_ambient(self, square):
         space, _ = square
         sub = space.subsets["boundary"]
-        d_e = intrinsic_metric(sub)
+        d_e = intrinsic_metric(sub, sub.indices)
         assert np.all(d_e >= sub.ambient_matrix() - 1e-12)
 
     def test_disconnected_pair_is_inf_and_flagged(self):
@@ -134,14 +135,32 @@ class TestIntrinsicMetric:
         np.fill_diagonal(d, 0)
         space = Space("two-clusters", 0.0, d, coords=coords, resolution=0.1)
         sub = space.all_points_subset()
-        d_e = intrinsic_metric(sub)
+        d_e = intrinsic_metric(sub, sub.indices)
         assert np.isinf(d_e[0, 2])
-        assert sub.has_disconnected_pairs()
+        assert np.isinf(d_e).any()
 
-    def test_memoized(self, square):
+    @pytest.mark.parametrize("rows", [[0, 3], [60, 0, 41], "all"])
+    def test_rows_bitwise_equal_scipy_all_pairs(self, rows):
+        # a 25-gon boundary, and the same with two arcs cut out so that it
+        # falls apart into components at inf from each other
+        space, _ = models.gen_regular_polygon(25, 0.08, interior=False)
+        whole = space.subsets["boundary"]
+        cut = space.subset(np.setdiff1d(whole.indices, [10, 11, 12, 50, 51, 52]),
+                           name="cut")
+        for sub in (whole, cut):
+            ids = sub.indices if rows == "all" else sub.indices[rows]
+            amb = sub.ambient_matrix()
+            graph = csr_matrix(np.where((amb > 0) & (amb <= sub.link_radius), amb, 0.0))
+            want = shortest_path(graph, method="D", directed=False)[sub.position(ids)]
+            got = intrinsic_metric(sub, ids)
+            assert got.tobytes() == want.tobytes()
+        assert np.isinf(intrinsic_metric(cut, cut.indices[:1])).any()
+
+    def test_non_member_row_is_refused(self, square):
         space, _ = square
         sub = space.subsets["boundary"]
-        assert intrinsic_metric(sub) is intrinsic_metric(sub)
+        with pytest.raises(KitError, match="not in subset"):
+            intrinsic_metric(sub, [space.n_points - 1])
 
 
 class TestPackingNumber:

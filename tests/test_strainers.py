@@ -361,6 +361,27 @@ class TestRegularPoints:
         assert fractions[0] < fractions[1] < fractions[2]
         assert fractions[2] > 0.85
 
+    @pytest.mark.parametrize("case", ["square-boundary", "square-interior",
+                                      "12gon-boundary", "pi-cone"])
+    def test_one_scan_equals_per_delta_classify(self, case):
+        if case == "pi-cone":
+            space, _ = models.gen_cone(math.pi, 0.5, 0.05)
+            sub, m = space.all_points_subset(), 2
+        elif case == "12gon-boundary":
+            space, _ = models.gen_regular_polygon(12, 0.05, interior=False)
+            sub, m = space.subsets["boundary"], 1
+        else:
+            space, _ = models.gen_convex_polygon(UNIT_SQUARE, 0.1)
+            sub = space.subsets[case.split("-")[1]]
+            m = 1 if case == "square-boundary" else 2
+        h = space.resolution
+        for sched in ((0.3, 0.2, 0.1, 0.05), (0.25, 0.12)):
+            out = regular_points(sub, m, delta_schedule=sched)
+            for mask, d in zip(out["masks"], sched):
+                want = classify(sub, m, d, 4.0 * h)
+                assert mask.to_dict() == want.to_dict()
+            assert out["regular_ids"].tolist() == want.member_ids.tolist()
+
     def test_schedule_must_descend(self, fine_boundary):
         space, _ = fine_boundary
         with pytest.raises(Refusal):
