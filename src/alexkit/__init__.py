@@ -12,7 +12,7 @@ against sampled model spaces with known ground truth.
 __version__ = "0.1.0"
 
 from .errors import DomainError, FlowStalled, KitError, NoComparisonTriangle, Refusal, UndefinedAngle
-from .kplane import KappaTriangle, comparison_angle, side_from_angle
+from .kplane import comparison_angle, side_from_angle
 from .space import (
     Curve,
     Space,

@@ -25,6 +25,7 @@ from .strainers import Strainer
 
 RATIO_QUANTILES = (0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0)
 ARC_LENGTH_TOLERANCE = 0.2  # path gaps may differ from the step by this fraction
+DIRECTION_COUNT = 16  # directions per sphere dimension of every direction grid
 
 
 @dataclass
@@ -133,7 +134,7 @@ def nearest_values(pool: np.ndarray, targets: np.ndarray):
     return np.argmin(gaps, axis=1), gaps.min(axis=1)
 
 
-def openness_measure(chart: Chart, direction_count: int = 16) -> dict:
+def openness_measure(chart: Chart) -> dict:
     """Empirical direction-realizability defect of the chart map.
 
     For each region point p and each grid direction xi, finds a nearby subset
@@ -144,12 +145,10 @@ def openness_measure(chart: Chart, direction_count: int = 16) -> dict:
     points can still realize outward directions; isolated points are skipped
     and counted.
     """
-    if direction_count < 8:
-        raise Refusal("need at least 8 directions per sphere dimension")
     subset = chart.subset
     space = subset.space
     probe_radius = max(4.0 * space.require_resolution(), chart.radius / 4.0)
-    dirs = direction_grid(chart.k, direction_count)
+    dirs = direction_grid(chart.k, DIRECTION_COUNT)
     a_ids = np.array([a for a, _ in chart.strainer.pairs], dtype=int)
     sub_vals = space.dist[np.ix_(a_ids, subset.indices)].T  # (S, k)
 
@@ -175,9 +174,7 @@ def openness_measure(chart: Chart, direction_count: int = 16) -> dict:
 def metric_comparison(subset: Subset, p: int, radius: float) -> dict:
     """Max of d_E / d over pairs of subset points near p."""
     space = subset.space
-    h = space.require_resolution()
-    if radius < 4.0 * h:
-        raise Refusal(f"radius must be >= 4h = {4 * h}")
+    space.require_scale(radius, 4.0, "radius")
     ids = np.intersect1d(subset.indices, ball(space, p, radius))
     if ids.size < 2:
         raise Refusal("fewer than 2 subset points in the ball")

@@ -27,11 +27,11 @@ from .glue import build_projection, projection_quality, volume_convergence_exper
 from .io import dumps_stable, load_space, save_space
 from .space import (Curve, calibration_constant, hausdorff_measure_estimate,
                     packing_dimension_estimate, validate)
-from .strainers import classify, find_strainer, resolve_search_radius, strainer_number
+from .strainers import (MAX_STRAINER_LENGTH, classify, find_strainer,
+                        resolve_search_radius, strainer_number)
 
 DEFAULT_SEED = 20260809
 MAX_DELTA = 0.3
-MAX_ELL = 1.0
 
 
 def _check_param_ranges(args):
@@ -42,8 +42,8 @@ def _check_param_ranges(args):
             raise Refusal(f"parameter {name} must be positive and finite, got {value}")
     if getattr(args, "delta", None) is not None and args.delta > MAX_DELTA:
         raise Refusal(f"delta must be <= {MAX_DELTA}, got {args.delta}")
-    if getattr(args, "ell", None) is not None and args.ell > MAX_ELL:
-        raise Refusal(f"ell must be <= {MAX_ELL}, got {args.ell}")
+    if getattr(args, "ell", None) is not None and args.ell > MAX_STRAINER_LENGTH:
+        raise Refusal(f"ell must be <= {MAX_STRAINER_LENGTH}, got {args.ell}")
 
 
 def _report_base(args, command):
@@ -369,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--invariance", action="store_true")
     f.add_argument("--step", type=float, default=None)
     f.add_argument("--witness-radius", type=float, default=None)
-    f.add_argument("--max-steps", type=int, default=100)
-    f.add_argument("--stop-threshold", type=float, default=0.1)
+    f.add_argument("--max-steps", type=int, default=FlowConfig.max_steps)
+    f.add_argument("--stop-threshold", type=float, default=FlowConfig.stop_threshold)
     f.set_defaults(func=cmd_flow)
 
     d = sub.add_parser("dim", help="strainer number and packing dimension")
@@ -403,12 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
     gl.set_defaults(func=cmd_glue)
 
     cv = sub.add_parser("converge", help="volume-convergence experiment")
+    common(cv, space=False)
     cv.add_argument("--family", required=True, help="family spec JSON")
     cv.add_argument("--m", type=int, required=True)
     cv.add_argument("--eps", type=float, required=True)
     cv.add_argument("--csv", default=None)
-    cv.add_argument("--out", default=None)
-    cv.add_argument("--seed", type=int, default=DEFAULT_SEED)
     cv.set_defaults(func=cmd_converge)
 
     r = sub.add_parser("run", help="run a command described by a config file")

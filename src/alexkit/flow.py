@@ -31,9 +31,7 @@ class FlowConfig:
     stop_threshold: float = DEFAULT_STOP_THRESHOLD
 
     def check(self, space: Space):
-        h = space.require_resolution()
-        if self.step < 2.0 * h:
-            raise Refusal(f"step {self.step} below 2h = {2 * h}")
+        space.require_scale(self.step, 2.0, "step")
         if self.witness_radius < self.step:
             raise Refusal("witness_radius must be >= step")
 
@@ -132,10 +130,8 @@ def dist_gradient_lower_bound(subset: Subset, band: dict, cfg: FlowConfig) -> di
     close to a cut locus).
     """
     space = subset.space
-    h = space.require_resolution()
     inner, outer = float(band["inner"]), float(band["outer"])
-    if inner < 2.0 * h:
-        raise Refusal(f"band inner radius must be >= 2h = {2 * h}")
+    space.require_scale(inner, 2.0, "band inner radius")
     cfg.check(space)
     d_to_sub = space.dist[:, subset.indices].min(axis=1)
     in_band = np.flatnonzero((d_to_sub >= inner) & (d_to_sub <= outer))

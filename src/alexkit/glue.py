@@ -26,12 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charts import direction_defects, direction_grid, nearest_values
+from .charts import (DIRECTION_COUNT, direction_defects, direction_grid,
+                     nearest_values)
 from .errors import KitError, Refusal
 from .space import (Space, Subset, ball, calibration_constant,
-                    effective_spacing, graph_path, greedy_packing_ids,
-                    hausdorff_measure_estimate, link_graph, linked,
-                    shortest_path_tree)
+                    effective_spacing, even_positions, graph_path,
+                    greedy_packing_ids, hausdorff_measure_estimate, link_graph,
+                    linked, shortest_path_tree)
 from .strainers import Strainer, classify, is_strainer
 
 NET_MIN_PITCH_FACTOR = 4.0       # r >= 4h keeps the net resolvable
@@ -47,9 +48,7 @@ def discrete_net(subset: Subset, r: float) -> np.ndarray:
     Pairwise distances are > r/2 and every subset point lies within r/2 of
     the net; both properties are verified exactly before returning.
     """
-    h = subset.space.require_resolution()
-    if r < NET_MIN_PITCH_FACTOR * h:
-        raise Refusal(f"net scale r = {r} below 4h = {NET_MIN_PITCH_FACTOR * h}")
+    subset.space.require_scale(r, NET_MIN_PITCH_FACTOR, "r")
     amb = subset.ambient_matrix()
     half = r / 2.0
     kept = greedy_packing_ids(subset.size, amb.__getitem__, half)
@@ -263,13 +262,6 @@ def build_projection(subset: Subset, m: int, delta: float, ell: float, r: float,
                    flagged_points=flagged, warnings=warnings)
 
 
-def _cap_positions(n: int, cap: int) -> np.ndarray:
-    if n <= cap:
-        return np.arange(n)
-    stride = n / cap
-    return np.unique((np.arange(cap) * stride).astype(int))
-
-
 def projection_quality(gmap: GlueMap) -> dict:
     """Measured Lipschitz/co-Lipschitz constants and the blend-consistency
     statistics of a glue map.
@@ -283,7 +275,7 @@ def projection_quality(gmap: GlueMap) -> dict:
     h = space.require_resolution()
     pair_floor = QUALITY_PAIR_FLOOR_FACTOR * gmap.r
     domain = gmap.domain
-    take = _cap_positions(domain.size, QUALITY_POINT_CAP)
+    take = even_positions(domain.size, QUALITY_POINT_CAP)
     pts = domain[take]
     imgs = gmap.assignment[take]
 
@@ -291,6 +283,8 @@ def projection_quality(gmap: GlueMap) -> dict:
     fd = space.dist[np.ix_(imgs, imgs)]
     iu, ju = np.triu_indices(pts.size, k=1)
     sel = dd[iu, ju] >= pair_floor
+    if not sel.any():
+        raise Refusal(f"no usable pairs: no domain points are >= 2r = {pair_floor} apart")
     lip = float((fd[iu, ju][sel] / dd[iu, ju][sel]).max())
 
     # displacement against twice the distance to the subset
@@ -325,8 +319,7 @@ def projection_quality(gmap: GlueMap) -> dict:
             clm2 = max(clm2, float((num[sel] / dloc[il, jl][sel]).max()))
         # openness of psi_j o f at inner chart points
         inner = np.flatnonzero(dpk[near] < 2.0 * gmap.r)
-        eps_open = _composite_openness(space, domain[near], psi_f, inner,
-                                       probe=gmap.r, k=chart.a_ids.size)
+        eps_open = _composite_openness(dloc, psi_f, inner, probe=gmap.r)
         if eps_open is not None:
             colip = min(colip, 1.0 - eps_open)
 
@@ -345,10 +338,9 @@ def projection_quality(gmap: GlueMap) -> dict:
     return quality
 
 
-def _composite_openness(space, ids, values, inner, probe, k):
-    dirs = direction_grid(k, 16)
+def _composite_openness(d, values, inner, probe):
+    dirs = direction_grid(values.shape[1], DIRECTION_COUNT)
     eps = None
-    d = space.dist[np.ix_(ids, ids)]
     for i in inner:
         near = np.flatnonzero(linked(d[i], probe))
         if near.size == 0:
@@ -387,9 +379,7 @@ def cross_space_almost_isometry(e_subset: Subset, f_subset: Subset,
     mask = classify(e_subset, m, delta, ell)
     if mask.is_empty():
         raise Refusal("no strained points to map")
-    domain_sub = Subset(space_e, mask.member_ids,
-                        name=f"{e_subset.name}(strained)",
-                        link_radius=e_subset.link_radius)
+    domain_sub = Subset(space_e, mask.member_ids, name=f"{e_subset.name}(strained)")
     net = discrete_net(domain_sub, r)
     charts = _net_charts(mask, net, f_subset, g, r, 4.0 * r,
                          delta + LIFT_MARGIN_SLACK)
@@ -400,6 +390,8 @@ def cross_space_almost_isometry(e_subset: Subset, f_subset: Subset,
     fd = space_f.dist[np.ix_(assignment, assignment)]
     iu, ju = np.triu_indices(domain.size, k=1)
     sel = dd[iu, ju] >= r
+    if not sel.any():
+        raise Refusal(f"no usable pairs: no strained points are >= r = {r} apart")
     distortion = float(np.abs(fd[iu, ju][sel] / dd[iu, ju][sel] - 1.0).max())
     displacement = float(space_f.dist[assignment, g[domain]].max())
     out = {

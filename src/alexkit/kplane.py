@@ -21,7 +21,6 @@ convention assigns an angle at a collapsed vertex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,54 +33,36 @@ ACOS_CLAMP = 1e-12
 _MODES = ("error", "zero")
 
 
-@dataclass(frozen=True)
-class KappaTriangle:
-    """A triangle on the kappa-plane given by its three side lengths.
+def _existence(kappa: float, a: float, b: float, c: float) -> tuple[bool, str]:
+    """Whether a kappa-plane triangle with sides a, b, c exists.
 
-    Sides are ordered (pq, pr, qr): the first two meet at the vertex p where
-    the comparison angle is taken, the third is opposite to it.
+    Returns (flag, reason); reason is "" when the triangle exists.
+    Requires nonnegative finite sides and the triangle inequality; for
+    kappa > 0 additionally every side <= pi/sqrt(kappa) and perimeter
+    <= 2*pi/sqrt(kappa).
     """
-
-    kappa: float
-    side_pq: float
-    side_pr: float
-    side_qr: float
-
-    @property
-    def sides(self) -> tuple[float, float, float]:
-        return (self.side_pq, self.side_pr, self.side_qr)
-
-    def existence(self) -> tuple[bool, str]:
-        """Whether a comparison triangle with these sides exists.
-
-        Returns (flag, reason); reason is "" when the triangle exists.
-        Requires nonnegative finite sides and the triangle inequality; for
-        kappa > 0 additionally every side <= pi/sqrt(kappa) and perimeter
-        <= 2*pi/sqrt(kappa).
-        """
-        a, b, c = self.sides
+    for s in (a, b, c):
+        if not math.isfinite(s):
+            return False, f"non-finite side {s!r}"
+        if s < 0:
+            return False, f"negative side {s!r}"
+    if c > a + b:
+        return False, f"triangle inequality: {c} > {a} + {b}"
+    if a > b + c:
+        return False, f"triangle inequality: {a} > {b} + {c}"
+    if b > a + c:
+        return False, f"triangle inequality: {b} > {a} + {c}"
+    if kappa > 0:
+        bound = math.pi / math.sqrt(kappa)
+        slack = 1e-9
         for s in (a, b, c):
-            if not math.isfinite(s):
-                return False, f"non-finite side {s!r}"
-            if s < 0:
-                return False, f"negative side {s!r}"
-        if c > a + b:
-            return False, f"triangle inequality: {c} > {a} + {b}"
-        if a > b + c:
-            return False, f"triangle inequality: {a} > {b} + {c}"
-        if b > a + c:
-            return False, f"triangle inequality: {b} > {a} + {c}"
-        if self.kappa > 0:
-            bound = math.pi / math.sqrt(self.kappa)
-            slack = 1e-9
-            for s in (a, b, c):
-                if s > bound + slack:
-                    return False, f"side {s} exceeds pi/sqrt(kappa) = {bound}"
-            if a + b + c > 2.0 * bound + slack:
-                return False, (
-                    f"perimeter {a + b + c} exceeds 2*pi/sqrt(kappa) = {2 * bound}"
-                )
-        return True, ""
+            if s > bound + slack:
+                return False, f"side {s} exceeds pi/sqrt(kappa) = {bound}"
+        if a + b + c > 2.0 * bound + slack:
+            return False, (
+                f"perimeter {a + b + c} exceeds 2*pi/sqrt(kappa) = {2 * bound}"
+            )
+    return True, ""
 
 
 def _clamped_acos(x: float) -> float:
@@ -118,23 +99,25 @@ def _cos_angles(kappa: float, a, b, c):
     return (np.cosh(a * s) * np.cosh(b * s) - np.cosh(c * s)) / denom, False
 
 
-def comparison_angle(tri: KappaTriangle, degenerate_mode: str = "error") -> float:
-    """Angle at the vertex between sides pq and pr, in radians in [0, pi].
+def comparison_angle(kappa: float, a: float, b: float, c: float,
+                     degenerate_mode: str = "error") -> float:
+    """Angle at the vertex between sides a and b, opposite to side c, in
+    radians in [0, pi], on the kappa-plane.
 
     ``degenerate_mode`` selects the convention when no comparison triangle
-    exists: "error" raises, "zero" returns 0.0.
+    exists: "error" raises, "zero" returns 0.0.  The scalar reference for
+    :func:`comparison_angles_array`.
     """
     if degenerate_mode not in _MODES:
         raise ValueError(f"degenerate_mode must be one of {_MODES}")
-    a, b = tri.side_pq, tri.side_pr
     if a == 0.0 or b == 0.0:
         raise UndefinedAngle("zero-length side adjacent to the angle vertex")
-    ok, reason = tri.existence()
+    ok, reason = _existence(kappa, a, b, c)
     if not ok:
         if degenerate_mode == "zero":
             return 0.0
         raise NoComparisonTriangle(reason)
-    cos_ang, degenerate = _cos_angles(tri.kappa, a, b, tri.side_qr)
+    cos_ang, degenerate = _cos_angles(kappa, a, b, c)
     if degenerate and degenerate_mode == "error":
         raise UndefinedAngle(f"spherical vertex degenerate: sin(a * sqrt(kappa)) * "
                              f"sin(b * sqrt(kappa)) ~ 0 for a = {a}, b = {b}")

@@ -6,6 +6,10 @@ matrix, a lower curvature bound tag ``kappa``, optional generator coordinates
 ``resolution`` h (the intended Hausdorff distance between the sample and the
 idealized space it approximates).
 
+The rules derived from h have one owner, the Space: the floor below which a
+scale is refused (:meth:`Space.require_scale`) and the link radius 3h of
+every intrinsic metric (:meth:`Space.link_radius`).
+
 All matrices are immutable after construction and safe to share across
 threads.  Link graphs and shortest paths have one owner here: the link rule
 (:func:`linked`), its csr graph (:func:`link_graph`), Dijkstra from given
@@ -72,6 +76,14 @@ class Space:
             raise Refusal(f"space {self.name!r} has no declared resolution")
         return self.resolution
 
+    def require_scale(self, value: float, factor: float, name: str) -> float:
+        """The resolution h; refuses a ``value`` below ``factor`` * h, where
+        the sample cannot resolve it."""
+        h = self.require_resolution()
+        if value < factor * h:
+            raise Refusal(f"{name} = {value} below {factor:g}h = {factor * h}")
+        return h
+
     def link_radius(self) -> float:
         return DEFAULT_LINK_FACTOR * self.require_resolution()
 
@@ -88,9 +100,8 @@ class Space:
             raise Refusal(f"point id out of range 0..{self.n_points - 1}")
         return arr.astype(int, copy=False)
 
-    def subset(self, indices, name="subset", extremal=False, link_radius=None) -> "Subset":
-        sub = Subset(self, indices, name=name, extremal_claim=extremal,
-                     link_radius=link_radius)
+    def subset(self, indices, name="subset", extremal=False) -> "Subset":
+        sub = Subset(self, indices, name=name, extremal_claim=extremal)
         self.subsets[name] = sub
         return sub
 
@@ -103,25 +114,27 @@ class Space:
 
 
 class Subset:
-    """A marked subset of a Space, with the link radius of its intrinsic metric.
+    """A marked subset of a Space.
 
     The intrinsic metric d_E is the shortest-path metric of the graph on the
     subset with edges between points at ambient distance <= link_radius,
     weighted by ambient distance (:func:`intrinsic_metric`).  Always d <= d_E;
-    pairs in different graph components are at +inf.
+    pairs in different graph components are at +inf.  The link radius is the
+    space's (:meth:`Space.link_radius`), so a subset of a space with no
+    declared resolution has no intrinsic metric.
     """
 
-    def __init__(self, space, indices, name="subset", extremal_claim=False,
-                 link_radius=None):
+    def __init__(self, space, indices, name="subset", extremal_claim=False):
         self.space = space
         self.indices = np.unique(space.check_ids(indices))
         if self.indices.size == 0:
             raise KitError("empty subset")
         self.name = name
         self.extremal_claim = bool(extremal_claim)
-        if link_radius is None:
-            link_radius = space.link_radius() if space.resolution is not None else None
-        self.link_radius = link_radius
+
+    @property
+    def link_radius(self) -> float:
+        return self.space.link_radius()
 
     @property
     def size(self) -> int:
@@ -335,8 +348,6 @@ def intrinsic_metric(subset: Subset, ids) -> np.ndarray:
     Dijkstra runs from the given ids only; pass ``subset.indices`` for all
     pairs.  A non-member id raises KitError.
     """
-    if subset.link_radius is None or subset.link_radius <= 0:
-        raise Refusal("subset has no positive link_radius")
     graph = link_graph(subset.ambient_matrix(), subset.link_radius)
     return dijkstra(graph, directed=False, indices=subset.position(ids))
 
@@ -485,10 +496,7 @@ def hausdorff_measure_estimate(subset: Subset, m: int, eps: float,
     spacing for the sample's resolution, and c_m a constant calibrated once
     on the unit m-cube (see :func:`calibration_constant`).
     """
-    h = subset.space.require_resolution()
-    if eps < 2.0 * h:
-        raise Refusal(f"eps = {eps} below 2 * resolution = {2 * h}; "
-                      "estimator meaningless below sampling pitch")
+    h = subset.space.require_scale(eps, 2.0, "eps")
     if metric == "extrinsic":
         matrix = subset.ambient_matrix()
     elif metric == "intrinsic":
@@ -522,9 +530,7 @@ def packing_dimension_estimate(space: Space, indices, eps_grid) -> dict:
         raise Refusal("eps_grid needs at least 3 values")
     if eps_grid[-1] / eps_grid[0] < 10.0 * (1 - 1e-9):
         raise Refusal("eps_grid must span a decade")
-    h = space.require_resolution()
-    if eps_grid[0] < 2.0 * h:
-        raise Refusal(f"eps values must be >= 2 * resolution = {2 * h}")
+    space.require_scale(eps_grid[0], 2.0, "smallest eps")
     ids = np.unique(space.check_ids(indices))
     sub = space.dist[np.ix_(ids, ids)]
     betas = [len(greedy_packing_ids(ids.size, sub.__getitem__, e)) for e in eps_grid]
@@ -557,6 +563,13 @@ def packing_dimension_estimate(space: Space, indices, eps_grid) -> dict:
 # extremality checker
 
 EXTERIOR_CAP = 200  # most exterior points extremality_check samples
+
+
+def even_positions(n: int, cap: int) -> np.ndarray:
+    """At most ``cap`` positions of 0..n-1, evenly spaced in order."""
+    if n <= cap:
+        return np.arange(n)
+    return (np.arange(cap) * (n / cap)).astype(int)
 
 
 @dataclass
@@ -600,11 +613,9 @@ def extremality_check(subset: Subset,
     resolution.
     """
     space = subset.space
-    h = space.require_resolution()
     if witness_radius is None:
         witness_radius = 4.0 * subset.link_radius
-    if witness_radius < 2.0 * h:
-        raise Refusal(f"witness_radius {witness_radius} below 2 * resolution")
+    h = space.require_scale(witness_radius, 2.0, "witness_radius")
     angle_tol = 0.05 + 2.0 * h / witness_radius
 
     inside = np.zeros(space.n_points, dtype=bool)
@@ -612,9 +623,7 @@ def extremality_check(subset: Subset,
     exterior = np.flatnonzero(~inside)
     far_enough = space.dist[np.ix_(exterior, subset.indices)].min(axis=1) >= 4.0 * h
     exterior = exterior[far_enough]
-    if exterior.size > EXTERIOR_CAP:
-        stride = exterior.size / EXTERIOR_CAP
-        exterior = exterior[(np.arange(EXTERIOR_CAP) * stride).astype(int)]
+    exterior = exterior[even_positions(exterior.size, EXTERIOR_CAP)]
 
     amb = subset.ambient_matrix()
     link = linked(amb, subset.link_radius)

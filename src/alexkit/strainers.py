@@ -51,9 +51,6 @@ class Strainer:
     def k(self) -> int:
         return len(self.pairs)
 
-    def point_ids(self) -> list[int]:
-        return [i for pair in self.pairs for i in pair]
-
     def to_dict(self) -> dict:
         return {"base": self.base, "pairs": [list(p) for p in self.pairs],
                 "delta_achieved": self.delta_achieved, "length": self.length}
@@ -327,20 +324,17 @@ def local_strainer_number(subset: Subset, p: int, delta: float, scales) -> dict:
     the two smallest scales; the full per-scale profile is reported alongside.
     """
     space = subset.space
-    h = space.require_resolution()
     scales = [float(r) for r in scales]
     if any(s2 >= s1 for s1, s2 in zip(scales, scales[1:])):
         raise Refusal("scales must be strictly descending")
-    if min(scales) < 4.0 * h:
-        raise Refusal(f"scales must be >= 4h = {4 * h}")
+    space.require_scale(min(scales), 4.0, "smallest scale")
     profile = {}
     for r in scales:
         ids = np.intersect1d(subset.indices, ball(space, p, r))
         if ids.size == 0:
             profile[r] = -1
             continue
-        local = Subset(space, ids, name=f"{subset.name}|B({p},{r})",
-                       link_radius=subset.link_radius)
+        local = Subset(space, ids, name=f"{subset.name}|B({p},{r})")
         profile[r] = strainer_number(local, delta, ell=0.25 * r, search_radius=r)
     vals = [profile[r] for r in scales[-2:]]
     stable = len(set(vals)) == 1
@@ -381,9 +375,7 @@ def regular_points(subset: Subset, m: int, delta_schedule=(0.2, 0.1, 0.05),
 def unstrained_mass(subset: Subset, m: int, k: int, delta: float, ell: float,
                     eps: float, search_radius: float | None = None) -> float:
     """eps^m times the packing number of the unstrained part of the subset."""
-    h = subset.space.require_resolution()
-    if eps < 2.0 * h:
-        raise Refusal(f"eps must be >= 2h = {2 * h}")
+    subset.space.require_scale(eps, 2.0, "eps")
     mask = classify(subset, k, delta, ell, search_radius)
     rest = np.setdiff1d(subset.indices, mask.member_ids)
     if rest.size == 0:

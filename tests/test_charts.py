@@ -98,7 +98,7 @@ class TestOpenness:
         sub = space.subsets["all"]
         s = find_strainer(space, 50, 1, 0.05, 0.1, 0.3)
         chart = build_chart(sub, s, radius=0.2)
-        out = openness_measure(chart, direction_count=8)
+        out = openness_measure(chart)
         assert out["eps_open"] < 0.01
 
     def test_segment_endpoint_direction_unrealizable(self):
@@ -108,7 +108,7 @@ class TestOpenness:
         sub = space.subset(np.arange(0, 30), name="tail")
         s = find_strainer(space, int(sub.indices[-1]), 1, 0.05, 0.1, 0.3)
         chart = build_chart(sub, s, radius=0.25)
-        out = openness_measure(chart, direction_count=8)
+        out = openness_measure(chart)
         assert out["eps_open"] > 1.0
 
     def test_boundary_edge_midpoint_small_defect(self, boundary_space):
@@ -117,16 +117,8 @@ class TestOpenness:
         ell = 0.06
         s = edge_midpoint_strainer(space, sub, (0.5, 0.0), ell=ell)
         chart = build_chart(sub, s, radius=0.1)
-        out = openness_measure(chart, direction_count=8)
+        out = openness_measure(chart)
         assert out["eps_open"] <= 0.05 + 4 * 0.01 / ell
-
-    def test_direction_count_floor(self, boundary_space):
-        space, _ = boundary_space
-        sub = space.subsets["boundary"]
-        s = edge_midpoint_strainer(space, sub, (0.5, 0.0), ell=0.06)
-        chart = build_chart(sub, s, radius=0.1)
-        with pytest.raises(Refusal):
-            openness_measure(chart, direction_count=4)
 
 
 class TestMetricComparison:

@@ -1,9 +1,13 @@
+import csv
 import json
 
+import numpy as np
 import pytest
 
 from alexkit.cli import main
-from alexkit.io import load_space
+from alexkit.glue import build_projection, projection_quality
+from alexkit.io import dumps_stable, load_space
+from alexkit.space import packing_dimension_estimate
 
 
 @pytest.fixture(scope="module")
@@ -156,3 +160,78 @@ def test_reports_are_byte_identical_across_runs(command, tmp_path):
     assert reports[0] == reports[1]
     report = json.loads(reports[0])
     assert report.get("strainer_number", report.get("member_count")) >= 2
+
+
+@pytest.fixture(scope="module")
+def polygon_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "32gon.json"
+    assert main(["gen", "regular-polygon", "--n", "32", "--h", "0.1",
+                 "--out", str(path)]) == 0
+    return str(path)
+
+
+def test_glue_with_no_pair_2r_apart_is_refused(polygon_file, capsys):
+    # the 32-gon has diameter 2, so no domain pair is 2r = 2.1 apart
+    code, line = refused_cleanly(["glue", "--space", polygon_file, "--subset",
+                                  "boundary", "--m", "1", "--delta", "0.25",
+                                  "--ell", "0.1", "--r", "1.05"], capsys)
+    assert code == 2 and line.startswith("refusal: no usable pairs")
+
+
+def twice(argv, *paths):
+    """Runs argv twice; the bytes of each written file, checked equal across runs."""
+    runs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        runs.append([path.read_bytes() for path in paths])
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+def test_dim_eps_grid_writes_the_packing_fit(tmp_path):
+    space = tmp_path / "square.json"
+    assert main(["gen", "polygon", "--vertices", "[[0, 0], [1, 0], [1, 1], [0, 1]]",
+                 "--h", "0.1", "--out", str(space)]) == 0
+    out = tmp_path / "dim.json"
+    (text,) = twice(["dim", "--space", str(space), "--subset", "all", "--delta", "0.1",
+                     "--ell", "0.12", "--search-radius", "0.45",
+                     "--eps-grid", "0.2,0.5,2.0", "--out", str(out)], out)
+    loaded = load_space(str(space))
+    want = packing_dimension_estimate(loaded, np.arange(loaded.n_points),
+                                      [0.2, 0.5, 2.0])
+    assert json.loads(text)["packing_dimension"] == json.loads(dumps_stable(want))
+
+
+def test_glue_full_embeds_the_map(polygon_file, tmp_path):
+    out = tmp_path / "glue.json"
+    (text,) = twice(["glue", "--space", polygon_file, "--subset", "boundary",
+                     "--m", "1", "--delta", "0.25", "--ell", "0.12", "--r", "0.4",
+                     "--rho", "0.07", "--full", "--out", str(out)], out)
+    report = json.loads(text)
+    gmap = build_projection(load_space(polygon_file).subsets["boundary"], 1, 0.25,
+                            0.12, 0.4, rho=0.07)
+    projection_quality(gmap)
+    assert report["map"] == json.loads(dumps_stable(gmap.to_dict()))
+    assert report["map"]["quality"] == report["quality"]
+    assert len(report["map"]["net"]) == report["net_size"]
+
+
+def test_converge_csv_holds_the_report_table(tmp_path):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"members": [
+        {"generator": "segment", "label": f"h={h}", "subset": "all",
+         "params": {"length": 1.0, "h": h}} for h in (0.1, 0.05)]}))
+    out, csv_path = tmp_path / "converge.json", tmp_path / "converge.csv"
+    text, csv_text = twice(["converge", "--family", str(family), "--m", "1",
+                            "--eps", "0.25", "--csv", str(csv_path),
+                            "--out", str(out)], out, csv_path)
+    table = json.loads(text)["result"]["table"]
+    lines = csv_text.decode().splitlines()
+    assert lines[0] == ("label,estimate_extrinsic,estimate_intrinsic,exact,"
+                        "deviation_extrinsic,deviation_intrinsic")
+    rows = list(csv.DictReader(lines))
+    assert [row["label"] for row in rows] == ["h=0.1", "h=0.05"]
+    for row, want in zip(rows, table):
+        for col in ("estimate_extrinsic", "estimate_intrinsic", "exact",
+                    "deviation_extrinsic", "deviation_intrinsic"):
+            assert float(row[col]) == want[col]

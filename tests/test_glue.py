@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from alexkit import models
+from alexkit import glue, models
 from alexkit.errors import Refusal
 from alexkit.glue import (bump, build_projection, cross_space_almost_isometry,
                           discrete_net, projection_quality)
@@ -48,17 +48,35 @@ def test_projection_domain_holds_the_subset(collar):
     assert np.isin(gmap.assignment, sub).all()
 
 
-def test_cross_space_digest():
+def test_cross_space_digest(monkeypatch):
     se, _ = models.gen_regular_polygon(32, 0.04, circumradius=0.6)
     sf, _ = models.gen_regular_polygon(32, 0.03, circumradius=0.6)
     nearest = np.argmin(((se.coords[:, None, :] - sf.coords[None, :, :]) ** 2)
                         .sum(axis=-1), axis=1)
+    netted = []
+    real = glue.discrete_net
+    monkeypatch.setattr(glue, "discrete_net",
+                        lambda sub, r: netted.append(sub) or real(sub, r))
     out = cross_space_almost_isometry(se.subsets["boundary"], sf.subsets["boundary"],
                                       nearest, 1, 0.25, 0.1, 0.16, epsilon=0.03)
+    (strained,) = netted  # the strained part of E, the net's subset
+    assert strained.link_radius == se.link_radius()
     assert (out["net"].size, out["domain"].size) == (32, 96)
     assert np.isin(out["assignment"], sf.subsets["boundary"].indices).all()
     assert digest(out) == (
         "d490b3f642c407927550c4b27a5a144a75c1e0900907783146b00bef818950df")
+
+
+def test_cross_space_refuses_when_no_pair_is_r_apart():
+    se, _ = models.gen_segment(1.0, 0.05)
+    sf, _ = models.gen_segment(1.0, 0.04)
+    nearest = np.argmin(np.abs(se.coords[:, None, 0] - sf.coords[None, :, 0]), axis=1)
+    # the middle tenth of the segment: no two strained points are r = 0.2 apart
+    middle = se.subset(np.flatnonzero(np.abs(se.coords[:, 0] - 0.5) <= 0.05),
+                       name="middle")
+    with pytest.raises(Refusal, match="no usable pairs"):
+        cross_space_almost_isometry(middle, sf.subsets["all"], nearest,
+                                    1, 0.25, 0.1, 0.2)
 
 
 def test_net_is_discrete_and_maximal():

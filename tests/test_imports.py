@@ -1,8 +1,10 @@
-"""Every module of the package uses what it imports.
+"""Every module of the package uses what it imports, and imports at module level.
 
 No linter is installed, so a walk over each module's syntax tree stands in
 for pyflakes' unused-import check.  ``__init__.py`` is left out: its imports
-are the package's public names.
+are the package's public names.  An import inside a function would hide its
+cost (scipy's submodules cost RSS and start-up time) in whichever call runs
+it first, so every module imports at its top level.
 """
 
 import ast
@@ -38,3 +40,24 @@ def test_checker_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def function_imports(source: str) -> list[int]:
+    """Line numbers of the import statements inside function bodies."""
+    return sorted({node.lineno for fn in ast.walk(ast.parse(source))
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+def test_checker_finds_function_imports():
+    source = ("import math\n\ndef f():\n    import os\n    def g():\n"
+              "        from scipy import sparse\n    return os, sparse\n\n"
+              "class C:\n    def m(self):\n        import json\n")
+    assert function_imports(source) == [4, 6, 11]
+
+
+@pytest.mark.parametrize("path", sorted(Path(alexkit.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_imports_at_module_level(path):
+    assert function_imports(path.read_text()) == []

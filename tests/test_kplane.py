@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alexkit.errors import DomainError, NoComparisonTriangle, UndefinedAngle
-from alexkit.kplane import (KappaTriangle, comparison_angle,
-                            comparison_angles_array, side_from_angle)
+from alexkit.kplane import comparison_angle, comparison_angles_array, side_from_angle
 
 
 def angle(kappa, a, b, c, mode="error"):
-    return comparison_angle(KappaTriangle(kappa, a, b, c), mode)
+    return comparison_angle(kappa, a, b, c, mode)
 
 
 class TestComparisonAngle:

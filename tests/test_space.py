@@ -7,10 +7,14 @@ from scipy.sparse.csgraph import shortest_path
 
 from alexkit import models
 from alexkit import space as space_module
+from alexkit.charts import metric_comparison
 from alexkit.errors import KitError, Refusal
+from alexkit.flow import FlowConfig, dist_gradient_lower_bound
+from alexkit.glue import NET_MIN_PITCH_FACTOR, discrete_net
 from alexkit.space import (Space, ball, extremality_check,
                            hausdorff_measure_estimate, intrinsic_metric,
                            packing_dimension_estimate, packing_number, validate)
+from alexkit.strainers import local_strainer_number, unstrained_mass
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -162,6 +166,12 @@ class TestIntrinsicMetric:
         with pytest.raises(KitError, match="not in subset"):
             intrinsic_metric(sub, [space.n_points - 1])
 
+    def test_space_without_resolution_is_refused(self):
+        space = Space("bare", 0.0, [[0.0, 1.0], [1.0, 0.0]])
+        sub = space.all_points_subset()
+        with pytest.raises(Refusal, match="no declared resolution"):
+            intrinsic_metric(sub, sub.indices)
+
 
 class TestPackingNumber:
     def test_exact_on_25_point_segment(self):
@@ -235,6 +245,60 @@ class TestMeasureEstimate:
         space, _ = models.gen_segment(1.0, 0.05)
         with pytest.raises(Refusal):
             hausdorff_measure_estimate(space.subsets["all"], 1, 0.05)
+
+
+# each caller of Space.require_scale: (call on a space, its boundary and a
+# value, the quantity its refusal names, the factor of h below which it refuses)
+FLOORS = {
+    "hausdorff_measure_estimate": (
+        lambda space, sub, v: hausdorff_measure_estimate(sub, 1, v), "eps", 2.0),
+    "packing_dimension_estimate": (
+        lambda space, sub, v: packing_dimension_estimate(space, sub.indices,
+                                                         [v, 5 * v, 10 * v]),
+        "smallest eps", 2.0),
+    "extremality_check": (
+        lambda space, sub, v: extremality_check(sub, witness_radius=v),
+        "witness_radius", 2.0),
+    "unstrained_mass": (
+        lambda space, sub, v: unstrained_mass(sub, 1, 1, 0.1, 0.1, v), "eps", 2.0),
+    "local_strainer_number": (
+        lambda space, sub, v: local_strainer_number(sub, int(sub.indices[0]), 0.1,
+                                                    [1.0, v]),
+        "smallest scale", 4.0),
+    "metric_comparison": (
+        lambda space, sub, v: metric_comparison(sub, int(sub.indices[0]), v),
+        "radius", 4.0),
+    "FlowConfig.check": (
+        lambda space, sub, v: FlowConfig(step=v, witness_radius=1.0).check(space),
+        "step", 2.0),
+    "dist_gradient_lower_bound": (
+        lambda space, sub, v: dist_gradient_lower_bound(
+            sub, {"inner": v, "outer": 0.5}, FlowConfig(step=0.3, witness_radius=0.6)),
+        "band inner radius", 2.0),
+    "discrete_net": (
+        lambda space, sub, v: discrete_net(sub, v), "r", NET_MIN_PITCH_FACTOR),
+}
+
+
+class TestResolutionFloors:
+    def test_require_scale_admits_its_floor_and_refuses_below(self, square):
+        space, _ = square
+        h = space.resolution
+        assert space.require_scale(2.0 * h, 2.0, "eps") == h
+        with pytest.raises(Refusal, match=r"^eps = 0.09 below 2h = 0.1$"):
+            space.require_scale(0.09, 2.0, "eps")
+        with pytest.raises(Refusal, match="no declared resolution"):
+            Space("bare", 0.0, [[0.0]]).require_scale(1.0, 2.0, "eps")
+
+    @pytest.mark.parametrize("call, name, factor", FLOORS.values(), ids=list(FLOORS))
+    def test_each_caller_refuses_just_below_its_floor(self, call, name, factor,
+                                                      square):
+        space, _ = square
+        floor = factor * space.resolution
+        below = math.nextafter(floor, 0.0)
+        with pytest.raises(Refusal) as e:
+            call(space, space.subsets["boundary"], below)
+        assert str(e.value) == f"{name} = {below} below {factor:g}h = {floor}"
 
 
 DRIFT_KILL = 1.0 - 1e-9

@@ -328,6 +328,17 @@ class TestLocalStrainerNumber:
         with pytest.raises(Refusal):
             local_strainer_number(sub, 0, 0.1, scales=[0.4, 0.01])
 
+    def test_local_subsets_link_at_the_space_radius(self, fine_boundary, monkeypatch):
+        space, ann = fine_boundary
+        seen = []
+        real = strainers.strainer_number
+        monkeypatch.setattr(strainers, "strainer_number",
+                            lambda sub, *a, **kw: seen.append(sub) or real(sub, *a, **kw))
+        corner = int(ann.subsets["boundary"].singular_ids[0])
+        local_strainer_number(space.subsets["boundary"], corner, 0.1, scales=[0.2, 0.1])
+        assert len(seen) == 2
+        assert all(sub.link_radius == space.link_radius() for sub in seen)
+
 
 class TestRegularPoints:
     def test_boundary_masks_converge_to_edge_interiors(self, fine_boundary):
