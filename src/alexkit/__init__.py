@@ -22,6 +22,7 @@ from .space import (
     hausdorff_measure_estimate,
     intrinsic_metric,
     packing_dimension_estimate,
+    packing_ids,
     packing_number,
     validate,
 )

@@ -83,6 +83,8 @@ def build_chart(subset: Subset, strainer: Strainer, radius: float | None = None)
     """
     if strainer is None:
         raise Refusal("no strainer given; a chart needs a strained base point")
+    if strainer.k < 1:
+        raise Refusal(f"a chart needs k >= 1, got k = {strainer.k}")
     space = subset.space
     if radius is None:
         radius = strainer.length * max(strainer.delta_achieved, 0.1)
@@ -210,7 +212,7 @@ def quasigeodesic_check(space: Space, path: Curve, p: int) -> dict:
     if ids.size < 3:
         raise Refusal("path too short for a monotonicity check")
     if np.any(ids == p):
-        raise KitError("viewpoint lies on the path")
+        raise Refusal("viewpoint lies on the path")
     gaps = path.gaps(space)
     step = path.step if path.step else float(np.median(gaps))
     if np.any(np.abs(gaps - step) > ARC_LENGTH_TOLERANCE * step):

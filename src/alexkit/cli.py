@@ -34,12 +34,25 @@ DEFAULT_SEED = 20260809
 MAX_DELTA = 0.3
 
 
+def _eps_grid(text):
+    """The comma-separated ``--eps-grid`` values; a non-number is a refusal."""
+    try:
+        return [float(e) for e in text.split(",")]
+    except ValueError:
+        raise Refusal(f"eps_grid must be comma-separated numbers, got {text!r}") from None
+
+
 def _check_param_ranges(args):
-    for name in ("delta", "ell", "eps", "h", "r", "rho", "radius", "length", "side",
-                 "search_radius", "witness_radius", "step"):
-        value = getattr(args, name, None)
-        if value is not None and not 0 < value < math.inf:  # nor NaN, nor inf
+    values = [(name, v) for name, v in vars(args).items() if isinstance(v, float)]
+    if getattr(args, "eps_grid", None):
+        values += [("eps_grid", e) for e in _eps_grid(args.eps_grid)]
+    for name, value in values:
+        if not 0 < value < math.inf:  # nor NaN, nor inf
             raise Refusal(f"parameter {name} must be positive and finite, got {value}")
+    if getattr(args, "seed", 0) < 0:
+        raise Refusal(f"seed must be >= 0, got {args.seed}")
+    if getattr(args, "max_steps", 1) < 1:
+        raise Refusal(f"max_steps must be >= 1, got {args.max_steps}")
     if getattr(args, "delta", None) is not None and args.delta > MAX_DELTA:
         raise Refusal(f"delta must be <= {MAX_DELTA}, got {args.delta}")
     if getattr(args, "ell", None) is not None and args.ell > MAX_STRAINER_LENGTH:
@@ -195,9 +208,8 @@ def cmd_dim(args):
     report = _report_base(args, "dim")
     report["strainer_number"] = number
     if args.eps_grid:
-        grid = [float(e) for e in args.eps_grid.split(",")]
         report["packing_dimension"] = packing_dimension_estimate(
-            space, subset.indices, grid)
+            space, subset.indices, _eps_grid(args.eps_grid))
     _emit(args, report)
     return 0
 

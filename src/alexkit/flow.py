@@ -73,7 +73,7 @@ def gradient_curve(space: Space, q: int, x0: int, cfg: FlowConfig) -> Curve:
     """
     q, x0 = (int(i) for i in space.check_ids([q, x0]))
     if x0 == q:
-        raise KitError("start coincides with the distance-function center")
+        raise Refusal("start coincides with the distance-function center")
     cfg.check(space)
     points = [x0]
     derivs = []

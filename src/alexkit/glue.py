@@ -31,8 +31,8 @@ from .charts import (DIRECTION_COUNT, direction_defects, direction_grid,
 from .errors import KitError, Refusal
 from .space import (Space, Subset, ball, calibration_constant,
                     effective_spacing, even_positions, graph_path,
-                    greedy_packing_ids, hausdorff_measure_estimate, link_graph,
-                    linked, shortest_path_tree)
+                    hausdorff_measure_estimate, link_graph, linked,
+                    packing_ids, shortest_path_tree)
 from .strainers import Strainer, classify, is_strainer
 
 NET_MIN_PITCH_FACTOR = 4.0       # r >= 4h keeps the net resolvable
@@ -48,18 +48,18 @@ def discrete_net(subset: Subset, r: float) -> np.ndarray:
     Pairwise distances are > r/2 and every subset point lies within r/2 of
     the net; both properties are verified exactly before returning.
     """
-    subset.space.require_scale(r, NET_MIN_PITCH_FACTOR, "r")
-    amb = subset.ambient_matrix()
+    space = subset.space
+    space.require_scale(r, NET_MIN_PITCH_FACTOR, "r")
     half = r / 2.0
-    kept = greedy_packing_ids(subset.size, amb.__getitem__, half)
-    net_ids = subset.indices[kept]
-    sub = amb[np.ix_(kept, kept)]
-    iu, ju = np.triu_indices(kept.size, k=1)
-    if kept.size > 1 and not np.all(sub[iu, ju] > half):
+    net = packing_ids(space, subset.indices, half)
+    rows = space.dist[np.ix_(net, subset.indices)]
+    sub = rows[:, subset.position(net)]
+    iu, ju = np.triu_indices(net.size, k=1)
+    if net.size > 1 and not np.all(sub[iu, ju] > half):
         raise KitError("net lost r/2-discreteness")  # unreachable by construction
-    if not np.all(amb[kept].min(axis=0) <= half):
+    if not np.all(rows.min(axis=0) <= half):
         raise KitError("net is not maximal")
-    return net_ids
+    return net
 
 
 def bump(t):
@@ -224,6 +224,8 @@ def build_projection(subset: Subset, m: int, delta: float, ell: float, r: float,
     lookup over the chart's own piece of the subset (radius 3r).  The
     restriction to the subset is the identity exactly.
     """
+    if m < 1:
+        raise Refusal(f"a projection needs m >= 1, got m = {m}")
     space = subset.space
     h = space.require_resolution()
     if rho is None:
@@ -371,6 +373,8 @@ def cross_space_almost_isometry(e_subset: Subset, f_subset: Subset,
     distance >= r (extrinsic metrics); displacement is reported against
     ``epsilon``.
     """
+    if m < 1:
+        raise Refusal(f"an almost isometry needs m >= 1, got m = {m}")
     space_e = e_subset.space
     space_f = f_subset.space
     g = np.asarray(correspondence, dtype=int)
@@ -419,6 +423,8 @@ def volume_convergence_experiment(members, m: int, eps: float,
     verdict allows that slack; collapsing families (estimates shrinking
     toward zero) are flagged instead of trend-tested.
     """
+    if not members:
+        raise Refusal("a convergence family needs at least one member")
     rows = []
     for mem in members:
         subset = mem["subset"]

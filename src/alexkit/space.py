@@ -14,11 +14,14 @@ All matrices are immutable after construction and safe to share across
 threads.  Link graphs and shortest paths have one owner here: the link rule
 (:func:`linked`), its csr graph (:func:`link_graph`), Dijkstra from given
 sources (:func:`shortest_path_tree`) and the walk along its predecessors
-(:func:`graph_path`).
+(:func:`graph_path`).  So do packings: every packing number, measure and
+dimension estimate and r/2-net is the id-order greedy packing of
+:func:`packing_ids`, which reads the rows of the points it keeps only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -80,7 +83,7 @@ class Space:
         """The resolution h; refuses a ``value`` below ``factor`` * h, where
         the sample cannot resolve it."""
         h = self.require_resolution()
-        if value < factor * h:
+        if not value >= factor * h:  # nor NaN
             raise Refusal(f"{name} = {value} below {factor:g}h = {factor * h}")
         return h
 
@@ -355,30 +358,33 @@ def intrinsic_metric(subset: Subset, ids) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # packing numbers
 
-EXACT_PACKING_LIMIT = 25
-
-
-def packing_number(space: Space, indices, eps: float, method: str = "greedy") -> int:
+def packing_number(space: Space, indices, eps: float) -> int:
     """Size of a maximal set with pairwise distances > eps.
 
-    The greedy method inserts candidates in ascending id order, keeping a
-    point iff it is > eps from everything kept so far; the result is a
-    maximal eps-discrete set, deterministic, and a lower bound for the true
-    maximum.  ``method="exact"`` runs branch-and-bound (only for <= 25
-    points) and returns the true maximum.
+    The id-order greedy packing of :func:`packing_ids`: deterministic, and a
+    lower bound for the true maximum.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise KitError("eps must be positive")
-    ids = np.unique(space.check_ids(indices))
-    sub = space.dist[np.ix_(ids, ids)]
-    if method == "greedy":
-        return len(greedy_packing_ids(ids.size, sub.__getitem__, eps))
-    if method == "exact":
-        if ids.size > EXACT_PACKING_LIMIT:
-            raise Refusal(
-                f"exact packing limited to {EXACT_PACKING_LIMIT} points, got {ids.size}")
-        return _exact_packing(sub, eps)
-    raise KitError(f"unknown packing method {method!r}")
+    return len(packing_ids(space, indices, eps))
+
+
+def packing_ids(space: Space, ids, eps: float, metric: str = "extrinsic") -> np.ndarray:
+    """Ids kept by the id-order greedy packing of the ascending ``ids``.
+
+    Extrinsic rows are read from ``space.dist`` for kept points only;
+    intrinsic rows are the link-graph distances of the subset of ``ids``
+    (:func:`intrinsic_metric`), from every point in one call.
+    """
+    ids = np.unique(space.check_ids(ids))
+    if metric == "extrinsic":
+        def row(pos):
+            return space.dist[ids[pos], ids]
+    elif metric == "intrinsic":
+        row = intrinsic_metric(Subset(space, ids), ids).__getitem__
+    else:
+        raise KitError(f"metric must be extrinsic|intrinsic, got {metric!r}")
+    return ids[greedy_packing_ids(ids.size, row, eps)]
 
 
 def greedy_packing_ids(n: int, row, eps: float) -> np.ndarray:
@@ -397,33 +403,6 @@ def greedy_packing_ids(n: int, row, eps: float) -> np.ndarray:
     return np.array(kept, dtype=int)
 
 
-def _exact_packing(sub: np.ndarray, eps: float) -> int:
-    n = sub.shape[0]
-    conflict = [0] * n
-    for i in range(n):
-        mask = 0
-        for j in range(n):
-            if j != i and sub[i, j] <= eps:
-                mask |= 1 << j
-        conflict[i] = mask
-    best = 0
-
-    def rec(candidates: int, size: int):
-        nonlocal best
-        if size + candidates.bit_count() <= best:
-            return
-        if candidates == 0:
-            best = max(best, size)
-            return
-        v = (candidates & -candidates).bit_length() - 1
-        # branch: exclude v, then include v
-        rec(candidates & ~(1 << v), size)
-        rec(candidates & ~((1 << v) | conflict[v]), size + 1)
-
-    rec((1 << n) - 1, 0)
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Hausdorff measure / dimension estimators
 
@@ -432,36 +411,28 @@ CALIBRATION_EPS = 0.05
 # part keeps floor(eps/h) robust against rounding of the realized pitch
 CALIBRATION_PITCH_RATIO = 25.95
 
-_calibration_cache: dict[int, dict] = {}
 
-
-def effective_spacing(eps: float, resolution: float | None) -> float:
+def effective_spacing(eps: float, h: float) -> float:
     """Smallest achievable packing spacing > eps on a pitch-h sample.
 
     The greedy packing of a pitch-h sample realizes pairwise spacing
     (floor(eps/h) + 1) * h rather than eps itself; using eps directly would
     bias the measure estimate by that ratio, which varies with eps/h.
     """
-    if resolution is None:
-        return eps
-    h = resolution
     return (math.floor(eps / h + 1e-9) + 1.0) * h
 
 
+@functools.cache
 def calibration_constant(m: int) -> dict:
     """Calibration data for the m-dimensional measure estimator.
 
     Computed once per process on a unit m-cube sample at eps = 0.05 so that
     the estimator returns 1.0 there; cached and reported by the CLI.
     """
-    if m in _calibration_cache:
-        return _calibration_cache[m]
     if m < 0:
-        raise KitError("dimension m must be >= 0")
+        raise Refusal(f"dimension m must be >= 0, got {m}")
     if m == 0:
-        data = {"m": 0, "c": 1.0, "eps": CALIBRATION_EPS, "pitch": None, "beta": 1}
-        _calibration_cache[0] = data
-        return data
+        return {"m": 0, "c": 1.0, "eps": CALIBRATION_EPS, "pitch": None, "beta": 1}
     # unit m-cube sampled on an axis grid at pitch ~ eps / 25.95
     per_axis = int(round(CALIBRATION_PITCH_RATIO / CALIBRATION_EPS))
     axis = np.linspace(0.0, 1.0, per_axis + 1)
@@ -482,9 +453,7 @@ def calibration_constant(m: int) -> dict:
         CALIBRATION_EPS))
     s_eff = effective_spacing(CALIBRATION_EPS, pitch)
     c = 1.0 / (s_eff**m * beta)
-    data = {"m": m, "c": c, "eps": CALIBRATION_EPS, "pitch": pitch, "beta": beta}
-    _calibration_cache[m] = data
-    return data
+    return {"m": m, "c": c, "eps": CALIBRATION_EPS, "pitch": pitch, "beta": beta}
 
 
 def hausdorff_measure_estimate(subset: Subset, m: int, eps: float,
@@ -497,14 +466,8 @@ def hausdorff_measure_estimate(subset: Subset, m: int, eps: float,
     on the unit m-cube (see :func:`calibration_constant`).
     """
     h = subset.space.require_scale(eps, 2.0, "eps")
-    if metric == "extrinsic":
-        matrix = subset.ambient_matrix()
-    elif metric == "intrinsic":
-        matrix = intrinsic_metric(subset, subset.indices)
-    else:
-        raise KitError(f"metric must be extrinsic|intrinsic, got {metric!r}")
-    beta = len(greedy_packing_ids(len(matrix), matrix.__getitem__, eps))
     cal = calibration_constant(m)
+    beta = len(packing_ids(subset.space, subset.indices, eps, metric))
     s_eff = effective_spacing(eps, h)
     return cal["c"] * s_eff**m * beta
 
@@ -526,14 +489,14 @@ def packing_dimension_estimate(space: Space, indices, eps_grid) -> dict:
     Requires >= 3 grid values spanning a decade, all >= 2 * resolution.
     """
     eps_grid = sorted(float(e) for e in eps_grid)
+    if not all(map(math.isfinite, eps_grid)):
+        raise Refusal(f"eps_grid values must be finite, got {eps_grid}")
     if len(eps_grid) < 3:
         raise Refusal("eps_grid needs at least 3 values")
     if eps_grid[-1] / eps_grid[0] < 10.0 * (1 - 1e-9):
         raise Refusal("eps_grid must span a decade")
     space.require_scale(eps_grid[0], 2.0, "smallest eps")
-    ids = np.unique(space.check_ids(indices))
-    sub = space.dist[np.ix_(ids, ids)]
-    betas = [len(greedy_packing_ids(ids.size, sub.__getitem__, e)) for e in eps_grid]
+    betas = [len(packing_ids(space, indices, e)) for e in eps_grid]
     inv = 1.0 / np.asarray(eps_grid)
     y = np.log(np.asarray(betas, dtype=float))
 

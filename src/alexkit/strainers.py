@@ -325,8 +325,8 @@ def local_strainer_number(subset: Subset, p: int, delta: float, scales) -> dict:
     """
     space = subset.space
     scales = [float(r) for r in scales]
-    if any(s2 >= s1 for s1, s2 in zip(scales, scales[1:])):
-        raise Refusal("scales must be strictly descending")
+    if not all(s1 > s2 for s1, s2 in zip(scales, scales[1:])):  # nor NaN
+        raise Refusal(f"scales must be strictly descending, got {scales}")
     space.require_scale(min(scales), 4.0, "smallest scale")
     profile = {}
     for r in scales:

@@ -1,10 +1,11 @@
+import argparse
 import csv
 import json
 
 import numpy as np
 import pytest
 
-from alexkit.cli import main
+from alexkit.cli import build_parser, main
 from alexkit.glue import build_projection, projection_quality
 from alexkit.io import dumps_stable, load_space
 from alexkit.space import packing_dimension_estimate
@@ -99,6 +100,89 @@ def refused_cleanly(argv, capsys):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     return code, lines[0]
+
+
+def _filler(action):
+    """A value the parser takes for an option, inside every range check
+    (a file name, a subset name or an eps grid alike)."""
+    if action.choices:
+        return str(next(iter(action.choices)))
+    return "1" if action.type is int else "0.1"
+
+
+def _float_options():
+    """(argv with value slot, option dest) for every float option of every
+    subcommand; the other options get in-range fillers, so only the one
+    under test can be refused."""
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    for command, parser in commands.choices.items():
+        actions = [a for a in parser._actions if a.nargs != 0]  # not --help, flags
+        for target in (a for a in actions if a.type is float):
+            argv = [command]
+            for a in actions:
+                value = None if a is target else _filler(a)
+                argv += [value] if not a.option_strings else [a.option_strings[0], value]
+            yield pytest.param(argv, target.dest, id=f"{command}-{target.dest}")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("argv, dest", _float_options())
+def test_every_float_option_must_be_positive_and_finite(argv, dest, value, tmp_path,
+                                                       monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a command that ran would write here
+    argv = [value if a is None else a for a in argv]
+    code, line = refused_cleanly(argv, capsys)
+    assert (code, line) == (2, f"refusal: parameter {dest} must be positive and "
+                               f"finite, got {float(value)}")
+
+
+@pytest.mark.parametrize("grid, reason", [
+    ("nan,0.5,5", "parameter eps_grid must be positive and finite, got nan"),
+    ("0.5,5,inf", "parameter eps_grid must be positive and finite, got inf"),
+    ("0,0.5,5", "parameter eps_grid must be positive and finite, got 0.0"),
+    ("x,0.5,5", "eps_grid must be comma-separated numbers, got 'x,0.5,5'"),
+])
+def test_eps_grid_values_refused(grid, reason, segment_file, capsys):
+    code, line = refused_cleanly(["dim", "--space", segment_file, "--subset", "all",
+                                  "--delta", "0.2", "--eps-grid", grid], capsys)
+    assert (code, line) == (2, f"refusal: {reason}")
+
+
+@pytest.mark.parametrize("args, reason", [
+    (["validate", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["flow", "--from", "2", "--toward-dist", "0", "--max-steps", "0"],
+     "max_steps must be >= 1, got 0"),
+    (["flow", "--from", "2", "--toward-dist", "2"],
+     "start coincides with the distance-function center"),
+    (["qcheck", "--path", "PATH", "--viewpoint", "1"], "viewpoint lies on the path"),
+    (["vol", "--subset", "all", "--m", "-1", "--eps", "0.5"],
+     "dimension m must be >= 0, got -1"),
+    (["chart", "--subset", "all", "--base", "2", "--k", "0", "--delta", "0.2"],
+     "a chart needs k >= 1, got k = 0"),
+    (["glue", "--subset", "all", "--m", "0", "--delta", "0.2", "--ell", "0.3",
+      "--r", "1.0"], "a projection needs m >= 1, got m = 0"),
+])
+def test_meaningless_parameter_is_a_refusal(args, reason, segment_file, tmp_path,
+                                            capsys):
+    path_file = tmp_path / "path.json"
+    path_file.write_text("[0, 1, 2, 3]")
+    argv = [str(path_file) if a == "PATH" else a for a in args]
+    code, line = refused_cleanly(argv + ["--space", segment_file], capsys)
+    assert (code, line) == (2, f"refusal: {reason}")
+
+
+@pytest.mark.parametrize("members, m, reason", [
+    ([{"generator": "segment", "label": "seg", "subset": "all",
+       "params": {"length": 1.0, "h": 0.1}}], "-1", "dimension m must be >= 0, got -1"),
+    ([], "1", "a convergence family needs at least one member"),
+])
+def test_converge_meaningless_family_is_a_refusal(members, m, reason, tmp_path, capsys):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"members": members}))
+    code, line = refused_cleanly(["converge", "--family", str(family), "--m", m,
+                                  "--eps", "0.5"], capsys)
+    assert (code, line) == (2, f"refusal: {reason}")
 
 
 @pytest.mark.parametrize("path", [[0, 1, 2, 99], [-1, 0, 1, 2]])

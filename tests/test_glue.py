@@ -79,6 +79,17 @@ def test_cross_space_refuses_when_no_pair_is_r_apart():
                                     1, 0.25, 0.1, 0.2)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_chart_gluing_refuses_dimension_below_one(m):
+    space, _ = models.gen_regular_polygon(8, 0.1)
+    sub = space.subsets["boundary"]
+    with pytest.raises(Refusal, match=f"m >= 1, got m = {m}"):
+        build_projection(sub, m, 0.25, 0.1, 0.4)
+    with pytest.raises(Refusal, match=f"m >= 1, got m = {m}"):
+        cross_space_almost_isometry(sub, sub, np.arange(space.n_points), m,
+                                    0.25, 0.1, 0.4)
+
+
 def test_net_is_discrete_and_maximal():
     space, _ = models.gen_regular_polygon(12, 0.05, circumradius=0.6)
     sub = space.subsets["boundary"]

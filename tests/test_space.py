@@ -11,9 +11,10 @@ from alexkit.charts import metric_comparison
 from alexkit.errors import KitError, Refusal
 from alexkit.flow import FlowConfig, dist_gradient_lower_bound
 from alexkit.glue import NET_MIN_PITCH_FACTOR, discrete_net
-from alexkit.space import (Space, ball, extremality_check,
-                           hausdorff_measure_estimate, intrinsic_metric,
-                           packing_dimension_estimate, packing_number, validate)
+from alexkit.space import (Space, ball, calibration_constant, extremality_check,
+                           greedy_packing_ids, hausdorff_measure_estimate,
+                           intrinsic_metric, packing_dimension_estimate,
+                           packing_ids, packing_number, validate)
 from alexkit.strainers import local_strainer_number, unstrained_mass
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -174,24 +175,23 @@ class TestIntrinsicMetric:
 
 
 class TestPackingNumber:
-    def test_exact_on_25_point_segment(self):
-        # pitch 1/24 fits 4 points with pairwise gaps 1/3 > 0.3
+    def test_greedy_is_a_lower_bound_of_the_true_maximum(self):
+        # pitch 1/24 on [0, 1]: points > 0.3 apart are >= 8 pitches apart,
+        # so at most floor(24 / 8) + 1 = 4 of them fit
         space, _ = models.gen_segment(1.0, 1.0 / 24.0)
         assert space.n_points == 25
-        ids = np.arange(space.n_points)
-        assert packing_number(space, ids, 0.3, method="exact") == 4
+        greedy = packing_number(space, np.arange(space.n_points), 0.3)
+        assert 3 <= greedy <= 4
 
-    def test_greedy_is_a_lower_bound_of_exact(self):
-        space, _ = models.gen_segment(1.0, 1.0 / 24.0)
-        ids = np.arange(space.n_points)
-        greedy = packing_number(space, ids, 0.3)
-        assert greedy <= 4
-        assert greedy >= 3
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    def test_eps_must_be_positive(self, eps, square):
+        space, _ = square
+        with pytest.raises(KitError, match="eps must be positive"):
+            packing_number(space, [0, 1], eps)
 
-    def test_exact_refuses_large_inputs(self):
-        space, _ = models.gen_segment(1.0, 0.01)
-        with pytest.raises(Refusal):
-            packing_number(space, np.arange(space.n_points), 0.3, method="exact")
+    def test_empty_id_list_packs_nothing(self, square):
+        space, _ = square
+        assert packing_number(space, [], 0.1) == 0
 
     def test_eps_beyond_diameter(self, square):
         space, _ = square
@@ -215,6 +215,45 @@ class TestPackingNumber:
         big = ann.subsets["boundary"].ids
         assert (packing_number(space, small, 0.1)
                 <= packing_number(space, big, 0.1))
+
+
+@pytest.fixture(scope="module")
+def packed_subsets(square):
+    """A 12-gon boundary, the square's, and the 12-gon's with two arcs of
+    4 pitches cut out, whose intrinsic rows hold inf."""
+    space, _ = models.gen_regular_polygon(12, 0.05, circumradius=0.6, interior=False)
+    whole = space.subsets["boundary"]
+    cut = space.subset(np.delete(whole.indices, np.r_[10:14, 50:54]), name="cut")
+    return {"12-gon": whole, "square": square[0].subsets["boundary"], "cut": cut}
+
+
+class TestPackingIds:
+    @pytest.mark.parametrize("eps", [0.1, 0.25])
+    @pytest.mark.parametrize("name", ["12-gon", "square", "cut"])
+    def test_equals_greedy_over_the_full_matrix(self, name, eps, packed_subsets):
+        sub = packed_subsets[name]
+        for metric, full in (("extrinsic", sub.ambient_matrix()),
+                             ("intrinsic", intrinsic_metric(sub, sub.indices))):
+            want = sub.indices[greedy_packing_ids(sub.size, full.__getitem__, eps)]
+            for ids in (sub.indices, sub.indices[::-1]):
+                got = packing_ids(sub.space, ids, eps, metric)
+                assert got.tobytes() == want.tobytes()
+
+    def test_cut_subset_has_inf_rows(self, packed_subsets):
+        cut = packed_subsets["cut"]
+        assert np.isinf(intrinsic_metric(cut, cut.indices)).any()
+
+    @pytest.mark.parametrize("r", [0.25, 0.4])
+    def test_discrete_net_equals_greedy_over_ambient_matrix(self, r, packed_subsets):
+        sub = packed_subsets["12-gon"]
+        amb = sub.ambient_matrix()
+        want = sub.indices[greedy_packing_ids(sub.size, amb.__getitem__, r / 2.0)]
+        assert discrete_net(sub, r).tobytes() == want.tobytes()
+
+    def test_unknown_metric_is_an_error(self, square):
+        space, _ = square
+        with pytest.raises(KitError, match="extrinsic|intrinsic"):
+            packing_ids(space, [0, 1], 0.1, "geodesic")
 
 
 class TestMeasureEstimate:
@@ -245,6 +284,11 @@ class TestMeasureEstimate:
         space, _ = models.gen_segment(1.0, 0.05)
         with pytest.raises(Refusal):
             hausdorff_measure_estimate(space.subsets["all"], 1, 0.05)
+
+    @pytest.mark.parametrize("m", [-1, 3])
+    def test_calibration_refuses_unsupported_dimension(self, m):
+        with pytest.raises(Refusal, match=f"got {m}"):
+            calibration_constant(m)
 
 
 # each caller of Space.require_scale: (call on a space, its boundary and a
@@ -300,6 +344,12 @@ class TestResolutionFloors:
             call(space, space.subsets["boundary"], below)
         assert str(e.value) == f"{name} = {below} below {factor:g}h = {floor}"
 
+    @pytest.mark.parametrize("call", [c for c, _, _ in FLOORS.values()], ids=list(FLOORS))
+    def test_each_caller_refuses_nan(self, call, square):
+        space, _ = square
+        with pytest.raises(Refusal, match="nan"):
+            call(space, space.subsets["boundary"], math.nan)
+
 
 DRIFT_KILL = 1.0 - 1e-9
 
@@ -328,6 +378,13 @@ class TestPackingDimension:
         with pytest.raises(Refusal):
             packing_dimension_estimate(space, np.arange(space.n_points),
                                        [0.1, 0.2, 0.4])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_refuses_non_finite_grid_value(self, bad):
+        space, _ = models.gen_segment(1.0, 0.01)
+        with pytest.raises(Refusal, match="finite"):
+            packing_dimension_estimate(space, np.arange(space.n_points),
+                                       [0.05, 0.5, bad])
 
     def test_refuses_grid_below_pitch(self):
         space, _ = models.gen_segment(1.0, 0.01)
