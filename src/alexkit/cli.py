@@ -107,7 +107,10 @@ def _write_csv(path, rows, columns):
 def cmd_gen(args):
     kind = args.kind
     if kind == "polygon":
-        verts = json.loads(args.vertices)
+        try:
+            verts = json.loads(args.vertices, parse_int=float)  # a huge integer reads as inf
+        except json.JSONDecodeError:
+            raise Refusal(f"vertices must be JSON, got {args.vertices!r}") from None
         space, _ = models.gen_convex_polygon(verts, args.h, name=args.name,
                                              boundary_mode=args.boundary_mode,
                                              lattice=args.lattice)
@@ -241,24 +244,26 @@ def cmd_glue(args):
     return 0
 
 
+def _family_member(mem):
+    """One member of a converge family spec, generated."""
+    gen = getattr(models, "gen_" + mem["generator"].replace("-", "_"), None)
+    if gen is None:
+        raise Refusal(f"unknown generator {mem['generator']!r} in family")
+    try:
+        space, ann = gen(**mem.get("params", {}))
+    except TypeError as e:  # a parameter the generator does not take, or lacks
+        raise Refusal(f"family member {mem.get('label', mem['generator'])!r}: "
+                      f"bad generator parameters: {e}") from None
+    sub_name = mem.get("subset", "boundary")
+    info = ann.subsets.get(sub_name)
+    return {"label": mem.get("label", space.name), "subset": _subset(space, sub_name),
+            "exact": mem.get("exact", info.exact_measure if info else None)}
+
+
 def cmd_converge(args):
     spec = json.loads(Path(args.family).read_text())
-    members = []
-    for mem in spec["members"]:
-        gen = getattr(models, "gen_" + mem["generator"].replace("-", "_"), None)
-        if gen is None:
-            raise Refusal(f"unknown generator {mem['generator']!r} in family")
-        try:
-            space, ann = gen(**mem.get("params", {}))
-        except TypeError as e:  # a parameter the generator does not take, or lacks
-            raise Refusal(f"family member {mem.get('label', mem['generator'])!r}: "
-                          f"bad generator parameters: {e}") from None
-        sub_name = mem.get("subset", "boundary")
-        subset = _subset(space, sub_name)
-        info = ann.subsets.get(sub_name)
-        members.append({"label": mem.get("label", space.name), "subset": subset,
-                        "exact": mem.get("exact",
-                                         info.exact_measure if info else None)})
+    # generated one at a time as the experiment reads them: one space in memory
+    members = (_family_member(mem) for mem in spec["members"])
     out = volume_convergence_experiment(members, args.m, args.eps,
                                         limit=spec.get("limit"))
     report = _report_base(args, "converge")
@@ -429,13 +434,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """The parsed command line; a usage error exits 2.  The parser is
+    dropped on return, so it does not outlive the parse."""
     ap = build_parser()
+    args = ap.parse_args(argv)
+    missing = _missing_option(args)
+    if missing:
+        ap.error(missing)
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     try:
-        args = ap.parse_args(argv)
-        missing = _missing_option(args)
-        if missing:
-            ap.error(missing)
         _check_param_ranges(args)
         return args.func(args)
     except Refusal as e:

@@ -416,15 +416,15 @@ def volume_convergence_experiment(members, m: int, eps: float,
                                   limit: float | None = None) -> dict:
     """Measure estimates along a family of subsets, with trend verdicts.
 
-    ``members`` is a list of {"label", "subset", "exact"? } dicts.  Emits one
-    row per member with estimates in both metrics and deviations from the
-    family limit.  Deviations below one packing count (the estimator
-    granularity c_m * s_eff^m) are not resolvable, so the monotonicity
-    verdict allows that slack; collapsing families (estimates shrinking
-    toward zero) are flagged instead of trend-tested.
+    ``members`` is an iterable of {"label", "subset", "exact"? } dicts, read
+    once: each member is measured and let go before the next is read, so a
+    generator of members holds one space at a time.  Emits one row per member
+    with estimates in both metrics and deviations from the family limit.
+    Deviations below one packing count (the estimator granularity
+    c_m * s_eff^m) are not resolvable, so the monotonicity verdict allows that
+    slack; collapsing families (estimates shrinking toward zero) are flagged
+    instead of trend-tested.
     """
-    if not members:
-        raise Refusal("a convergence family needs at least one member")
     rows = []
     for mem in members:
         subset = mem["subset"]
@@ -436,11 +436,14 @@ def volume_convergence_experiment(members, m: int, eps: float,
             "estimate_intrinsic": est_i,
             "exact": mem.get("exact"),
         })
+        h_last = subset.space.resolution
+        del mem, subset  # else they hold this member while the next is built
+    if not rows:
+        raise Refusal("a convergence family needs at least one member")
     if limit is None:
         exacts = [r["exact"] for r in rows if r["exact"] is not None]
         limit = exacts[-1] if exacts else None
 
-    h_last = members[-1]["subset"].space.resolution
     gran = calibration_constant(m)["c"] * effective_spacing(eps, h_last) ** m
 
     collapse = rows[-1]["estimate_extrinsic"] < 0.5 * rows[0]["estimate_extrinsic"]

@@ -14,12 +14,18 @@ Space files are JSON with schema_version 1:
 Matrix data is the strict lower triangle, row-major, 64-bit floats.  The
 "euclidean" metric type recomputes distances from coords on load.
 
-``dumps_stable`` is the one JSON writer, for space files and CLI reports
-alike: sorted keys, one-space indent, ``repr`` floats, no timestamps, so
-identical runs are byte-identical.  It walks the object once.  A list made
-only of floats is written with one join in which each distinct float (by bit
-pattern) is formatted once: sampled lattices repeat distances, so a space
-file's matrix holds a fifth or less as many distinct values as entries.
+One JSON walker writes space files and CLI reports alike: sorted keys,
+one-space indent, ``repr`` floats, no timestamps, so identical runs are
+byte-identical.  It walks the object once and hands each piece of text to a
+sink.  ``save_space``'s sink is the file, so a space file never exists as
+one string; ``dumps_stable``'s joins the pieces WRITE_BATCH at a time and
+the batches once at the end.  A run of floats (a 1-D float64 array, or a
+list made only of floats) is joined and written FLOAT_CHUNK values at a
+time, and the matrix's lower triangle stays a float64 array throughout.
+Within a chunk the values are grouped by bit pattern with ``np.unique``, so
+each distinct float is formatted once: sampled lattices repeat distances,
+and a chunk of a space file's matrix holds a quarter or less as many
+distinct values as entries.
 """
 
 from __future__ import annotations
@@ -35,11 +41,13 @@ from .errors import KitError, Refusal
 from .space import Space, euclidean_matrix
 
 SCHEMA_VERSION = 1
+FLOAT_CHUNK = 2**15  # most floats of one run joined into one string by the writer
+WRITE_BATCH = 256  # pieces of text dumps_stable holds before joining them
 
 
-def lower_triangle(dist: np.ndarray) -> list[float]:
+def lower_triangle(dist: np.ndarray) -> np.ndarray:
     # a boolean mask selects in row-major order, with n^2 bytes of index
-    return dist[np.tri(dist.shape[0], k=-1, dtype=bool)].tolist()
+    return dist[np.tri(dist.shape[0], k=-1, dtype=bool)]
 
 
 def from_lower_triangle(data, n: int) -> np.ndarray:
@@ -117,7 +125,9 @@ def space_from_dict(data: dict) -> Space:
 
 
 def save_space(space: Space, path, metric_type: str = "matrix"):
-    Path(path).write_text(dumps_stable(space_to_dict(space, metric_type)))
+    with open(path, "w") as f:
+        _encode(space_to_dict(space, metric_type), "\n", f.write)
+        f.write("\n")
 
 
 def load_space(path) -> Space:
@@ -131,31 +141,72 @@ def dumps_stable(obj) -> str:
     scalars as Python numbers; non-finite floats as the JSON strings "inf",
     "-inf" and "nan".  Any other type raises ``TypeError``.
     """
-    return _encode(obj, "\n") + "\n"
+    chunks, pieces = [], []
+
+    def write(text):
+        # a short str costs about 60 bytes, so pieces are joined a batch at a time
+        pieces.append(text)
+        if len(pieces) == WRITE_BATCH:
+            chunks.append("".join(pieces))
+            pieces.clear()
+
+    _encode(obj, "\n", write)
+    pieces.append("\n")
+    chunks.append("".join(pieces))
+    return "".join(chunks)
 
 
-def _encode(obj, newline: str) -> str:
-    # newline: a line break plus the indent of the line obj starts on
+def _encode(obj, newline: str, write) -> None:
+    # newline: a line break plus the indent of the line obj starts on;
+    # write: the sink that takes each piece of text in order
     if isinstance(obj, dict):
         obj = {str(k): v for k, v in obj.items()}
         if not obj:
-            return "{}"
+            write("{}")
+            return
         inner = newline + " "
-        return "{" + inner + ("," + inner).join(
-            encode_basestring_ascii(k) + ": " + _encode(obj[k], inner)
-            for k in sorted(obj)) + newline + "}"
-    if isinstance(obj, np.ndarray):
+        lead = "{" + inner
+        for k in sorted(obj):
+            write(lead + encode_basestring_ascii(k) + ": ")
+            _encode(obj[k], inner, write)
+            lead = "," + inner
+        write(newline + "}")
+        return
+    if isinstance(obj, np.ndarray) and not (obj.ndim == 1 and obj.dtype == np.float64):
         obj = list(obj.tolist())  # a 0-d array of numbers raises TypeError
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        if not len(obj):
+            write("[]")
+            return
         inner = newline + " "
         sep = "," + inner
-        if set(map(type, obj)) == {float}:
-            body = _floats(obj, sep)
+        write("[" + inner)
+        if isinstance(obj, np.ndarray) or set(map(type, obj)) == {float}:
+            _floats(np.asarray(obj), sep, write)
         else:
-            body = sep.join([_encode(v, inner) for v in obj])
-        return "[" + inner + body + newline + "]"
+            for i, v in enumerate(obj):
+                if i:
+                    write(sep)
+                _encode(v, inner, write)
+        write(newline + "]")
+    else:
+        write(_scalar(obj))
+
+
+def _floats(values: np.ndarray, sep: str, write) -> None:
+    # one chunk at a time, each distinct float of the chunk formatted once;
+    # grouped by bit pattern, not by value, because -0.0 == 0.0 but the two
+    # print differently
+    for a in range(0, values.size, FLOAT_CHUNK):
+        if a:
+            write(sep)
+        chunk = values[a:a + FLOAT_CHUNK].view(np.int64)
+        bits, inverse = np.unique(chunk, return_inverse=True)
+        text = np.array([_float(x) for x in bits.view(np.float64).tolist()], dtype=object)
+        write(sep.join(text[inverse].tolist()))
+
+
+def _scalar(obj) -> str:
     if isinstance(obj, np.integer):
         obj = int(obj)
     elif isinstance(obj, np.floating):
@@ -173,14 +224,6 @@ def _encode(obj, newline: str) -> str:
     if isinstance(obj, float):
         return _float(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _floats(values: list, sep: str) -> str:
-    # each distinct float is formatted once; grouped by bit pattern, not by
-    # value, because -0.0 == 0.0 but the two print differently
-    bits, inverse = np.unique(np.array(values).view(np.int64), return_inverse=True)
-    text = np.array([_float(x) for x in bits.view(np.float64).tolist()], dtype=object)
-    return sep.join(text[inverse].tolist())
 
 
 def _float(x: float) -> str:

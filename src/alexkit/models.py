@@ -10,6 +10,7 @@ declared resolution.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +73,19 @@ def _register_annotation(space: Space, ann: ModelAnnotation):
 
 # ---------------------------------------------------------------------------
 # convex polygons
+
+def _vertex_array(vertices) -> np.ndarray:
+    """The vertices as an (n, 2) float array; anything but pairs of finite
+    numbers (a bool or a string is not one) is a refusal."""
+    try:
+        pairs = [(x, y) for x, y in vertices]
+    except (TypeError, ValueError):  # not a sequence of pairs
+        pairs = [(None, None)]
+    if not all(isinstance(c, numbers.Real) and not isinstance(c, bool) and math.isfinite(c)
+               for pair in pairs for c in pair):
+        raise Refusal("vertices must be [x, y] pairs of finite numbers")
+    return np.array(pairs, dtype=float)
+
 
 def _convexity_check(vertices: np.ndarray):
     n = len(vertices)
@@ -172,7 +186,7 @@ def gen_convex_polygon(vertices, h: float, name: str | None = None,
     """
     if h <= 0:
         raise Refusal("pitch h must be positive")
-    vertices = np.asarray(vertices, dtype=float)
+    vertices = _vertex_array(vertices)
     _convexity_check(vertices)
     edges = np.linalg.norm(np.roll(vertices, -1, axis=0) - vertices, axis=1)
     perimeter = float(edges.sum())

@@ -11,7 +11,12 @@ scale is refused (:meth:`Space.require_scale`) and the link radius 3h of
 every intrinsic metric (:meth:`Space.link_radius`).
 
 All matrices are immutable after construction and safe to share across
-threads.  Link graphs and shortest paths have one owner here: the link rule
+threads.  A :class:`Subset` refers to its Space and never the reverse: the
+Space keeps each named subset's ids and extremal flag, and ``space.subsets``
+gives fresh Subset views of them.  So no reference cycle holds a distance
+matrix, and a space is freed as soon as its last user lets it go.
+
+Link graphs and shortest paths have one owner here: the link rule
 (:func:`linked`), its csr graph (:func:`link_graph`), Dijkstra from given
 sources (:func:`shortest_path_tree`) and the walk along its predecessors
 (:func:`graph_path`).  So do packings: every packing number, measure and
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,22 +39,31 @@ from .errors import KitError, Refusal
 from .kplane import comparison_angles_array
 
 DEFAULT_LINK_FACTOR = 3.0  # link_radius = 3 * resolution keeps geodesic graphs connected
+EUCLIDEAN_BLOCK_ELEMENTS = 2**16  # most elements in one row block of euclidean_matrix
 
 
 def euclidean_matrix(coords: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
     """Euclidean distances from each row of ``coords`` to each row of
     ``others`` (default: ``coords`` itself, with an exactly zero diagonal).
 
-    Summed one axis at a time, so the only temporary is one matrix of the
-    output's size.  scipy's ``cdist`` gives the same bits, but importing
-    ``scipy.spatial`` costs 7.5 MiB of RSS and 0.09 s in every process.
+    Summed one axis at a time over one block of rows at a time, so the only
+    temporary is one block: EUCLIDEAN_BLOCK_ELEMENTS entries or one row,
+    whichever is larger.  scipy's ``cdist`` gives the same bits, but
+    importing ``scipy.spatial`` costs 7.5 MiB of RSS and 0.09 s in every
+    process.
     """
     others = coords if others is None else others
-    d = np.zeros((len(coords), len(others)))
-    for x, y in zip(coords.T, others.T):
-        diff = np.subtract.outer(x, y)
-        diff *= diff
-        d += diff
+    n, m = len(coords), len(others)
+    d = np.zeros((n, m))
+    step = max(1, EUCLIDEAN_BLOCK_ELEMENTS // max(m, 1))
+    diff = np.empty((min(step, n), m))
+    for a in range(0, n, step):
+        block = d[a:a + step]
+        part = diff[:len(block)]
+        for x, y in zip(coords[a:a + step].T, others.T):
+            np.subtract(x[:, None], y, out=part)
+            part *= part
+            block += part
     return np.sqrt(d, out=d)
 
 
@@ -62,7 +77,7 @@ class Space:
         self.dist = dist
         self.coords = None if coords is None else np.asarray(coords, dtype=float)
         self.resolution = None if resolution is None else float(resolution)
-        self.subsets: dict[str, "Subset"] = {}
+        self._subsets: dict[str, tuple[np.ndarray, bool]] = {}  # name -> (ids, extremal)
         self.annotations: dict = {}
         self.dist.setflags(write=False)
 
@@ -103,9 +118,15 @@ class Space:
             raise Refusal(f"point id out of range 0..{self.n_points - 1}")
         return arr.astype(int, copy=False)
 
+    @property
+    def subsets(self) -> Mapping[str, "Subset"]:
+        """The named subsets, read-only; each lookup gives a fresh view."""
+        return _SubsetViews(self)
+
     def subset(self, indices, name="subset", extremal=False) -> "Subset":
+        """Register a named subset, replacing one of that name; returns a view."""
         sub = Subset(self, indices, name=name, extremal_claim=extremal)
-        self.subsets[name] = sub
+        self._subsets[name] = (sub.indices, sub.extremal_claim)
         return sub
 
     def all_points_subset(self, name="all") -> "Subset":
@@ -158,6 +179,23 @@ class Subset:
 
     def __repr__(self):
         return f"Subset({self.name!r}, size={self.size}, of {self.space.name!r})"
+
+
+class _SubsetViews(Mapping):
+    """A space's named subsets as Subset views, built on lookup."""
+
+    def __init__(self, space: Space):
+        self._space = space
+
+    def __getitem__(self, name) -> Subset:
+        indices, extremal = self._space._subsets[name]
+        return Subset(self._space, indices, name=name, extremal_claim=extremal)
+
+    def __iter__(self):
+        return iter(self._space._subsets)
+
+    def __len__(self) -> int:
+        return len(self._space._subsets)
 
 
 @dataclass

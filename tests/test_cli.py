@@ -229,6 +229,19 @@ def test_converge_bad_member_parameter(tmp_path, capsys):
     assert code == 2 and "'seg'" in line and "pitch" in line
 
 
+@pytest.mark.parametrize("vertices", [
+    "x", "[[0, 0], [1, 0]", '{"x": 0}', "[1, 2, 3]", '[[0, 0], [1, 0], [1, "a"]]',
+    "[[0, 0], [1, 0], [true, 1]]", "[[0, 0], [1, 0], [1, 1, 1]]",
+    "[[0, 0], [1, 0], [NaN, 1]]",
+    pytest.param("[[0, 0], [1, 0], [1" + "0" * 400 + ", 1]]", id="huge-integer")])
+def test_gen_malformed_vertices_is_a_refusal(vertices, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    code, line = refused_cleanly(["gen", "polygon", "--vertices", vertices,
+                                  "--h", "0.1", "--out", str(out)], capsys)
+    assert code == 2 and line.startswith("refusal: vertices must be ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["dim"], ["strain", "--k", "2"]])
 def test_reports_are_byte_identical_across_runs(command, tmp_path):
     space = str(tmp_path / "square.json")

@@ -10,8 +10,9 @@ from hypothesis.extra import numpy as hnp
 
 from alexkit import models
 from alexkit.errors import KitError
-from alexkit.io import (dumps_stable, from_lower_triangle, load_space,
-                        lower_triangle, save_space)
+from alexkit.io import (FLOAT_CHUNK, dumps_stable, from_lower_triangle, load_space,
+                        lower_triangle, save_space, space_to_dict)
+from alexkit.space import Space
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +41,7 @@ def test_round_trip_is_bit_identical(polygon, metric_type, tmp_path):
 
 def test_lower_triangle_is_row_major():
     d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
-    assert lower_triangle(d) == [1.0, 2.0, 3.0]
+    assert lower_triangle(d).tolist() == [1.0, 2.0, 3.0]
     assert np.array_equal(from_lower_triangle([1.0, 2.0, 3.0], 3), d)
 
 
@@ -128,3 +129,32 @@ def test_writer_matches_reference(obj):
 @given(nested(scalars | unwritable))
 def test_writer_rejects_what_the_reference_rejects(obj):
     assert outcome(dumps_stable, obj) == outcome(reference_dumps, obj)
+
+
+def test_streamed_file_matches_the_joined_text_across_chunks(tmp_path):
+    # a triangle of a little over two chunks, repeated values, and the floats
+    # that print specially on either side of each chunk edge
+    n = 2
+    while n * (n - 1) // 2 <= 2 * FLOAT_CHUNK + 1:
+        n += 1
+    tri = np.random.default_rng(0).integers(1, 500, n * (n - 1) // 2) / 64.0
+    for edge in (FLOAT_CHUNK, 2 * FLOAT_CHUNK):
+        tri[edge - 2:edge + 2] = [-0.0, math.nan, math.inf, -math.inf]
+    tri[[0, -1]] = [-math.nan, -0.0]
+    space = Space("edges", 0.0, from_lower_triangle(tri, n))
+    path = tmp_path / "edges.json"
+    save_space(space, path)
+    text = dumps_stable(space_to_dict(space))
+    assert path.read_bytes() == text.encode()
+    assert text == reference_dumps(space_to_dict(space))
+
+
+@pytest.mark.parametrize("array", [
+    np.array([0.1, -0.0, math.nan, math.inf], dtype=np.float32),
+    np.array([[0.1, -0.0], [math.nan, 0.1]]),
+    np.array([0.1, 0.2], dtype=np.float64).astype(">f8"),
+])
+def test_other_float_arrays_are_written_as_lists(array):
+    # only a native 1-D float64 array is read by bit pattern as it is; a
+    # float32 array read that way would be misread, so it goes through tolist
+    assert dumps_stable({"a": array}) == reference_dumps({"a": array})

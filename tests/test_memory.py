@@ -1,0 +1,178 @@
+"""Memory: what frees a space, and tracemalloc budgets for the space lifecycle.
+
+The dense N x N distance matrix is the memory ceiling, so a space must be
+freed by reference counting as soon as its last user lets it go, and no step
+may hold more than the design needs.  Each budget below is derived from the
+design (the output plus one block of work, or one family member), not from
+a measured peak plus a margin; its derivation is stated next to it.
+tracemalloc counts numpy's array data, so the budgets are deterministic.
+"""
+
+import gc
+import json
+import tracemalloc
+import weakref
+
+import numpy as np
+import pytest
+
+from alexkit import cli, models
+from alexkit.io import FLOAT_CHUNK, WRITE_BATCH, dumps_stable, load_space, save_space
+from alexkit.space import EUCLIDEAN_BLOCK_ELEMENTS, calibration_constant, euclidean_matrix
+
+F64 = 8  # bytes of one float64 or int64 entry
+H = 0.08  # pitch of the budget runs: the 12-gon has N = 584, a 2.6 MiB matrix
+FAMILY_SIDES = (8, 16, 32)
+FAMILY_EPS = "0.24"
+
+
+@pytest.fixture
+def no_gc():
+    """Reference counting alone: a space kept alive by a cycle stays alive."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.fixture(scope="module")
+def twelve_gon():
+    space, _ = models.gen_regular_polygon(12, H)
+    return space
+
+
+def traced_peak(fn) -> int:
+    """The most bytes allocated at once while fn() runs, above the start."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# ---------------------------------------------------------------------------
+# lifetimes
+
+def test_a_generated_space_dies_on_del(no_gc):
+    space, ann = models.gen_regular_polygon(12, 0.2)
+    assert [space.subsets[name].size for name in space.subsets]
+    ref = weakref.ref(space)
+    del space, ann
+    assert ref() is None
+
+
+def test_a_loaded_space_dies_on_del_after_its_subsets_are_read(no_gc, tmp_path):
+    path = tmp_path / "space.json"
+    save_space(models.gen_regular_polygon(12, 0.2)[0], path)
+    space = load_space(path)
+    assert [space.subsets[name].size for name in space.subsets]
+    ref = weakref.ref(space)
+    del space
+    assert ref() is None
+
+
+def test_a_subset_keeps_its_space(no_gc):
+    space, _ = models.gen_regular_polygon(12, 0.2)
+    boundary = space.subsets["boundary"]
+    ref = weakref.ref(space)
+    del space
+    assert ref() is boundary.space
+
+
+def write_family(path, sides=FAMILY_SIDES):
+    path.write_text(json.dumps({"limit": 2 * np.pi, "members": [
+        {"generator": "regular-polygon", "label": f"{n}-gon", "params": {"n": n, "h": H}}
+        for n in sides]}))
+    return str(path)
+
+
+def converge(family, out):
+    return cli.main(["converge", "--family", family, "--m", "1", "--eps", FAMILY_EPS,
+                     "--out", str(out)])
+
+
+def test_converge_holds_one_family_space_at_a_time(no_gc, tmp_path, monkeypatch):
+    refs, alive_at_gen = [], []
+    gen = models.gen_regular_polygon
+
+    def counted_gen(*args, **kwargs):
+        alive_at_gen.append(sum(r() is not None for r in refs))
+        space, ann = gen(*args, **kwargs)
+        refs.append(weakref.ref(space))
+        return space, ann
+
+    monkeypatch.setattr(models, "gen_regular_polygon", counted_gen)
+    assert converge(write_family(tmp_path / "family.json"), tmp_path / "out.json") == 0
+    assert alive_at_gen == [0, 0, 0]
+    assert all(r() is None for r in refs)
+
+
+# ---------------------------------------------------------------------------
+# tracemalloc budgets
+
+def test_euclidean_matrix_budget(twelve_gon):
+    # the output, one block of differences, and numpy's ufunc buffers (at
+    # most one of getbufsize() entries for each of three operands)
+    n = twelve_gon.n_points
+    budget = (F64 * n * n + F64 * max(EUCLIDEAN_BLOCK_ELEMENTS, n)
+              + 3 * F64 * np.getbufsize())
+    coords = twelve_gon.coords
+    assert traced_peak(lambda: euclidean_matrix(coords)) <= budget
+
+
+def test_save_space_budget(twelve_gon, tmp_path):
+    # the lower triangle (T float64 entries) and the N^2-byte mask that
+    # selects it, plus one chunk of work.  Per value of the chunk, at most:
+    # - np.unique's arrays (a copy, the sort permutation, the sorted copy,
+    #   the inverse and the two scans that build it, and the unique bits):
+    #   7 x 8 bytes, and a 1-byte flag;
+    # - the text table, the gathered array and its list: 3 pointers, 24 bytes;
+    # - one str object of a formatted float: at most 80 bytes;
+    # - 32 characters of joined text, twice while the file encodes it: 64.
+    # That is 56 + 1 + 24 + 80 + 64 = 225 < 256 bytes.
+    n = twelve_gon.n_points
+    t = n * (n - 1) // 2
+    budget = F64 * t + n * n + 256 * FLOAT_CHUNK
+    path = tmp_path / "space.json"
+    assert traced_peak(lambda: save_space(twelve_gon, path)) <= budget
+
+
+def test_dumps_stable_budget():
+    # a report of many small containers, like a strainer mask's witnesses:
+    # the text twice (its joined batches and their join), one batch of short
+    # strs (at most 128 bytes each, with its pointer), and the walker's
+    # str-keyed copy of the widest dict (at most 128 bytes an entry)
+    report = {"witnesses": {p: {"base": p, "pairs": [[p, p + 1], [p + 2, p + 3]],
+                                "delta_achieved": 0.1 * p, "length": 0.05}
+                            for p in range(1000)}}
+    size = len(dumps_stable(report))
+    budget = 2 * size + 128 * WRITE_BATCH + 128 * len(report["witnesses"])
+    assert traced_peak(lambda: dumps_stable(report)) <= budget
+
+
+def test_load_space_budget(twelve_gon, tmp_path):
+    # the file's text, the parsed triangle (a 24-byte float and an 8-byte
+    # list slot per value, the list over-allocated by at most 1/8), the
+    # parsed points (under 1 KiB each) and the matrix
+    path = tmp_path / "space.json"
+    save_space(twelve_gon, path)
+    n = twelve_gon.n_points
+    t = n * (n - 1) // 2
+    budget = path.stat().st_size + (24 + 9 * F64 // 8) * t + 1024 * n + F64 * n * n
+    assert traced_peak(lambda: load_space(path)) <= budget
+
+
+def test_converge_peak_is_its_largest_members(tmp_path):
+    # converge holds one member at a time, so its peak is that of its
+    # largest member run alone, plus the finished report rows of the others
+    # (a few hundred bytes each; 16 KiB bounds them)
+    calibration_constant(1)  # cached for the process; computed outside the budgets
+    family = write_family(tmp_path / "family.json")
+    alone = max(traced_peak(lambda: converge(write_family(tmp_path / f"{n}.json", [n]),
+                                             tmp_path / "alone.json"))
+                for n in FAMILY_SIDES)
+    assert traced_peak(lambda: converge(family, tmp_path / "out.json")) <= alone + 2**14

@@ -11,10 +11,11 @@ from alexkit.charts import metric_comparison
 from alexkit.errors import KitError, Refusal
 from alexkit.flow import FlowConfig, dist_gradient_lower_bound
 from alexkit.glue import NET_MIN_PITCH_FACTOR, discrete_net
-from alexkit.space import (Space, ball, calibration_constant, extremality_check,
-                           greedy_packing_ids, hausdorff_measure_estimate,
-                           intrinsic_metric, packing_dimension_estimate,
-                           packing_ids, packing_number, validate)
+from alexkit.space import (EUCLIDEAN_BLOCK_ELEMENTS, Space, ball, calibration_constant,
+                           euclidean_matrix, extremality_check, greedy_packing_ids,
+                           hausdorff_measure_estimate, intrinsic_metric,
+                           packing_dimension_estimate, packing_ids, packing_number,
+                           validate)
 from alexkit.strainers import local_strainer_number, unstrained_mass
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -24,6 +25,44 @@ UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 def square():
     space, ann = models.gen_convex_polygon(UNIT_SQUARE, 0.05)
     return space, ann
+
+
+def one_temporary_euclidean_matrix(coords, others=None):
+    """The reference: the whole matrix summed one axis at a time, unblocked."""
+    others = coords if others is None else others
+    d = np.zeros((len(coords), len(others)))
+    for x, y in zip(coords.T, others.T):
+        diff = np.subtract.outer(x, y)
+        diff *= diff
+        d += diff
+    return np.sqrt(d, out=d)
+
+
+class TestEuclideanMatrix:
+    # with 256 columns a block holds 256 rows; 256 rows is one block exactly
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 513])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_blocks_give_the_unblocked_bits(self, rows, dim):
+        assert EUCLIDEAN_BLOCK_ELEMENTS // 256 == 256
+        rng = np.random.default_rng(rows * dim)
+        coords, others = rng.normal(size=(rows, dim)), rng.normal(size=(256, dim))
+        got = euclidean_matrix(coords, others)
+        assert got.tobytes() == one_temporary_euclidean_matrix(coords, others).tobytes()
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 600])
+    def test_square_blocks_give_the_unblocked_bits(self, n):
+        coords = np.random.default_rng(n).uniform(-3, 3, size=(n, 2))
+        got = euclidean_matrix(coords)
+        assert got.tobytes() == one_temporary_euclidean_matrix(coords).tobytes()
+        assert not np.diag(got).any()
+
+    @pytest.mark.parametrize("elements", [1, 7, 100])
+    def test_tiny_blocks_give_the_unblocked_bits(self, elements, monkeypatch):
+        # blocks of one row (fewer elements than a row holds) and ragged ends
+        coords = np.random.default_rng(elements).normal(size=(23, 2))
+        want = one_temporary_euclidean_matrix(coords)
+        monkeypatch.setattr(space_module, "EUCLIDEAN_BLOCK_ELEMENTS", elements)
+        assert euclidean_matrix(coords).tobytes() == want.tobytes()
 
 
 class TestValidate:
