@@ -124,9 +124,14 @@ def direction_grid(k: int, count: int) -> np.ndarray:
 
 
 def direction_defects(values: np.ndarray, value: np.ndarray, dist: np.ndarray,
-                      dirs: np.ndarray) -> np.ndarray:
-    """Per direction xi, min over rows q of |(values_q - value) / dist_q - xi|."""
-    diffs = (values - value) / dist[:, None]
+                      probe: float, dirs: np.ndarray) -> np.ndarray | None:
+    """Per direction xi, min of |(values_q - value) / dist_q - xi| over the
+    probe rows q, those with 0 < dist_q <= probe (:func:`linked`); None when
+    there are none."""
+    near = np.flatnonzero(linked(dist, probe))
+    if near.size == 0:
+        return None
+    diffs = (values[near] - value) / dist[near, None]
     return np.linalg.norm(diffs[:, None, :] - dirs[None, :, :], axis=-1).min(axis=0)
 
 
@@ -158,12 +163,11 @@ def openness_measure(chart: Chart) -> dict:
     worst = None
     skipped = 0
     for idx, p in enumerate(chart.region):
-        dp = space.dist[p, subset.indices]
-        near = np.flatnonzero(linked(dp, probe_radius))
-        if near.size == 0:
+        per_dir = direction_defects(sub_vals, chart.values[idx],
+                                    space.dist[p, subset.indices], probe_radius, dirs)
+        if per_dir is None:
             skipped += 1
             continue
-        per_dir = direction_defects(sub_vals[near], chart.values[idx], dp[near], dirs)
         j = int(np.argmax(per_dir))
         if per_dir[j] > eps_open:
             eps_open = float(per_dir[j])

@@ -13,11 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, models
 from .charts import build_chart, openness_measure, quasigeodesic_check
@@ -59,13 +56,6 @@ def _check_param_ranges(args):
         raise Refusal(f"ell must be <= {MAX_STRAINER_LENGTH}, got {args.ell}")
 
 
-def _report_base(args, command):
-    cfg = {k: v for k, v in sorted(vars(args).items())
-           if k not in ("func",) and not k.startswith("_")}
-    return {"schema_version": 1, "version": __version__,
-            "command": command, "config": cfg}
-
-
 def _load(args):
     space = load_space(args.space)
     rep = validate(space, seed=getattr(args, "seed", DEFAULT_SEED))
@@ -84,12 +74,18 @@ def _subset(space, name):
     return space.subsets[name]
 
 
-def _emit(args, report):
-    text = dumps_stable(report)
+def _emit(args, command, entries) -> int:
+    """Write the report of ``command``: its ``entries`` under the common
+    envelope of schema and package versions, the command and its resolved
+    configuration.  Returns 0, the exit code of a command that reports."""
+    cfg = {k: v for k, v in vars(args).items() if k != "func" and not k.startswith("_")}
+    text = dumps_stable({"schema_version": 1, "version": __version__,
+                         "command": command, "config": cfg, **entries})
     if getattr(args, "out", None):
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
+    return 0
 
 
 def _write_csv(path, rows, columns):
@@ -136,9 +132,7 @@ def cmd_gen(args):
 def cmd_validate(args):
     space = load_space(args.space)
     rep = validate(space, seed=args.seed)
-    report = _report_base(args, "validate")
-    report["report"] = rep.to_dict()
-    _emit(args, report)
+    _emit(args, "validate", {"report": rep.to_dict()})
     return 0 if rep.passed else 2
 
 
@@ -146,11 +140,8 @@ def cmd_strain(args):
     space = _load(args)
     subset = _subset(space, args.subset)
     mask = classify(subset, args.k, args.delta, args.ell, args.search_radius)
-    report = _report_base(args, "strain")
-    report["mask"] = mask.to_dict()
-    report["member_count"] = int(mask.member_ids.size)
-    _emit(args, report)
-    return 0
+    return _emit(args, "strain", {"mask": mask.to_dict(),
+                                  "member_count": int(mask.member_ids.size)})
 
 
 def cmd_chart(args):
@@ -162,11 +153,8 @@ def cmd_chart(args):
         raise Refusal(f"no ({args.k}, {args.delta})-strainer found at point "
                       f"{args.base} (heuristic search)")
     chart = build_chart(subset, strainer, radius=args.radius)
-    report = _report_base(args, "chart")
-    report["chart"] = chart.to_dict()
-    report["openness"] = openness_measure(chart)
-    _emit(args, report)
-    return 0
+    return _emit(args, "chart", {"chart": chart.to_dict(),
+                                 "openness": openness_measure(chart)})
 
 
 def cmd_qcheck(args):
@@ -174,14 +162,10 @@ def cmd_qcheck(args):
     path_ids = json.loads(Path(args.path).read_text())
     if isinstance(path_ids, dict):
         path_ids = path_ids["points"]
-    path_ids = space.check_ids(path_ids)
-    gaps = space.dist[path_ids[:-1], path_ids[1:]] if len(path_ids) > 1 else [0]
-    curve = Curve(points=path_ids, step=float(np.median(gaps)))
-    out = quasigeodesic_check(space, curve, args.viewpoint)
-    report = _report_base(args, "qcheck")
-    report["result"] = out
-    _emit(args, report)
-    return 0
+    # step 0: quasigeodesic_check takes the median gap as the step
+    curve = Curve(points=space.check_ids(path_ids), step=0.0)
+    return _emit(args, "qcheck",
+                 {"result": quasigeodesic_check(space, curve, args.viewpoint)})
 
 
 def cmd_flow(args):
@@ -190,42 +174,33 @@ def cmd_flow(args):
     cfg = FlowConfig(step=step, witness_radius=args.witness_radius or 2 * step,
                      max_steps=args.max_steps,
                      stop_threshold=args.stop_threshold)
-    report = _report_base(args, "flow")
     if args.invariance:
         subset = _subset(space, args.subset)
         starts = subset.indices[:: max(1, subset.size // 20)]
-        report["result"] = extremal_invariance_test(subset, args.toward_dist,
-                                                    starts, cfg)
-    else:
-        curve = gradient_curve(space, args.toward_dist, getattr(args, "from"), cfg)
-        report["curve"] = {"points": curve.points.tolist(), "kind": curve.kind,
-                           "meta": curve.meta}
-    _emit(args, report)
-    return 0
+        return _emit(args, "flow", {"result": extremal_invariance_test(
+            subset, args.toward_dist, starts, cfg)})
+    curve = gradient_curve(space, args.toward_dist, getattr(args, "from"), cfg)
+    return _emit(args, "flow", {"curve": {"points": curve.points.tolist(),
+                                          "kind": curve.kind, "meta": curve.meta}})
 
 
 def cmd_dim(args):
     space = _load(args)
     subset = _subset(space, args.subset)
-    number = strainer_number(subset, args.delta, args.ell, args.search_radius)
-    report = _report_base(args, "dim")
-    report["strainer_number"] = number
+    entries = {"strainer_number": strainer_number(subset, args.delta, args.ell,
+                                                  args.search_radius)}
     if args.eps_grid:
-        report["packing_dimension"] = packing_dimension_estimate(
+        entries["packing_dimension"] = packing_dimension_estimate(
             space, subset.indices, _eps_grid(args.eps_grid))
-    _emit(args, report)
-    return 0
+    return _emit(args, "dim", entries)
 
 
 def cmd_vol(args):
     space = _load(args)
     subset = _subset(space, args.subset)
-    report = _report_base(args, "vol")
-    report["estimate"] = hausdorff_measure_estimate(subset, args.m, args.eps,
-                                                    args.metric)
-    report["calibration"] = calibration_constant(args.m)
-    _emit(args, report)
-    return 0
+    return _emit(args, "vol", {
+        "estimate": hausdorff_measure_estimate(subset, args.m, args.eps, args.metric),
+        "calibration": calibration_constant(args.m)})
 
 
 def cmd_glue(args):
@@ -233,15 +208,11 @@ def cmd_glue(args):
     subset = _subset(space, args.subset)
     gmap = build_projection(subset, args.m, args.delta, args.ell, args.r,
                             rho=args.rho)
-    quality = projection_quality(gmap)
-    report = _report_base(args, "glue")
-    report["quality"] = quality
-    report["net_size"] = int(gmap.net.size)
-    report["warnings"] = gmap.warnings
+    entries = {"quality": projection_quality(gmap), "net_size": int(gmap.net.size),
+               "warnings": gmap.warnings}
     if args.full:
-        report["map"] = gmap.to_dict()
-    _emit(args, report)
-    return 0
+        entries["map"] = gmap.to_dict()
+    return _emit(args, "glue", entries)
 
 
 def _family_member(mem):
@@ -262,13 +233,14 @@ def _family_member(mem):
 
 def cmd_converge(args):
     spec = json.loads(Path(args.family).read_text())
+    specs = spec.get("members") if isinstance(spec, dict) else None
+    if not (isinstance(specs, list) and all(isinstance(mem, dict) for mem in specs)):
+        raise Refusal("family must be an object whose members are a list of objects")
     # generated one at a time as the experiment reads them: one space in memory
-    members = (_family_member(mem) for mem in spec["members"])
+    members = (_family_member(mem) for mem in specs)
     out = volume_convergence_experiment(members, args.m, args.eps,
                                         limit=spec.get("limit"))
-    report = _report_base(args, "converge")
-    report["result"] = out
-    _emit(args, report)
+    _emit(args, "converge", {"result": out})
     if args.csv:
         cols = ["label", "estimate_extrinsic", "estimate_intrinsic", "exact",
                 "deviation_extrinsic", "deviation_intrinsic"]
@@ -278,6 +250,8 @@ def cmd_converge(args):
 
 def cmd_run(args):
     cfg = json.loads(Path(args.config).read_text())
+    if not isinstance(cfg, dict):
+        raise Refusal("config must be a JSON object")
     if "command" not in cfg:
         raise Refusal("config missing required key 'command'")
     command = cfg.pop("command")
@@ -314,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="alexkit",
         description="comparison geometry experiments on finite sampled metric spaces")
-    ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get("ALEXKIT_THREADS", "0")),
+    ap.add_argument("--threads", type=int, default=0,
                     help="worker cap; results never depend on it "
                          "(current implementation is single-process)")
     sub = ap.add_subparsers(dest="command", required=True)

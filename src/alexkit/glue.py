@@ -31,8 +31,8 @@ from .charts import (DIRECTION_COUNT, direction_defects, direction_grid,
 from .errors import KitError, Refusal
 from .space import (Space, Subset, ball, calibration_constant,
                     effective_spacing, even_positions, graph_path,
-                    hausdorff_measure_estimate, link_graph, linked,
-                    packing_ids, shortest_path_tree)
+                    hausdorff_measure_estimate, link_graph, packing_ids,
+                    shortest_path_tree)
 from .strainers import Strainer, classify, is_strainer
 
 NET_MIN_PITCH_FACTOR = 4.0       # r >= 4h keeps the net resolvable
@@ -122,28 +122,20 @@ class GlueMap:
         }
 
 
-def _walk_to_distance(space: Space, pred_row, source: int, target: int,
-                      distance: float) -> int:
-    """First node at metric distance >= ``distance`` along the graph path
-    from source to target; falls back to target if the path is shorter."""
-    chain = graph_path(pred_row, source, target)
-    if chain is None:
-        raise KitError(f"no graph path from {source} to {target}")
-    for node in chain:
-        if space.dist[source, node] >= distance:
-            return int(node)
-    return int(target)
-
-
 def _rebase_strainer(space: Space, witness: Strainer, pred_row,
                      target_distance: float) -> tuple[np.ndarray, np.ndarray]:
-    a_out, b_out = [], []
-    for a, b in witness.pairs:
-        a_out.append(_walk_to_distance(space, pred_row, witness.base, a,
-                                       target_distance))
-        b_out.append(_walk_to_distance(space, pred_row, witness.base, b,
-                                       target_distance))
-    return np.asarray(a_out, dtype=int), np.asarray(b_out, dtype=int)
+    """The witness's a- and b-points, each moved along its graph path from the
+    base (``pred_row``) to the first node at distance >= ``target_distance``
+    from the base, or left where it is when the path is shorter."""
+    base, moved = witness.base, []
+    for point in [q for pair in witness.pairs for q in pair]:  # a0, b0, a1, ...
+        chain = graph_path(pred_row, base, point)
+        if chain is None:
+            raise KitError(f"no graph path from {base} to {point}")
+        far = chain[space.dist[base, chain] >= target_distance]
+        moved.append(far[0] if far.size else point)
+    moved = np.asarray(moved, dtype=int)
+    return moved[0::2], moved[1::2]
 
 
 def _net_charts(mask, net: np.ndarray, target: Subset, g: np.ndarray, r: float,
@@ -342,15 +334,9 @@ def projection_quality(gmap: GlueMap) -> dict:
 
 def _composite_openness(d, values, inner, probe):
     dirs = direction_grid(values.shape[1], DIRECTION_COUNT)
-    eps = None
-    for i in inner:
-        near = np.flatnonzero(linked(d[i], probe))
-        if near.size == 0:
-            continue
-        worst = float(direction_defects(values[near], values[i], d[i, near],
-                                        dirs).max())
-        eps = worst if eps is None else max(eps, worst)
-    return eps
+    defects = (direction_defects(values, values[i], d[i], probe, dirs) for i in inner)
+    return max((float(per_dir.max()) for per_dir in defects if per_dir is not None),
+               default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -125,9 +126,19 @@ def space_from_dict(data: dict) -> Space:
 
 
 def save_space(space: Space, path, metric_type: str = "matrix"):
-    with open(path, "w") as f:
-        _encode(space_to_dict(space, metric_type), "\n", f.write)
-        f.write("\n")
+    """Write the space file at ``path`` through ``{path}.tmp`` in the same
+    directory, which replaces ``path`` only once whole: a failed save (say,
+    of an annotation the writer cannot encode) leaves any old file as it was
+    and no temporary file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as f:
+            _encode(space_to_dict(space, metric_type), "\n", f.write)
+            f.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def load_space(path) -> Space:

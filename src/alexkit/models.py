@@ -332,50 +332,28 @@ def gen_pillow(side: float, h: float, name: str | None = None):
         raise Refusal("side and pitch must be positive")
     m = max(2, round(side / h))
     pitch = side / m
-    axis = np.arange(m + 1) * pitch
 
-    # sheet A: full (m+1)^2 grid; sheet B: interior grid, boundary shared
-    coords_a = np.array([(x, y) for y in axis for x in axis])
-    interior_mask = np.array([(0 < i < m and 0 < j < m)
-                              for j in range(m + 1) for i in range(m + 1)])
-    n_a = coords_a.shape[0]
-    idx_a = np.arange(n_a).reshape(m + 1, m + 1)  # [j, i]
-    interior_ids_b = {}
-    next_id = n_a
-    for j in range(1, m):
-        for i in range(1, m):
-            interior_ids_b[(i, j)] = next_id
-            next_id += 1
-    n = next_id
+    # sheet A numbers the (m+1)^2 grid [j, i]; sheet B shares its boundary and
+    # numbers its own interior after sheet A's n_a points
+    sheet_a = np.arange((m + 1) ** 2).reshape(m + 1, m + 1)
+    n_a = sheet_a.size
+    sheet_b = sheet_a.copy()
+    sheet_b[1:m, 1:m] = n_a + np.arange((m - 1) ** 2).reshape(m - 1, m - 1)
+    n = n_a + (m - 1) ** 2
 
-    def node_b(i, j):
-        if 0 < i < m and 0 < j < m:
-            return interior_ids_b[(i, j)]
-        return int(idx_a[j, i])  # boundary shared with sheet A
-
-    rows, cols, vals = [], [], []
-
-    def add_edges(node_of, skip_shared):
-        for di, dj in _PILLOW_OFFSETS:
-            w = math.hypot(di, dj) * pitch
-            for j in range(m + 1):
-                jj = j + dj
-                if not 0 <= jj <= m:
-                    continue
-                for i in range(m + 1):
-                    ii = i + di
-                    if not 0 <= ii <= m:
-                        continue
-                    a, b = node_of(i, j), node_of(ii, jj)
-                    if not (skip_shared and max(a, b) < n_a):
-                        rows.append(a)
-                        cols.append(b)
-                        vals.append(w)
-
-    # csr_matrix sums duplicate entries, so an edge between two shared
+    # each offset's edges, from [j, i] to [j + dj, i + di] row-major, sheet A
+    # first; csr_matrix sums duplicate entries, so an edge between two shared
     # boundary nodes is added with sheet A only
-    add_edges(lambda i, j: int(idx_a[j, i]), skip_shared=False)
-    add_edges(node_b, skip_shared=True)
+    rows, cols, vals = [], [], []
+    for sheet, first_own in ((sheet_a, 0), (sheet_b, n_a)):
+        for di, dj in _PILLOW_OFFSETS:
+            a = sheet[max(0, -dj):m + 1 - max(0, dj), max(0, -di):m + 1 - max(0, di)]
+            b = sheet[max(0, dj):m + 1 + min(0, dj), max(0, di):m + 1 + min(0, di)]
+            own = np.maximum(a, b).ravel() >= first_own
+            rows.append(a.ravel()[own])
+            cols.append(b.ravel()[own])
+            vals.append(np.full(own.sum(), math.hypot(di, dj) * pitch))
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
 
     graph = csr_matrix((vals, (rows, cols)), shape=(n, n))
     dist = shortest_path(graph, method="D", directed=False)
@@ -384,7 +362,7 @@ def gen_pillow(side: float, h: float, name: str | None = None):
 
     space = Space(name or "pillow", kappa=0.0, dist=dist, coords=None,
                   resolution=pitch)
-    corners = [int(idx_a[0, 0]), int(idx_a[0, m]), int(idx_a[m, 0]), int(idx_a[m, m])]
+    corners = sheet_a[[0, 0, m, m], [0, m, 0, m]].tolist()
     subsets = {f"corner_{k}": SubsetInfo(ids=np.array([c]), extremal=True)
                for k, c in enumerate(corners)}
     ann = ModelAnnotation(

@@ -39,7 +39,7 @@ from .errors import KitError, Refusal
 from .kplane import comparison_angles_array
 
 DEFAULT_LINK_FACTOR = 3.0  # link_radius = 3 * resolution keeps geodesic graphs connected
-EUCLIDEAN_BLOCK_ELEMENTS = 2**16  # most elements in one row block of euclidean_matrix
+ROW_BLOCK_ELEMENTS = 2**16  # most elements in one row block (euclidean_matrix, validate)
 
 
 def euclidean_matrix(coords: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
@@ -47,7 +47,7 @@ def euclidean_matrix(coords: np.ndarray, others: np.ndarray | None = None) -> np
     ``others`` (default: ``coords`` itself, with an exactly zero diagonal).
 
     Summed one axis at a time over one block of rows at a time, so the only
-    temporary is one block: EUCLIDEAN_BLOCK_ELEMENTS entries or one row,
+    temporary is one block: ROW_BLOCK_ELEMENTS entries or one row,
     whichever is larger.  scipy's ``cdist`` gives the same bits, but
     importing ``scipy.spatial`` costs 7.5 MiB of RSS and 0.09 s in every
     process.
@@ -55,7 +55,7 @@ def euclidean_matrix(coords: np.ndarray, others: np.ndarray | None = None) -> np
     others = coords if others is None else others
     n, m = len(coords), len(others)
     d = np.zeros((n, m))
-    step = max(1, EUCLIDEAN_BLOCK_ELEMENTS // max(m, 1))
+    step = max(1, ROW_BLOCK_ELEMENTS // max(m, 1))
     diff = np.empty((min(step, n), m))
     for a in range(0, n, step):
         block = d[a:a + step]
@@ -106,11 +106,14 @@ class Space:
         return DEFAULT_LINK_FACTOR * self.require_resolution()
 
     def check_ids(self, ids) -> np.ndarray:
-        """The ids as a 1-D integer array; refuses non-integer or out-of-range ids.
+        """The ids as a 1-D integer array; refuses non-integer or out-of-range
+        ids, and nested lists.
 
         Floats (even 2.0), strings and booleans are refused, not cast.
         """
         arr = np.atleast_1d(np.asarray(ids))
+        if arr.ndim != 1:
+            raise Refusal("point ids must be a flat list")
         if arr.size and (arr.dtype.kind not in "iu" or isinstance(ids, (list, tuple))
                          and any(isinstance(i, (bool, np.bool_)) for i in ids)):
             raise Refusal("point ids must be integers")
@@ -253,7 +256,6 @@ class ValidationReport:
 TRIANGLE_SLACK = 1e-9
 EXHAUSTIVE_TRIANGLE_LIMIT = 300
 RANDOM_TRIPLES = 100_000
-VALIDATE_BLOCK_ELEMENTS = 2**16  # most elements in one row block of validate
 
 
 def validate(space: Space, seed: int = 0) -> ValidationReport:
@@ -277,7 +279,7 @@ def validate(space: Space, seed: int = 0) -> ValidationReport:
     # extreme in row-major order wins and so does the first NaN: a NaN
     # distance fails positivity, while a NaN asymmetry is not > 0.
     asym, asym_at, m, m_at = 0.0, None, math.inf, (0, 0)
-    step = max(1, VALIDATE_BLOCK_ELEMENTS // max(n, 1))
+    step = max(1, ROW_BLOCK_ELEMENTS // max(n, 1))
     for a in range(0, n, step):
         block = d[a:a + step] - d[:, a:a + step].T
         np.abs(block, out=block)

@@ -237,8 +237,10 @@ def _beam(space: Space, block: list[int], pools: list[np.ndarray], k: int,
 
 
 def _search(space: Space, ids: list[int], k: int, delta: float, ell: float,
-            search_radius: float, stop_at_first: bool = False) -> dict[int, Strainer]:
-    """The strainers found at the base points ids, in their order."""
+            search_radius: float):
+    """The strainers found at the base points ids, in their order: an
+    iterator of one dict per block of points, each block searched only when
+    it is read.  The arguments are checked at the call."""
     if ell > MAX_STRAINER_LENGTH:
         raise Refusal(f"strainer length bound ell = {ell} exceeds 1")
     if ell >= search_radius:
@@ -246,16 +248,10 @@ def _search(space: Space, ids: list[int], k: int, delta: float, ell: float,
     if k < 0:
         raise Refusal(f"need k >= 0, got {k}")
     if k == 0:
-        ids = ids[:1] if stop_at_first else ids
-        return {p: Strainer(base=p, pairs=(), delta_achieved=0.0, length=math.inf)
-                for p in ids}
-    found = {}
-    for block, pools in _blocks(space, ids, k, ell, search_radius):
-        found.update(_beam(space, block, pools, k, delta))
-        if stop_at_first and found:
-            first = next(iter(found))
-            return {first: found[first]}
-    return found
+        return iter([{p: Strainer(base=p, pairs=(), delta_achieved=0.0, length=math.inf)
+                      for p in ids}])
+    return (_beam(space, block, pools, k, delta)
+            for block, pools in _blocks(space, ids, k, ell, search_radius))
 
 
 def find_strainer(space: Space, p: int, k: int, delta: float, ell: float,
@@ -273,25 +269,24 @@ def find_strainer(space: Space, p: int, k: int, delta: float, ell: float,
     runs over a whole subset.
     """
     p = int(space.check_ids([p])[0])
-    return _search(space, [p], k, delta, ell, search_radius).get(p)
+    return next(_search(space, [p], k, delta, ell, search_radius), {}).get(p)
 
 
 def classify(subset: Subset, k: int, delta: float, ell: float,
-             search_radius: float | None = None,
-             stop_at_first: bool = False) -> ClassificationMask:
+             search_radius: float | None = None) -> ClassificationMask:
     """Run the strainer search at every subset point; keep the witnesses.
 
     ``search_radius`` defaults to min(4 ell, diameter)
     (:func:`resolve_search_radius`).  The points are searched in blocks of
     consecutive points (sized by their pools, see ``_blocks``), one array
     pass per block, with the witness at each point exactly that of
-    :func:`find_strainer`.  ``stop_at_first`` returns only the first member
-    (used by strainer-number searches where only non-emptiness matters); the
-    rest of its block is searched anyway.
+    :func:`find_strainer`.  Every point is searched; :func:`strainer_number`
+    reads the same blocks but stops at the first one with a member.
     """
     search_radius = resolve_search_radius(subset.space, ell, search_radius)
-    witnesses = _search(subset.space, subset.indices.tolist(), k, delta, ell,
-                        search_radius, stop_at_first)
+    witnesses = {p: s for found in _search(subset.space, subset.indices.tolist(), k,
+                                           delta, ell, search_radius)
+                 for p, s in found.items()}
     return ClassificationMask(subset=subset, k=k, delta=delta, ell=ell,
                               search_radius=search_radius,
                               member_ids=np.asarray(list(witnesses), dtype=int),
@@ -302,16 +297,19 @@ def strainer_number(subset: Subset, delta: float, ell: float,
                     search_radius: float | None = None) -> int:
     """Largest k for which some subset point is (k, delta)-strained.
 
-    Searched k = 1, 2, ..., MAX_STRAINER_NUMBER until the classification mask
-    comes up empty.  Emptiness is heuristic (beam search), so the result is a
-    best-effort value, exact on the model spaces the search was tuned for.
+    Searched k = 1, 2, ..., MAX_STRAINER_NUMBER until a scan finds no member:
+    the value is the largest k whose :func:`classify` mask is non-empty.
+    Each scan reads :func:`classify`'s blocks of points and stops at the
+    first block with a member; the rest of that block is searched anyway.
+    Emptiness is heuristic (beam search), so the result is a best-effort
+    value, exact on the model spaces the search was tuned for.
     ``search_radius`` defaults to min(4 ell, diameter); like every scan this
     refuses when it is not above ell.
     """
     search_radius = resolve_search_radius(subset.space, ell, search_radius)
     for k in range(1, MAX_STRAINER_NUMBER + 1):
-        mask = classify(subset, k, delta, ell, search_radius, stop_at_first=True)
-        if mask.is_empty():
+        if not any(_search(subset.space, subset.indices.tolist(), k, delta, ell,
+                           search_radius)):
             return k - 1
     return MAX_STRAINER_NUMBER
 

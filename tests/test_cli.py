@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from alexkit.charts import quasigeodesic_check
 from alexkit.cli import build_parser, main
 from alexkit.glue import build_projection, projection_quality
 from alexkit.io import dumps_stable, load_space
-from alexkit.space import packing_dimension_estimate
+from alexkit.space import Curve, packing_dimension_estimate
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +205,27 @@ def test_qcheck_path_non_integer_id_refused(path, segment_file, tmp_path, capsys
     assert (code, line) == (2, "refusal: point ids must be integers")
 
 
+@pytest.mark.parametrize("argv, name, text, reason", [
+    *[pytest.param(["run", "--config"], "config.json", config,
+                   "config must be a JSON object", id=f"run-{config}")
+      for config in ['"command"', '["command"]']],
+    *[pytest.param(["converge", "--m", "1", "--eps", "0.5", "--family"], "family.json",
+                   family, "family must be an object whose members are a list of objects",
+                   id=f"converge-{family}")
+      for family in ["[1]", '{"members": 5}', '{"members": ["x"]}', "{}"]],
+    pytest.param(["qcheck", "--space", "SEGMENT", "--viewpoint", "4", "--path"],
+                 "path.json", "[[1, 2], [3, 4]]", "point ids must be a flat list",
+                 id="qcheck-nested"),
+])
+def test_json_input_of_the_wrong_shape_is_a_refusal(argv, name, text, reason,
+                                                    segment_file, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text)
+    argv = [segment_file if a == "SEGMENT" else a for a in argv] + [str(path)]
+    code, line = refused_cleanly(argv, capsys)
+    assert (code, line) == (2, f"refusal: {reason}")
+
+
 @pytest.mark.parametrize("args", [
     ["chart", "--subset", "all", "--base", "9999", "--k", "1", "--delta", "0.2"],
     ["chart", "--subset", "all", "--base", "-1", "--k", "1", "--delta", "0.2"],
@@ -332,3 +354,27 @@ def test_converge_csv_holds_the_report_table(tmp_path):
         for col in ("estimate_extrinsic", "estimate_intrinsic", "exact",
                     "deviation_extrinsic", "deviation_intrinsic"):
             assert float(row[col]) == want[col]
+
+
+def test_strain_report_ignores_alexkit_threads(segment_file, tmp_path, monkeypatch):
+    out = tmp_path / "strain.json"
+    argv = ["strain", "--space", segment_file, "--subset", "all", "--k", "1",
+            "--delta", "0.2", "--ell", "0.3", "--out", str(out)]
+    monkeypatch.delenv("ALEXKIT_THREADS", raising=False)
+    assert main(argv) == 0
+    unset = out.read_bytes()
+    monkeypatch.setenv("ALEXKIT_THREADS", "4")
+    assert main(argv) == 0
+    assert out.read_bytes() == unset
+
+
+def test_qcheck_checks_the_path_at_its_median_gap(segment_file, tmp_path):
+    path, out = tmp_path / "path.json", tmp_path / "qcheck.json"
+    path.write_text("[0, 1, 2, 3]")
+    (text,) = twice(["qcheck", "--space", segment_file, "--path", str(path),
+                     "--viewpoint", "4", "--out", str(out)], out)
+    space = load_space(segment_file)
+    ids = np.array([0, 1, 2, 3])
+    want = quasigeodesic_check(space, Curve(points=ids, step=float(np.median(
+        space.dist[ids[:-1], ids[1:]]))), 4)
+    assert json.loads(text)["result"] == json.loads(dumps_stable(want))

@@ -1,10 +1,11 @@
-"""Every module of the package uses what it imports, and imports at module level.
+"""Every module of the package uses what it imports and every local it
+assigns, and imports at module level.
 
 No linter is installed, so a walk over each module's syntax tree stands in
-for pyflakes' unused-import check.  ``__init__.py`` is left out: its imports
-are the package's public names.  An import inside a function would hide its
-cost (scipy's submodules cost RSS and start-up time) in whichever call runs
-it first, so every module imports at its top level.
+for pyflakes' unused-import and unused-local checks.  ``__init__.py`` is left
+out: its imports are the package's public names.  An import inside a
+function would hide its cost (scipy's submodules cost RSS and start-up time)
+in whichever call runs it first, so every module imports at its top level.
 """
 
 import ast
@@ -40,6 +41,32 @@ def test_checker_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_locals(source: str) -> list[str]:
+    """``function.name`` for each name a function body assigns and never
+    reads there (nested functions included); ``_`` names are exempt."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [n for n in ast.walk(fn) if isinstance(n, ast.Name)]
+            stored = {n.id for n in names if isinstance(n.ctx, ast.Store)}
+            read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+            found += [f"{fn.name}.{name}" for name in sorted(stored - read)
+                      if not name.startswith("_")]
+    return found
+
+
+def test_checker_finds_unused_locals():
+    source = ("x = 1\n\ndef f(a):\n    b, _c = a\n    d = 2\n    e = 3\n"
+              "    def g():\n        h = 4\n        return d\n    return g\n\n"
+              "class C:\n    def m(self):\n        total = 0\n        total += 1\n")
+    assert unused_locals(source) == ["f.b", "f.e", "f.h", "g.h", "m.total"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    assert unused_locals(path.read_text()) == []
 
 
 def function_imports(source: str) -> list[int]:

@@ -39,6 +39,18 @@ def test_round_trip_is_bit_identical(polygon, metric_type, tmp_path):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+def test_failed_save_leaves_the_old_file(polygon, tmp_path):
+    path = tmp_path / "space.json"
+    save_space(polygon, path)
+    before = path.read_bytes()
+    space = Space("bad", 0.0, polygon.dist)
+    space.annotations = {"bad": object()}  # the writer cannot encode it
+    with pytest.raises(TypeError):
+        save_space(space, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["space.json"]
+
+
 def test_lower_triangle_is_row_major():
     d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
     assert lower_triangle(d).tolist() == [1.0, 2.0, 3.0]

@@ -18,7 +18,7 @@ import pytest
 
 from alexkit import cli, models
 from alexkit.io import FLOAT_CHUNK, WRITE_BATCH, dumps_stable, load_space, save_space
-from alexkit.space import EUCLIDEAN_BLOCK_ELEMENTS, calibration_constant, euclidean_matrix
+from alexkit.space import ROW_BLOCK_ELEMENTS, calibration_constant, euclidean_matrix
 
 F64 = 8  # bytes of one float64 or int64 entry
 H = 0.08  # pitch of the budget runs: the 12-gon has N = 584, a 2.6 MiB matrix
@@ -118,7 +118,7 @@ def test_euclidean_matrix_budget(twelve_gon):
     # the output, one block of differences, and numpy's ufunc buffers (at
     # most one of getbufsize() entries for each of three operands)
     n = twelve_gon.n_points
-    budget = (F64 * n * n + F64 * max(EUCLIDEAN_BLOCK_ELEMENTS, n)
+    budget = (F64 * n * n + F64 * max(ROW_BLOCK_ELEMENTS, n)
               + 3 * F64 * np.getbufsize())
     coords = twelve_gon.coords
     assert traced_peak(lambda: euclidean_matrix(coords)) <= budget

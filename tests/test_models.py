@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -122,6 +123,18 @@ class TestPillow:
         c = ann.extra["corner_ids"]
         for i, j in ((0, 1), (0, 2), (1, 3), (2, 3)):
             assert space.dist[c[i], c[j]] == pytest.approx(side, abs=1e-9)
+
+    # SHA-256 of the distance bits, recorded with the per-node edge loops
+    # that the index grids replaced; (1.0, 0.5) is the smallest grid, m = 2
+    @pytest.mark.parametrize("side, h, n, digest", [
+        (1.0, 0.5, 10, "e002a75ddf60d6f2ca6fdcb52fc9736533db0bf9649d4c0495f3c300980a16c6"),
+        (1.0, 0.2, 52, "225674b47762e90cb619ae41ab9f6e9b27843cb30d0d1cc1d78792d965cf8f84"),
+        (2.0, 0.1, 802, "fe08134746f656d0506f8a307fa2596e8033f1366476538f5f2eca8b3d607399"),
+    ])
+    def test_distance_digest(self, side, h, n, digest):
+        space, _ = models.gen_pillow(side, h)
+        assert space.n_points == n
+        assert hashlib.sha256(space.dist.tobytes()).hexdigest() == digest
 
 
 class TestSuspension:

@@ -11,7 +11,7 @@ from alexkit.charts import metric_comparison
 from alexkit.errors import KitError, Refusal
 from alexkit.flow import FlowConfig, dist_gradient_lower_bound
 from alexkit.glue import NET_MIN_PITCH_FACTOR, discrete_net
-from alexkit.space import (EUCLIDEAN_BLOCK_ELEMENTS, Space, ball, calibration_constant,
+from alexkit.space import (ROW_BLOCK_ELEMENTS, Space, ball, calibration_constant,
                            euclidean_matrix, extremality_check, greedy_packing_ids,
                            hausdorff_measure_estimate, intrinsic_metric,
                            packing_dimension_estimate, packing_ids, packing_number,
@@ -43,7 +43,7 @@ class TestEuclideanMatrix:
     @pytest.mark.parametrize("rows", [1, 255, 256, 257, 513])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_blocks_give_the_unblocked_bits(self, rows, dim):
-        assert EUCLIDEAN_BLOCK_ELEMENTS // 256 == 256
+        assert ROW_BLOCK_ELEMENTS // 256 == 256
         rng = np.random.default_rng(rows * dim)
         coords, others = rng.normal(size=(rows, dim)), rng.normal(size=(256, dim))
         got = euclidean_matrix(coords, others)
@@ -61,7 +61,7 @@ class TestEuclideanMatrix:
         # blocks of one row (fewer elements than a row holds) and ragged ends
         coords = np.random.default_rng(elements).normal(size=(23, 2))
         want = one_temporary_euclidean_matrix(coords)
-        monkeypatch.setattr(space_module, "EUCLIDEAN_BLOCK_ELEMENTS", elements)
+        monkeypatch.setattr(space_module, "ROW_BLOCK_ELEMENTS", elements)
         assert euclidean_matrix(coords).tobytes() == want.tobytes()
 
 
@@ -104,7 +104,7 @@ class TestValidate:
         d[35, 36] = d[36, 35] = 0.1  # the least distance twice: (4, 9) is first
         d[4, 9] = d[9, 4] = 0.1
         whole = validate(Space("bad", 0.0, d)).to_dict()
-        monkeypatch.setattr(space_module, "VALIDATE_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(space_module, "ROW_BLOCK_ELEMENTS", 1)
         assert validate(Space("bad", 0.0, d)).to_dict() == whole
         checks = {c["name"]: c["worst"] for c in whole["checks"]}
         assert checks["symmetry"] == [5, 30] and checks["positivity"] == [4, 9]

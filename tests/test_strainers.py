@@ -216,9 +216,15 @@ def test_classify_is_find_strainer_at_every_point(classified):
                 want[p] = s
         assert mask.witnesses == want
         assert mask.member_ids.tolist() == list(want)
-        first = classify(sub, k, delta, ell, radius, stop_at_first=True)
-        assert first.member_ids.tolist() == list(want)[:1]
-        assert first.witnesses == {p: want[p] for p in list(want)[:1]}
+
+
+def test_strainer_number_is_the_largest_k_with_members(classified):
+    # every case has full classify masks at k = 1, 2 and 3, and one is empty
+    empty = {}
+    for (sub, k, delta, ell, radius), mask in classified:
+        empty.setdefault((sub, delta, ell, radius), []).append(mask.is_empty())
+    for (sub, delta, ell, radius), at_k in empty.items():
+        assert strainer_number(sub, delta, ell, radius) == at_k.index(True)
 
 
 def test_block_size_does_not_change_masks(classified, monkeypatch):
@@ -254,8 +260,7 @@ class TestClassify:
     def test_k2_on_1d_boundary_is_empty(self, fine_boundary):
         space, _ = fine_boundary
         sub = space.subsets["boundary"]
-        mask = classify(sub, 2, delta=0.1, ell=0.05, search_radius=0.2,
-                        stop_at_first=True)
+        mask = classify(sub, 2, delta=0.1, ell=0.05, search_radius=0.2)
         assert mask.is_empty()
 
     def test_masks_monotone_in_delta_and_ell(self, fine_boundary):
