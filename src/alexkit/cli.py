@@ -59,16 +59,16 @@ def _check_param_ranges(args):
 def _load(args):
     space = load_space(args.space)
     rep = validate(space, seed=getattr(args, "seed", DEFAULT_SEED))
-    if not rep.passed:
+    if not rep["passed"]:
         raise Refusal(f"space file fails validation: "
-                      f"{[c.name for c in rep.failures()]}")
+                      f"{[c['name'] for c in rep['checks'] if not c['passed']]}")
     return space
 
 
 def _subset(space, name):
     if name == "all" and "all" not in space.subsets:
         return space.all_points_subset()
-    if name not in space.subsets:
+    if not (isinstance(name, str) and name in space.subsets):
         raise Refusal(f"space has no subset named {name!r}; "
                       f"available: {sorted(space.subsets)}")
     return space.subsets[name]
@@ -132,8 +132,8 @@ def cmd_gen(args):
 def cmd_validate(args):
     space = load_space(args.space)
     rep = validate(space, seed=args.seed)
-    _emit(args, "validate", {"report": rep.to_dict()})
-    return 0 if rep.passed else 2
+    _emit(args, "validate", {"report": rep})
+    return 0 if rep["passed"] else 2
 
 
 def cmd_strain(args):
@@ -161,7 +161,9 @@ def cmd_qcheck(args):
     space = _load(args)
     path_ids = json.loads(Path(args.path).read_text())
     if isinstance(path_ids, dict):
-        path_ids = path_ids["points"]
+        path_ids = path_ids.get("points")
+        if not isinstance(path_ids, list):
+            raise Refusal("a path object must hold a 'points' list")
     # step 0: quasigeodesic_check takes the median gap as the step
     curve = Curve(points=space.check_ids(path_ids), step=0.0)
     return _emit(args, "qcheck",
@@ -216,19 +218,30 @@ def cmd_glue(args):
 
 
 def _family_member(mem):
-    """One member of a converge family spec, generated."""
-    gen = getattr(models, "gen_" + mem["generator"].replace("-", "_"), None)
-    if gen is None:
-        raise Refusal(f"unknown generator {mem['generator']!r} in family")
+    """One member of a converge family spec, generated by one of the
+    generators that take JSON parameters and return (space, annotation)."""
+    name = mem.get("generator")
+    if name not in ("convex-polygon", "regular-polygon", "segment", "cone", "pillow"):
+        raise Refusal(f"unknown generator {name!r} in family")
+    gen = getattr(models, "gen_" + name.replace("-", "_"))
     try:
         space, ann = gen(**mem.get("params", {}))
     except TypeError as e:  # a parameter the generator does not take, or lacks
-        raise Refusal(f"family member {mem.get('label', mem['generator'])!r}: "
+        raise Refusal(f"family member {mem.get('label', name)!r}: "
                       f"bad generator parameters: {e}") from None
-    sub_name = mem.get("subset", "boundary")
-    info = ann.subsets.get(sub_name)
-    return {"label": mem.get("label", space.name), "subset": _subset(space, sub_name),
-            "exact": mem.get("exact", info.exact_measure if info else None)}
+    subset = _subset(space, mem.get("subset", "boundary"))
+    info = ann.subsets.get(subset.name)
+    exact = mem.get("exact", info.exact_measure if info else None)
+    return {"label": mem.get("label", space.name), "subset": subset,
+            "exact": _finite_or_null(exact, f"exact measure of {subset.name!r}")}
+
+
+def _finite_or_null(value, what):
+    """``value`` if null or a number a float holds; not a bool, NaN or inf."""
+    if value is not None and not (type(value) in (int, float)
+                                  and abs(value) <= sys.float_info.max):
+        raise Refusal(f"{what} must be null or a finite number, got {value!r}")
+    return value
 
 
 def cmd_converge(args):
@@ -236,10 +249,10 @@ def cmd_converge(args):
     specs = spec.get("members") if isinstance(spec, dict) else None
     if not (isinstance(specs, list) and all(isinstance(mem, dict) for mem in specs)):
         raise Refusal("family must be an object whose members are a list of objects")
+    limit = _finite_or_null(spec.get("limit"), "family limit")
     # generated one at a time as the experiment reads them: one space in memory
     members = (_family_member(mem) for mem in specs)
-    out = volume_convergence_experiment(members, args.m, args.eps,
-                                        limit=spec.get("limit"))
+    out = volume_convergence_experiment(members, args.m, args.eps, limit=limit)
     _emit(args, "converge", {"result": out})
     if args.csv:
         cols = ["label", "estimate_extrinsic", "estimate_intrinsic", "exact",

@@ -1,4 +1,4 @@
-"""Exception taxonomy shared by all modules."""
+"""Exception taxonomy shared by all modules; an exception carries only its message."""
 
 
 class KitError(Exception):
@@ -19,10 +19,6 @@ class DomainError(Refusal):
 class NoComparisonTriangle(KitError):
     """No triangle with the given sides exists on the comparison plane."""
 
-    def __init__(self, condition: str):
-        super().__init__(f"comparison triangle does not exist: {condition}")
-        self.condition = condition
-
 
 class UndefinedAngle(KitError):
     """Angle at a vertex adjacent to a zero-length (or antipodal) side."""
@@ -30,7 +26,3 @@ class UndefinedAngle(KitError):
 
 class FlowStalled(KitError):
     """A discrete gradient curve found no candidate step."""
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}

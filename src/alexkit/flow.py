@@ -52,8 +52,7 @@ def _best_step(space: Space, q: int, x: int, cfg: FlowConfig):
     cand = cand[cand != q]
     if cand.size == 0:
         raise FlowStalled(
-            f"no candidates in annulus [{cfg.step}, {cfg.witness_radius}] around {x}",
-            {"x": x, "q": q})
+            f"no candidates in annulus [{cfg.step}, {cfg.witness_radius}] around {x}")
     ang = comparison_angles_array(space.kappa, space.dist[q, x], dx[cand],
                                   space.dist[q, cand])
     derivs = -np.cos(ang)

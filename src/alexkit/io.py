@@ -19,13 +19,13 @@ one-space indent, ``repr`` floats, no timestamps, so identical runs are
 byte-identical.  It walks the object once and hands each piece of text to a
 sink.  ``save_space``'s sink is the file, so a space file never exists as
 one string; ``dumps_stable``'s joins the pieces WRITE_BATCH at a time and
-the batches once at the end.  A run of floats (a 1-D float64 array, or a
-list made only of floats) is joined and written FLOAT_CHUNK values at a
-time, and the matrix's lower triangle stays a float64 array throughout.
-Within a chunk the values are grouped by bit pattern with ``np.unique``, so
-each distinct float is formatted once: sampled lattices repeat distances,
-and a chunk of a space file's matrix holds a quarter or less as many
-distinct values as entries.
+the batches once at the end.  A run of floats is a 1-D float64 array and
+nothing else: it is joined and written FLOAT_CHUNK values at a time, and the
+matrix's lower triangle stays a float64 array throughout.  Within a chunk
+the values are grouped by bit pattern with ``np.unique``, so each distinct
+float is formatted once: sampled lattices repeat distances, and a chunk of a
+space file's matrix holds a quarter or less as many distinct values as
+entries.  A list is written item by item, whatever its items.
 """
 
 from __future__ import annotations
@@ -67,12 +67,10 @@ def from_lower_triangle(data, n: int) -> np.ndarray:
 
 
 def space_to_dict(space: Space, metric_type: str = "matrix") -> dict:
-    points = []
-    for i in range(space.n_points):
-        entry: dict = {"id": i}
-        if space.coords is not None:
-            entry["coords"] = [float(c) for c in space.coords[i]]
-        points.append(entry)
+    if space.coords is None:
+        points = [{"id": i} for i in range(space.n_points)]
+    else:
+        points = [{"id": i, "coords": row} for i, row in enumerate(space.coords.tolist())]
     if metric_type == "euclidean":
         if space.coords is None:
             raise Refusal("euclidean metric type needs coordinates")
@@ -192,8 +190,8 @@ def _encode(obj, newline: str, write) -> None:
         inner = newline + " "
         sep = "," + inner
         write("[" + inner)
-        if isinstance(obj, np.ndarray) or set(map(type, obj)) == {float}:
-            _floats(np.asarray(obj), sep, write)
+        if isinstance(obj, np.ndarray):
+            _floats(obj, sep, write)
         else:
             for i, v in enumerate(obj):
                 if i:

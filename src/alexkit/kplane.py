@@ -116,7 +116,7 @@ def comparison_angle(kappa: float, a: float, b: float, c: float,
     if not ok:
         if degenerate_mode == "zero":
             return 0.0
-        raise NoComparisonTriangle(reason)
+        raise NoComparisonTriangle(f"comparison triangle does not exist: {reason}")
     cos_ang, degenerate = _cos_angles(kappa, a, b, c)
     if degenerate and degenerate_mode == "error":
         raise UndefinedAngle(f"spherical vertex degenerate: sin(a * sqrt(kappa)) * "

@@ -388,9 +388,9 @@ def gen_spherical_suspension(base: Space, h: float, name: str | None = None):
     if base.diameter > math.pi + 1e-9:
         raise Refusal(f"suspension base diameter {base.diameter} exceeds pi")
     rep = validate(base)
-    if not rep.passed:
+    if not rep["passed"]:
         raise Refusal(f"suspension base fails validation: "
-                      f"{[c.name for c in rep.failures()]}")
+                      f"{[c['name'] for c in rep['checks'] if not c['passed']]}")
     if h <= 0:
         raise Refusal("pitch must be positive")
     levels = max(2, round(math.pi / h))

@@ -111,8 +111,12 @@ class Space:
 
         Floats (even 2.0), strings and booleans are refused, not cast.
         """
-        arr = np.atleast_1d(np.asarray(ids))
-        if arr.ndim != 1:
+        try:
+            arr = np.atleast_1d(np.asarray(ids))
+            flat = arr.ndim == 1
+        except ValueError:  # a ragged nesting
+            flat = False
+        if not flat:
             raise Refusal("point ids must be a flat list")
         if arr.size and (arr.dtype.kind not in "iu" or isinstance(ids, (list, tuple))
                          and any(isinstance(i, (bool, np.bool_)) for i in ids)):
@@ -221,36 +225,8 @@ class Curve:
 # ---------------------------------------------------------------------------
 # validation
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-    worst: tuple = ()
-
-
-@dataclass
-class ValidationReport:
-    space: str
-    checks: list[CheckResult]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
-    def to_dict(self) -> dict:
-        return {
-            "space": self.space,
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail,
-                 "worst": list(c.worst)}
-                for c in self.checks
-            ],
-        }
+def _check(name: str, passed: bool, detail: str = "", worst=()) -> dict:
+    return {"name": name, "passed": passed, "detail": detail, "worst": list(worst)}
 
 
 TRIANGLE_SLACK = 1e-9
@@ -258,12 +234,12 @@ EXHAUSTIVE_TRIANGLE_LIMIT = 300
 RANDOM_TRIPLES = 100_000
 
 
-def validate(space: Space, seed: int = 0) -> ValidationReport:
+def validate(space: Space, seed: int = 0) -> dict:
     """Check the metric-space invariants; never mutates.
 
     Triangle inequality is checked exhaustively for N <= 300, else on 10^5
-    seeded random triples.  Returns a report with the worst violating tuple
-    per failed check.
+    seeded random triples.  Returns ``{"space", "passed", "checks"}``, each
+    check ``{"name", "passed", "detail", "worst"}`` with its worst tuple's ids.
     """
     d = space.dist
     n = space.n_points
@@ -271,8 +247,8 @@ def validate(space: Space, seed: int = 0) -> ValidationReport:
 
     diag = np.abs(np.diag(d))
     i = int(np.argmax(diag))
-    checks.append(CheckResult("zero_diagonal", bool(diag.max() == 0.0),
-                              f"max |d(i,i)| = {diag.max()}", (i,)))
+    checks.append(_check("zero_diagonal", bool(diag.max() == 0.0),
+                         f"max |d(i,i)| = {diag.max()}", (i,)))
 
     # max |d - d^T| and min off-diagonal d, one block of rows at a time so
     # that no N x N temporary is made.  As with numpy's max and min, the first
@@ -293,14 +269,14 @@ def validate(space: Space, seed: int = 0) -> ValidationReport:
             m, m_at = float(block.flat[j]), divmod(a * n + j, n)
     if asym > 0:
         i, j = asym_at
-        checks.append(CheckResult("symmetry", False, f"d({i},{j}) != d({j},{i})", (i, j)))
+        checks.append(_check("symmetry", False, f"d({i},{j}) != d({j},{i})", (i, j)))
     else:
-        checks.append(CheckResult("symmetry", True))
+        checks.append(_check("symmetry", True))
     if n > 1:
-        checks.append(CheckResult("positivity", bool(m > 0.0),
-                                  f"min off-diagonal distance = {m}", m_at))
+        checks.append(_check("positivity", bool(m > 0.0),
+                             f"min off-diagonal distance = {m}", m_at))
     else:
-        checks.append(CheckResult("positivity", True))
+        checks.append(_check("positivity", True))
 
     checks.append(_triangle_check(d, n, seed))
 
@@ -308,11 +284,12 @@ def validate(space: Space, seed: int = 0) -> ValidationReport:
         bound = math.pi / math.sqrt(space.kappa) + 1e-9
         worst = float(d.max())
         ij = np.unravel_index(int(np.argmax(d)), d.shape)
-        checks.append(CheckResult("diameter_bound", bool(worst <= bound),
-                                  f"max distance {worst} vs pi/sqrt(kappa) bound",
-                                  (int(ij[0]), int(ij[1]))))
+        checks.append(_check("diameter_bound", bool(worst <= bound),
+                             f"max distance {worst} vs pi/sqrt(kappa) bound",
+                             (int(ij[0]), int(ij[1]))))
 
-    return ValidationReport(space.name, checks)
+    return {"space": space.name, "passed": all(c["passed"] for c in checks),
+            "checks": checks}
 
 
 def _triangle_check(d, n, seed):
@@ -326,18 +303,18 @@ def _triangle_check(d, n, seed):
             if m > worst_v:
                 ij = np.unravel_index(int(np.argmax(v)), v.shape)
                 worst_v, worst = m, (int(ij[0]), int(ij[1]), k)
-        return CheckResult("triangle_inequality", bool(worst_v <= TRIANGLE_SLACK),
-                           f"worst d(i,j) - d(i,k) - d(k,j) = {worst_v}", worst)
+        return _check("triangle_inequality", bool(worst_v <= TRIANGLE_SLACK),
+                      f"worst d(i,j) - d(i,k) - d(k,j) = {worst_v}", worst)
     rng = np.random.default_rng(seed)
     ii = rng.integers(0, n, RANDOM_TRIPLES)
     jj = rng.integers(0, n, RANDOM_TRIPLES)
     kk = rng.integers(0, n, RANDOM_TRIPLES)
     v = d[ii, jj] - d[ii, kk] - d[kk, jj]
     a = int(np.argmax(v))
-    return CheckResult("triangle_inequality", bool(v[a] <= TRIANGLE_SLACK),
-                       f"worst sampled violation = {float(v[a])} "
-                       f"({RANDOM_TRIPLES} random triples)",
-                       (int(ii[a]), int(jj[a]), int(kk[a])))
+    return _check("triangle_inequality", bool(v[a] <= TRIANGLE_SLACK),
+                  f"worst sampled violation = {float(v[a])} "
+                  f"({RANDOM_TRIPLES} random triples)",
+                  (int(ii[a]), int(jj[a]), int(kk[a])))
 
 
 # ---------------------------------------------------------------------------
@@ -575,30 +552,7 @@ def even_positions(n: int, cap: int) -> np.ndarray:
     return (np.arange(cap) * (n / cap)).astype(int)
 
 
-@dataclass
-class ExtremalityReport:
-    subset: str
-    passed: bool
-    angle_tol: float
-    worst_excess: float
-    worst_triple: tuple  # (q, p, w)
-    checked_exterior_points: int
-    local_minima_checked: int
-
-    def to_dict(self) -> dict:
-        return {
-            "subset": self.subset,
-            "passed": self.passed,
-            "angle_tol": self.angle_tol,
-            "worst_excess": self.worst_excess,
-            "worst_triple": list(self.worst_triple),
-            "checked_exterior_points": self.checked_exterior_points,
-            "local_minima_checked": self.local_minima_checked,
-        }
-
-
-def extremality_check(subset: Subset,
-                      witness_radius: float | None = None) -> ExtremalityReport:
+def extremality_check(subset: Subset, witness_radius: float | None = None) -> dict:
     """Test the defining property of an extremal subset on the sample.
 
     For sampled exterior points q, finds local minima p of dist_q restricted
@@ -614,6 +568,9 @@ def extremality_check(subset: Subset,
     is laterally off by up to h/2, so their witness angles carry an
     O(h / d(q, E)) error that says nothing about criticality at sample
     resolution.
+
+    Returns a dict; its ``worst_excess`` over pi/2 is -inf, and its
+    ``worst_triple`` [q, p, w] is [-1, -1, -1], when no witness was checked.
     """
     space = subset.space
     if witness_radius is None:
@@ -632,7 +589,7 @@ def extremality_check(subset: Subset,
     link = linked(amb, subset.link_radius)
 
     worst_excess = -np.inf
-    worst_triple = (-1, -1, -1)
+    worst_triple = [-1, -1, -1]
     minima_count = 0
     half_pi = math.pi / 2.0
 
@@ -654,14 +611,9 @@ def extremality_check(subset: Subset,
             excess = float(ang[k]) - half_pi
             if excess > worst_excess:
                 worst_excess = excess
-                worst_triple = (int(q), p, int(ws[k]))
+                worst_triple = [int(q), p, int(ws[k])]
 
-    return ExtremalityReport(
-        subset=subset.name,
-        passed=bool(worst_excess <= angle_tol),
-        angle_tol=float(angle_tol),
-        worst_excess=float(worst_excess),
-        worst_triple=worst_triple,
-        checked_exterior_points=int(exterior.size),
-        local_minima_checked=minima_count,
-    )
+    return {"subset": subset.name, "passed": bool(worst_excess <= angle_tol),
+            "angle_tol": float(angle_tol), "worst_excess": float(worst_excess),
+            "worst_triple": worst_triple, "checked_exterior_points": int(exterior.size),
+            "local_minima_checked": minima_count}

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from alexkit import models
-from alexkit.charts import (build_chart, distortion_trend,
-                            intrinsic_shortest_path, metric_comparison,
-                            openness_measure, quasigeodesic_check)
+from alexkit.charts import (build_chart, direction_defects, direction_grid,
+                            distortion_trend, intrinsic_shortest_path,
+                            metric_comparison, openness_measure, quasigeodesic_check)
 from alexkit.errors import KitError, Refusal
 from alexkit.space import Curve
 from alexkit.strainers import find_strainer
@@ -119,6 +119,31 @@ class TestOpenness:
         chart = build_chart(sub, s, radius=0.1)
         out = openness_measure(chart)
         assert out["eps_open"] <= 0.05 + 4 * 0.01 / ell
+
+    def test_k2_defect_falls_with_h_toward_the_sample_direction_gap(self):
+        """A 2-chart at the filled square's centre, of radius 2h, probed within
+        4h.  Its defect is at most the sample's own direction gap (the probe
+        directions miss some direction by that much, the same at every h, as
+        the lattice scales with h) plus the chart map's departure from a
+        linear isometry over a probe: each distance coordinate, from a
+        strainer point at least ell away, bends by at most 4h / 2ell over a
+        probe and turns by at most 2h / ell from the base, so by at most
+        4 sqrt(2) h / ell for the pair.  The departure falls with h."""
+        ell = 0.3
+        eps = []
+        for h in (0.05, 0.04, 0.025):
+            space, _ = models.gen_convex_polygon(UNIT_SQUARE, h)
+            centre = int(np.argmin(np.linalg.norm(space.coords - 0.5, axis=1)))
+            s = find_strainer(space, centre, 2, 0.2, ell, 0.5)
+            chart = build_chart(space.all_points_subset(), s, radius=2 * h)
+            out = openness_measure(chart)
+            assert out["probe_radius"] == 4 * h and out["skipped_points"] == 0
+            dirs = direction_grid(2, 360)
+            gap = max(direction_defects(space.coords, space.coords[p], space.dist[p],
+                                        4 * h, dirs).max() for p in chart.region)
+            assert out["eps_open"] <= gap + 4 * math.sqrt(2) * h / ell
+            eps.append(out["eps_open"])
+        assert eps[0] > eps[1] > eps[2]
 
 
 class TestMetricComparison:

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from alexkit.charts import quasigeodesic_check
-from alexkit.cli import build_parser, main
+from alexkit.cli import DEFAULT_SEED, build_parser, main
 from alexkit.glue import build_projection, projection_quality
-from alexkit.io import dumps_stable, load_space
-from alexkit.space import Curve, packing_dimension_estimate
+from alexkit.io import dumps_stable, load_space, save_space
+from alexkit.space import Curve, Space, packing_dimension_estimate, validate
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +216,35 @@ def test_qcheck_path_non_integer_id_refused(path, segment_file, tmp_path, capsys
     pytest.param(["qcheck", "--space", "SEGMENT", "--viewpoint", "4", "--path"],
                  "path.json", "[[1, 2], [3, 4]]", "point ids must be a flat list",
                  id="qcheck-nested"),
+    pytest.param(["qcheck", "--space", "SEGMENT", "--viewpoint", "4", "--path"],
+                 "path.json", "[[1], [2, 3]]", "point ids must be a flat list",
+                 id="qcheck-ragged"),
+    pytest.param(["qcheck", "--space", "SEGMENT", "--viewpoint", "4", "--path"],
+                 "path.json", '{"x": 1}', "a path object must hold a 'points' list",
+                 id="qcheck-no-points"),
+    *[pytest.param(["converge", "--m", "1", "--eps", "0.5", "--family"], "family.json",
+                   json.dumps(family), reason, id=f"converge-{name}")
+      for name, family, reason in [
+          ("generator-int", {"members": [{"generator": 5}]},
+           "unknown generator 5 in family"),
+          ("generator-missing", {"members": [{}]}, "unknown generator None in family"),
+          ("generator-circle", {"members": [{"generator": "circle",
+                                              "params": {"length": 1.0, "h": 0.25}}]},
+           "unknown generator 'circle' in family"),
+          ("generator-suspension", {"members": [{"generator": "spherical-suspension",
+                                                  "params": {"base": 1, "h": 0.5}}]},
+           "unknown generator 'spherical-suspension' in family"),
+          ("limit-string", {"members": [{"generator": "segment", "subset": "all",
+                                         "params": {"length": 1.0, "h": 0.25}}],
+                            "limit": "x"},
+           "family limit must be null or a finite number, got 'x'"),
+          ("exact-string", {"members": [{"generator": "segment", "subset": "all",
+                                         "params": {"length": 1.0, "h": 0.25},
+                                         "exact": "x"}]},
+           "exact measure of 'all' must be null or a finite number, got 'x'"),
+          ("subset-list", {"members": [{"generator": "segment", "subset": ["all"],
+                                        "params": {"length": 1.0, "h": 0.25}}]},
+           "space has no subset named ['all']; available: ['all']")]],
 ])
 def test_json_input_of_the_wrong_shape_is_a_refusal(argv, name, text, reason,
                                                     segment_file, tmp_path, capsys):
@@ -378,3 +407,28 @@ def test_qcheck_checks_the_path_at_its_median_gap(segment_file, tmp_path):
     want = quasigeodesic_check(space, Curve(points=ids, step=float(np.median(
         space.dist[ids[:-1], ids[1:]]))), 4)
     assert json.loads(text)["result"] == json.loads(dumps_stable(want))
+
+
+def test_validate_reports_the_library_report(segment_file, tmp_path):
+    out = tmp_path / "validate.json"
+    assert main(["validate", "--space", segment_file, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    assert report == validate(load_space(segment_file), seed=DEFAULT_SEED)
+    assert report["passed"]
+
+
+def test_failed_validation_exits_2_and_writes_its_report(tmp_path, capsys):
+    # a space file holds the lower triangle only, so it breaks the triangle
+    # inequality rather than symmetry
+    space_file, out = tmp_path / "bad.json", tmp_path / "validate.json"
+    save_space(Space("bad", 0.0, [[0, 1, 5.0], [1, 0, 1], [5.0, 1, 0]]), space_file)
+    assert main(["validate", "--space", str(space_file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())["report"]
+    assert report == validate(load_space(space_file), seed=DEFAULT_SEED)
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == [
+        "triangle_inequality"]
+    code, line = refused_cleanly(["strain", "--space", str(space_file), "--subset", "all",
+                                  "--k", "1", "--delta", "0.2", "--ell", "0.5"], capsys)
+    assert (code, line) == (2, "refusal: space file fails validation: "
+                               "['triangle_inequality']")

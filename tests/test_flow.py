@@ -66,6 +66,17 @@ def test_invariance_separates_boundary_from_midline(square, cfg):
     assert result["max_deviation"] > 5 * H
 
 
+def test_invariance_records_a_stall_where_the_annulus_is_empty():
+    segment, _ = models.gen_segment(1.0, 0.1)
+    # samples lie at whole multiples of h, none in [2.5h, 2.9h]
+    cfg = FlowConfig(step=0.25, witness_radius=0.29)
+    left = Subset(segment, np.arange(5), name="left")
+    result = extremal_invariance_test(left, 10, [1, 3], cfg)
+    assert result["max_deviation"] == 0.0 and result["per_start"] == {}
+    assert sorted(result["stalls"]) == [1, 3]
+    assert result["stalls"][3] == "no candidates in annulus [0.25, 0.29] around 3"
+
+
 def test_boundary_distance_has_a_gradient_on_a_band(square, cfg):
     out = dist_gradient_lower_bound(square.subsets["boundary"],
                                     {"inner": 2 * H, "outer": 4 * H}, cfg)

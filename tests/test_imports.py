@@ -1,11 +1,12 @@
-"""Every module of the package uses what it imports and every local it
-assigns, and imports at module level.
+"""Every module of the package uses what it imports, every local it assigns
+and every attribute it stores, and imports at module level.
 
 No linter is installed, so a walk over each module's syntax tree stands in
-for pyflakes' unused-import and unused-local checks.  ``__init__.py`` is left
-out: its imports are the package's public names.  An import inside a
-function would hide its cost (scipy's submodules cost RSS and start-up time)
-in whichever call runs it first, so every module imports at its top level.
+for pyflakes' unused-import and unused-local checks and for vulture's unused
+attributes.  ``__init__.py`` is left out of the import check: its imports are
+the package's public names.  An import inside a function would hide its cost
+(scipy's submodules cost RSS and start-up time) in whichever call runs it
+first, so every module imports at its top level.
 """
 
 import ast
@@ -67,6 +68,50 @@ def test_checker_finds_unused_locals():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_locals(path):
     assert unused_locals(path.read_text()) == []
+
+
+def stored_attributes(source: str) -> set[tuple[str, str]]:
+    """(class, name) for each ``self.name`` a class's methods assign and each
+    field of a dataclass."""
+    found = set()
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+        if any(getattr(d, "id", None) == "dataclass" for d in decorators):
+            found |= {(cls.name, n.target.id) for n in cls.body
+                      if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)}
+        found |= {(cls.name, n.attr) for n in ast.walk(cls)
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                  and isinstance(n.value, ast.Name) and n.value.id == "self"}
+    return found
+
+
+def unread_attributes(sources: list[str], readers: list[str]) -> list[str]:
+    """``class.name`` for each attribute the ``sources`` store whose name no
+    ``reader`` reads as an attribute (of any object: a name-based check)."""
+    read = {n.attr for text in readers for n in ast.walk(ast.parse(text))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    stored = set().union(*map(stored_attributes, sources))
+    return sorted(f"{c}.{name}" for c, name in stored if name not in read)
+
+
+def test_checker_finds_unread_attributes():
+    source = ("from dataclasses import dataclass\n\n@dataclass(frozen=True)\n"
+              "class A:\n    x: int\n    y: int = 0\n    Z = 1\n\n"
+              "class B(Exception):\n    def __init__(self, why):\n"
+              "        self.why = why\n        self.n = 0\n        self.n += 1\n\n"
+              "def f(a):\n    a.y = 2\n    return a.x\n")
+    reader = "def g(b):\n    return b.n\n"
+    assert unread_attributes([source], [source, reader]) == ["A.y", "B.why"]
+
+
+def test_no_unread_attributes():
+    root = Path(alexkit.__file__).parents[2]
+    readers = [p.read_text() for d in ("src", "tests", "perfbench")
+               for p in sorted((root / d).rglob("*.py"))]
+    package = sorted(Path(alexkit.__file__).parent.glob("*.py"))
+    assert unread_attributes([p.read_text() for p in package], readers) == []
 
 
 def function_imports(source: str) -> list[int]:

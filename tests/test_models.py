@@ -149,7 +149,7 @@ class TestSuspension:
     def test_suspension_of_circle_is_round_sphere(self):
         base = models.gen_circle(2 * math.pi, 0.15)
         space, ann = models.gen_spherical_suspension(base, 0.15)
-        assert validate(space).passed
+        assert validate(space)["passed"]
         assert space.diameter == pytest.approx(math.pi, abs=2 * 0.15)
         # spot-check against the closed form for a 2-sphere
         poles = ann.extra["poles"]
@@ -187,18 +187,18 @@ ALL_GENERATORS = [
 @pytest.mark.parametrize("gen", ALL_GENERATORS)
 def test_every_generator_output_validates(gen):
     space = gen()[0]
-    assert validate(space).passed
+    assert validate(space)["passed"]
 
 
 def test_polygon_boundary_extremality():
     space, _ = models.gen_convex_polygon(UNIT_SQUARE, 0.02)
-    assert extremality_check(space.subsets["boundary"], witness_radius=0.2).passed
+    assert extremality_check(space.subsets["boundary"], witness_radius=0.2)["passed"]
 
 
 def test_cone_vertex_extremality_matches_annotation():
     sharp, ann_s = models.gen_cone(math.pi / 2, 0.5, 0.025)
     wide, ann_w = models.gen_cone(1.5 * math.pi, 0.5, 0.025)
-    assert extremality_check(sharp.subsets["vertex"], witness_radius=0.2).passed \
+    assert extremality_check(sharp.subsets["vertex"], witness_radius=0.2)["passed"] \
         == ann_s.subsets["vertex"].extremal
-    assert extremality_check(wide.subsets["vertex"], witness_radius=0.2).passed \
+    assert extremality_check(wide.subsets["vertex"], witness_radius=0.2)["passed"] \
         == ann_w.subsets["vertex"].extremal

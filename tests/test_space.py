@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,11 +12,12 @@ from alexkit.charts import metric_comparison
 from alexkit.errors import KitError, Refusal
 from alexkit.flow import FlowConfig, dist_gradient_lower_bound
 from alexkit.glue import NET_MIN_PITCH_FACTOR, discrete_net
+from alexkit.io import dumps_stable
 from alexkit.space import (ROW_BLOCK_ELEMENTS, Space, ball, calibration_constant,
-                           euclidean_matrix, extremality_check, greedy_packing_ids,
-                           hausdorff_measure_estimate, intrinsic_metric,
-                           packing_dimension_estimate, packing_ids, packing_number,
-                           validate)
+                           effective_spacing, euclidean_matrix, extremality_check,
+                           greedy_packing_ids, hausdorff_measure_estimate,
+                           intrinsic_metric, packing_dimension_estimate, packing_ids,
+                           packing_number, validate)
 from alexkit.strainers import local_strainer_number, unstrained_mass
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -68,31 +70,32 @@ class TestEuclideanMatrix:
 class TestValidate:
     def test_grid_sample_passes(self, square):
         space, _ = square
-        assert validate(space).passed
+        assert validate(space)["passed"]
 
     def test_asymmetric_matrix_fails_naming_pair(self):
         d = np.array([[0, 1.0, 1], [2.0, 0, 1], [1, 1, 0]])
         rep = validate(Space("bad", 0.0, d))
-        fail = [c for c in rep.failures() if c.name == "symmetry"]
-        assert fail and set(fail[0].worst) == {0, 1}
+        fail = [c for c in rep["checks"] if not c["passed"] and c["name"] == "symmetry"]
+        assert fail and set(fail[0]["worst"]) == {0, 1}
 
     def test_triangle_violation_fails_with_triple(self):
         d = np.array([[0, 1, 5.0], [1, 0, 1], [5.0, 1, 0]])
         rep = validate(Space("bad", 0.0, d))
-        fail = [c for c in rep.failures() if c.name == "triangle_inequality"]
-        assert fail and set(fail[0].worst) == {0, 1, 2}
+        fail = [c for c in rep["checks"]
+                if not c["passed"] and c["name"] == "triangle_inequality"]
+        assert fail and set(fail[0]["worst"]) == {0, 1, 2}
 
     def test_positive_curvature_diameter_bound(self):
         d = np.array([[0, 4.0], [4.0, 0]])
         rep = validate(Space("bad", 1.0, d))
-        assert not rep.passed
-        assert any(c.name == "diameter_bound" for c in rep.failures())
+        assert not rep["passed"]
+        assert any(c["name"] == "diameter_bound" for c in rep["checks"] if not c["passed"])
 
     def test_nan_distance_fails_positivity(self):
         d = np.array([[0, 1.0, np.nan], [1.0, 0, 1], [1, 1, 0]])
         rep = validate(Space("bad", 0.0, d))
-        fail = [c for c in rep.failures() if c.name == "positivity"]
-        assert fail and fail[0].worst == (0, 2) and "nan" in fail[0].detail
+        fail = [c for c in rep["checks"] if not c["passed"] and c["name"] == "positivity"]
+        assert fail and fail[0]["worst"] == [0, 2] and "nan" in fail[0]["detail"]
 
     def test_row_blocks_do_not_change_the_report(self, monkeypatch):
         rng = np.random.default_rng(1)
@@ -103,9 +106,9 @@ class TestValidate:
         d[7, 12] += 0.5
         d[35, 36] = d[36, 35] = 0.1  # the least distance twice: (4, 9) is first
         d[4, 9] = d[9, 4] = 0.1
-        whole = validate(Space("bad", 0.0, d)).to_dict()
+        whole = validate(Space("bad", 0.0, d))
         monkeypatch.setattr(space_module, "ROW_BLOCK_ELEMENTS", 1)
-        assert validate(Space("bad", 0.0, d)).to_dict() == whole
+        assert validate(Space("bad", 0.0, d)) == whole
         checks = {c["name"]: c["worst"] for c in whole["checks"]}
         assert checks["symmetry"] == [5, 30] and checks["positivity"] == [4, 9]
 
@@ -115,7 +118,13 @@ class TestValidate:
         diff = pts[:, None] - pts[None]
         d = np.sqrt((diff**2).sum(-1))
         np.fill_diagonal(d, 0)
-        assert validate(Space("big", 0.0, d)).passed
+        assert validate(Space("big", 0.0, d))["passed"]
+
+    def test_report_is_plain_data(self, square):
+        d = np.array([[0, 1.0, np.nan], [1.0, 0, 1], [1, 1, 0]])
+        for space in (square[0], Space("bad", 1.0, d)):
+            rep = validate(space)
+            assert json.loads(dumps_stable(rep)) == rep
 
 
 class TestBall:
@@ -319,6 +328,17 @@ class TestMeasureEstimate:
         intr = hausdorff_measure_estimate(sub, 1, 0.02, "intrinsic")
         assert intr >= ext * 0.95
 
+    def test_filled_square_area_converges_to_one(self):
+        # the greedy packing over-counts a strip of width s_eff / 2 along the
+        # perimeter 4, so the error is at most 2 s_eff; it falls with h
+        errors = []
+        for h in (0.05, 0.04, 0.025):
+            space, _ = models.gen_convex_polygon(UNIT_SQUARE, h)
+            est = hausdorff_measure_estimate(space.all_points_subset(), 2, 2.5 * h)
+            errors.append(abs(est - 1.0))
+            assert errors[-1] <= 2 * effective_spacing(2.5 * h, h)
+        assert errors[0] > errors[1] > errors[2]
+
     def test_refuses_eps_below_resolution(self):
         space, _ = models.gen_segment(1.0, 0.05)
         with pytest.raises(Refusal):
@@ -436,25 +456,31 @@ class TestExtremalityCheck:
     def test_square_boundary_passes(self):
         space, _ = models.gen_convex_polygon(UNIT_SQUARE, 0.02)
         rep = extremality_check(space.subsets["boundary"], witness_radius=0.2)
-        assert rep.passed
-        assert rep.worst_excess <= rep.angle_tol
+        assert rep["passed"]
+        assert rep["worst_excess"] <= rep["angle_tol"]
 
     def test_sharp_cone_vertex_passes(self):
         space, _ = models.gen_cone(math.pi / 2, 0.5, 0.025)
         rep = extremality_check(space.subsets["vertex"], witness_radius=0.2)
-        assert rep.passed
+        assert rep["passed"]
 
     def test_wide_cone_vertex_fails(self):
         space, _ = models.gen_cone(1.5 * math.pi, 0.5, 0.025)
         rep = extremality_check(space.subsets["vertex"], witness_radius=0.2)
-        assert not rep.passed
+        assert not rep["passed"]
         # a witness direction continues past the vertex: excess ~ pi/4
-        assert rep.worst_excess > 0.5
+        assert rep["worst_excess"] > 0.5
 
     def test_interior_point_fails(self):
         space, _ = models.gen_convex_polygon(UNIT_SQUARE, 0.02)
         center = int(np.argmin(np.linalg.norm(space.coords - 0.5, axis=1)))
         sub = space.subset([center], name="one-interior-point")
         rep = extremality_check(sub, witness_radius=0.2)
-        assert not rep.passed
-        assert rep.worst_excess > 1.0
+        assert not rep["passed"]
+        assert rep["worst_excess"] > 1.0
+
+    def test_report_is_plain_data(self):
+        space, _ = models.gen_cone(1.5 * math.pi, 0.5, 0.05)
+        rep = extremality_check(space.subsets["vertex"], witness_radius=0.2)
+        assert rep["local_minima_checked"] > 0
+        assert json.loads(dumps_stable(rep)) == rep
