@@ -107,22 +107,22 @@ def cmd_gen(args):
             verts = json.loads(args.vertices, parse_int=float)  # a huge integer reads as inf
         except json.JSONDecodeError:
             raise Refusal(f"vertices must be JSON, got {args.vertices!r}") from None
-        space, _ = models.gen_convex_polygon(verts, args.h, name=args.name,
-                                             boundary_mode=args.boundary_mode,
-                                             lattice=args.lattice)
+        space = models.gen_convex_polygon(verts, args.h, name=args.name,
+                                          boundary_mode=args.boundary_mode,
+                                          lattice=args.lattice)
     elif kind == "regular-polygon":
-        space, _ = models.gen_regular_polygon(args.n, args.h, name=args.name,
-                                              boundary_mode=args.boundary_mode,
-                                              lattice=args.lattice)
+        space = models.gen_regular_polygon(args.n, args.h, name=args.name,
+                                           boundary_mode=args.boundary_mode,
+                                           lattice=args.lattice)
     elif kind == "segment":
-        space, _ = models.gen_segment(args.length, args.h, name=args.name)
+        space = models.gen_segment(args.length, args.h, name=args.name)
     elif kind == "cone":
-        space, _ = models.gen_cone(args.angle, args.radius, args.h, name=args.name)
+        space = models.gen_cone(args.angle, args.radius, args.h, name=args.name)
     elif kind == "pillow":
-        space, _ = models.gen_pillow(args.side, args.h, name=args.name)
+        space = models.gen_pillow(args.side, args.h, name=args.name)
     elif kind == "suspension":
         base = load_space(args.base)
-        space, _ = models.gen_spherical_suspension(base, args.h, name=args.name)
+        space = models.gen_spherical_suspension(base, args.h, name=args.name)
     else:
         raise Refusal(f"unknown generator {kind!r}")
     save_space(space, args.out)
@@ -219,19 +219,20 @@ def cmd_glue(args):
 
 def _family_member(mem):
     """One member of a converge family spec, generated by one of the
-    generators that take JSON parameters and return (space, annotation)."""
+    generators that take JSON parameters; its exact measure defaults to the
+    subset's ``exact_measure`` in the space's annotations."""
     name = mem.get("generator")
     if name not in ("convex-polygon", "regular-polygon", "segment", "cone", "pillow"):
         raise Refusal(f"unknown generator {name!r} in family")
     gen = getattr(models, "gen_" + name.replace("-", "_"))
     try:
-        space, ann = gen(**mem.get("params", {}))
+        space = gen(**mem.get("params", {}))
     except TypeError as e:  # a parameter the generator does not take, or lacks
         raise Refusal(f"family member {mem.get('label', name)!r}: "
                       f"bad generator parameters: {e}") from None
     subset = _subset(space, mem.get("subset", "boundary"))
-    info = ann.subsets.get(subset.name)
-    exact = mem.get("exact", info.exact_measure if info else None)
+    info = space.annotations["subsets"].get(subset.name, {})
+    exact = mem.get("exact", info.get("exact_measure"))
     return {"label": mem.get("label", space.name), "subset": subset,
             "exact": _finite_or_null(exact, f"exact measure of {subset.name!r}")}
 
@@ -265,18 +266,20 @@ def cmd_run(args):
     cfg = json.loads(Path(args.config).read_text())
     if not isinstance(cfg, dict):
         raise Refusal("config must be a JSON object")
-    if "command" not in cfg:
-        raise Refusal("config missing required key 'command'")
-    command = cfg.pop("command")
+    command = cfg.pop("command", None)
+    if not isinstance(command, str) or command == "run":
+        raise Refusal(f"config 'command' must name a command other than 'run', "
+                      f"got {command!r}")
     argv = [command]
     for key, value in sorted(cfg.items()):
+        option = f"--{key.replace('_', '-')}"
         if isinstance(value, bool):
             if value:
-                argv.append(f"--{key.replace('_', '-')}")
+                argv.append(option)
         elif key == "kind":
             argv.append(str(value))
         else:
-            argv.extend([f"--{key.replace('_', '-')}", str(value)])
+            argv.extend([option, str(value)])
     return main(argv)
 
 
@@ -442,7 +445,7 @@ def main(argv=None) -> int:
     except KitError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, MemoryError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 

@@ -1,74 +1,36 @@
 """Generators of sampled model spaces with ground-truth annotations.
 
-Every generator returns (Space, ModelAnnotation).  Annotations carry exact
-measures (perimeters, areas), marked extremal subsets, and regular/singular
-point ids used as oracles by the tests.  Doubles freeze graph-computed
-geodesic distances into the matrix; the O(h) graph error is absorbed into the
-declared resolution.
+Every generator returns a Space.  A model's ground truth lives only in
+``space.annotations``, the dict its space file stores: ``{"subsets": {name:
+{"ids", "extremal", "exact_measure"?, "regular_ids"?, "singular_ids"?}},
+"extra": {...}}``, ids as lists.  It carries exact measures (perimeters,
+areas), marked extremal subsets, and regular/singular point ids used as
+oracles by the tests.  Doubles freeze graph-computed geodesic distances into
+the matrix; the O(h) graph error is absorbed into the declared resolution.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .errors import KitError, Refusal
+from .errors import Refusal
 from .space import Space, euclidean_matrix, validate
 
 CORNER_EXCLUSION_FACTOR = 2.0  # regular ids stay 2h clear of corners
 
 
-@dataclass
-class SubsetInfo:
-    ids: np.ndarray
-    extremal: bool
-    exact_measure: float | None = None
-    regular_ids: np.ndarray | None = None
-    singular_ids: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=int)
-        if self.regular_ids is not None:
-            self.regular_ids = np.asarray(self.regular_ids, dtype=int)
-        if self.singular_ids is not None:
-            self.singular_ids = np.asarray(self.singular_ids, dtype=int)
-        own = set(self.ids.tolist())
-        for part in (self.regular_ids, self.singular_ids):
-            if part is not None and not set(part.tolist()) <= own:
-                raise KitError("regular/singular ids must lie in the subset")
-        if self.regular_ids is not None and self.singular_ids is not None:
-            if set(self.regular_ids.tolist()) & set(self.singular_ids.tolist()):
-                raise KitError("regular and singular ids must be disjoint")
-
-
-@dataclass
-class ModelAnnotation:
-    subsets: dict[str, SubsetInfo] = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out = {"subsets": {}, "extra": dict(self.extra)}
-        for name, info in self.subsets.items():
-            d = {"ids": info.ids.tolist(), "extremal": info.extremal}
-            if info.exact_measure is not None:
-                d["exact_measure"] = info.exact_measure
-            if info.regular_ids is not None:
-                d["regular_ids"] = info.regular_ids.tolist()
-            if info.singular_ids is not None:
-                d["singular_ids"] = info.singular_ids.tolist()
-            out["subsets"][name] = d
-        return out
-
-
-def _register_annotation(space: Space, ann: ModelAnnotation):
-    space.annotations = ann.to_dict()
-    for name, info in ann.subsets.items():
-        space.subset(info.ids, name=name, extremal=info.extremal)
+def _annotate(space: Space, subsets: dict, extra: dict) -> Space:
+    """Store ``subsets`` and ``extra`` as ``space.annotations``, in the form
+    the module docstring gives, and register each subset; returns the space."""
+    space.annotations = {"subsets": subsets, "extra": extra}
+    for name, info in subsets.items():
+        space.subset(info["ids"], name=name, extremal=info["extremal"])
+    return space
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +135,7 @@ def _lattice_in_polygon(vertices: np.ndarray, pitch: float, margin: float,
 
 def gen_convex_polygon(vertices, h: float, name: str | None = None,
                        interior: bool = True, boundary_mode: str = "per-edge",
-                       lattice: str = "triangular"):
+                       lattice: str = "triangular") -> Space:
     """Sampled filled convex polygon with its boundary marked extremal.
 
     Lattice interior and arc-length boundary sample, both at pitch h.  The
@@ -186,6 +148,8 @@ def gen_convex_polygon(vertices, h: float, name: str | None = None,
     """
     if h <= 0:
         raise Refusal("pitch h must be positive")
+    if lattice not in ("triangular", "square"):
+        raise Refusal(f"lattice must be 'triangular' or 'square', got {lattice!r}")
     vertices = _vertex_array(vertices)
     _convexity_check(vertices)
     edges = np.linalg.norm(np.roll(vertices, -1, axis=0) - vertices, axis=1)
@@ -197,7 +161,8 @@ def gen_convex_polygon(vertices, h: float, name: str | None = None,
     elif boundary_mode == "loop-uniform":
         bpts, corner_pos, pitch = _polygon_boundary_loop_uniform(vertices, h)
     else:
-        raise KitError(f"unknown boundary_mode {boundary_mode!r}")
+        raise Refusal(f"boundary_mode must be 'per-edge' or 'loop-uniform', "
+                      f"got {boundary_mode!r}")
 
     coords = bpts
     if interior:
@@ -217,20 +182,16 @@ def gen_convex_polygon(vertices, h: float, name: str | None = None,
     regular = np.setdiff1d(regular, corner_ids)
 
     subsets = {
-        "boundary": SubsetInfo(
-            ids=boundary_ids, extremal=True, exact_measure=perimeter,
-            regular_ids=regular, singular_ids=corner_ids),
+        "boundary": {"ids": boundary_ids.tolist(), "extremal": True,
+                     "exact_measure": perimeter, "regular_ids": regular.tolist(),
+                     "singular_ids": corner_ids.tolist()},
     }
     if len(coords) > len(bpts):
-        subsets["interior"] = SubsetInfo(
-            ids=np.arange(len(bpts), len(coords)), extremal=False)
-    ann = ModelAnnotation(
-        subsets=subsets,
-        extra={"perimeter": perimeter, "n_vertices": len(vertices),
-               "boundary_pitch": pitch},
-    )
-    _register_annotation(space, ann)
-    return space, ann
+        subsets["interior"] = {"ids": list(range(len(bpts), len(coords))),
+                               "extremal": False}
+    return _annotate(space, subsets,
+                     {"perimeter": perimeter, "n_vertices": len(vertices),
+                      "boundary_pitch": pitch})
 
 
 def regular_polygon_vertices(n: int, circumradius: float = 1.0) -> np.ndarray:
@@ -238,14 +199,14 @@ def regular_polygon_vertices(n: int, circumradius: float = 1.0) -> np.ndarray:
     return circumradius * np.column_stack([np.cos(ang), np.sin(ang)])
 
 
-def gen_regular_polygon(n: int, h: float, circumradius: float = 1.0, **kwargs):
+def gen_regular_polygon(n: int, h: float, circumradius: float = 1.0, **kwargs) -> Space:
     """Regular n-gon inscribed in a circle; perimeter 2 n R sin(pi/n)."""
     return gen_convex_polygon(regular_polygon_vertices(n, circumradius), h,
                               name=kwargs.pop("name", None) or f"regular{n}gon",
                               **kwargs)
 
 
-def gen_segment(length: float, h: float, name: str | None = None):
+def gen_segment(length: float, h: float, name: str | None = None) -> Space:
     """Straight segment sample; the whole sample marked as a 1-d subset."""
     if length <= 0 or h <= 0:
         raise Refusal("length and pitch must be positive")
@@ -256,14 +217,11 @@ def gen_segment(length: float, h: float, name: str | None = None):
     dist = euclidean_matrix(coords)
     space = Space(name or "segment", kappa=0.0, dist=dist, coords=coords,
                   resolution=pitch)
-    ids = np.arange(m + 1)
-    ann = ModelAnnotation(
-        subsets={"all": SubsetInfo(ids=ids, extremal=True, exact_measure=length,
-                                   singular_ids=np.array([0, m]),
-                                   regular_ids=ids[1:-1])},
-        extra={"length": length})
-    _register_annotation(space, ann)
-    return space, ann
+    ids = list(range(m + 1))
+    return _annotate(space,
+                     {"all": {"ids": ids, "extremal": True, "exact_measure": length,
+                              "regular_ids": ids[1:-1], "singular_ids": [0, m]}},
+                     {"length": length})
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +236,7 @@ def cone_distance(s, phi, t, psi, total_angle):
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-def gen_cone(total_angle: float, radius: float, h: float, name: str | None = None):
+def gen_cone(total_angle: float, radius: float, h: float, name: str | None = None) -> Space:
     """Metric cone of cone angle theta sampled up to the given radius.
 
     The vertex is marked as a 0-dimensional extremal subset iff theta <= pi
@@ -305,13 +263,10 @@ def gen_cone(total_angle: float, radius: float, h: float, name: str | None = Non
     space = Space(name or f"cone{total_angle:.3f}", kappa=0.0, dist=dist,
                   coords=coords, resolution=h)
     vertex_extremal = total_angle <= math.pi
-    ann = ModelAnnotation(
-        subsets={"vertex": SubsetInfo(ids=np.array([0]), extremal=vertex_extremal)},
-        extra={"cone_angle": total_angle,
-               "direction_diameter": min(total_angle / 2.0, math.pi),
-               "vertex_extremal": vertex_extremal})
-    _register_annotation(space, ann)
-    return space, ann
+    return _annotate(space, {"vertex": {"ids": [0], "extremal": vertex_extremal}},
+                     {"cone_angle": total_angle,
+                      "direction_diameter": min(total_angle / 2.0, math.pi),
+                      "vertex_extremal": vertex_extremal})
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +277,7 @@ def gen_cone(total_angle: float, radius: float, h: float, name: str | None = Non
 _PILLOW_OFFSETS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1), (1, -2)]
 
 
-def gen_pillow(side: float, h: float, name: str | None = None):
+def gen_pillow(side: float, h: float, name: str | None = None) -> Space:
     """Double of a square glued along its boundary, distances via geodesic graph.
 
     The four corners have cone angle pi (two right angles glued) and are
@@ -363,21 +318,18 @@ def gen_pillow(side: float, h: float, name: str | None = None):
     space = Space(name or "pillow", kappa=0.0, dist=dist, coords=None,
                   resolution=pitch)
     corners = sheet_a[[0, 0, m, m], [0, m, 0, m]].tolist()
-    subsets = {f"corner_{k}": SubsetInfo(ids=np.array([c]), extremal=True)
-               for k, c in enumerate(corners)}
-    ann = ModelAnnotation(
-        subsets=subsets,
-        extra={"area": 2.0 * side * side, "corner_cone_angle": math.pi,
-               "corner_ids": corners, "side": side,
-               "sheet_a_size": int(n_a), "antipodal_pair": [corners[0], corners[3]]})
-    _register_annotation(space, ann)
-    return space, ann
+    return _annotate(space,
+                     {f"corner_{k}": {"ids": [c], "extremal": True}
+                      for k, c in enumerate(corners)},
+                     {"area": 2.0 * side * side, "corner_cone_angle": math.pi,
+                      "corner_ids": corners, "side": side, "sheet_a_size": int(n_a),
+                      "antipodal_pair": [corners[0], corners[3]]})
 
 
 # ---------------------------------------------------------------------------
 # spherical suspensions
 
-def gen_spherical_suspension(base: Space, h: float, name: str | None = None):
+def gen_spherical_suspension(base: Space, h: float, name: str | None = None) -> Space:
     """Spherical suspension of a curvature >= 1 space, poles included.
 
     cos d((s,x),(t,y)) = cos s cos t + sin s sin t cos d_base(x, y) with
@@ -417,12 +369,8 @@ def gen_spherical_suspension(base: Space, h: float, name: str | None = None):
     res = max(h, base.resolution or 0.0)
     space = Space(name or f"susp({base.name})", kappa=1.0, dist=dist,
                   coords=None, resolution=res)
-    ann = ModelAnnotation(
-        subsets={},
-        extra={"poles": [0, int(len(ss) - 1)], "levels": levels,
-               "base_size": nb})
-    _register_annotation(space, ann)
-    return space, ann
+    return _annotate(space, {}, {"poles": [0, int(len(ss) - 1)], "levels": levels,
+                                 "base_size": nb})
 
 
 def gen_circle(length: float, h: float, name: str | None = None) -> Space:

@@ -28,13 +28,12 @@ def edge_midpoint_strainer(space, subset, target_xy, ell, delta=0.1,
 
 @pytest.fixture(scope="module")
 def boundary_space():
-    space, ann = models.gen_convex_polygon(UNIT_SQUARE, 0.01, interior=False)
-    return space, ann
+    return models.gen_convex_polygon(UNIT_SQUARE, 0.01, interior=False)
 
 
 class TestBuildChart:
     def test_straight_edge_intrinsic_ratios_exactly_one(self, boundary_space):
-        space, _ = boundary_space
+        space = boundary_space
         sub = space.subsets["boundary"]
         s = edge_midpoint_strainer(space, sub, (0.5, 0.0), ell=0.06)
         chart = build_chart(sub, s, radius=0.1)
@@ -43,7 +42,7 @@ class TestBuildChart:
         assert chart.stats["extrinsic"]["max_abs_dev"] < 1e-9
 
     def test_values_recomputable_from_matrix(self, boundary_space):
-        space, _ = boundary_space
+        space = boundary_space
         sub = space.subsets["boundary"]
         s = edge_midpoint_strainer(space, sub, (0.5, 0.0), ell=0.06)
         chart = build_chart(sub, s, radius=0.1)
@@ -52,7 +51,7 @@ class TestBuildChart:
             assert row[0] == space.dist[a, x]
 
     def test_components_individually_1_lipschitz(self, boundary_space):
-        space, _ = boundary_space
+        space = boundary_space
         sub = space.subsets["boundary"]
         s = edge_midpoint_strainer(space, sub, (0.5, 0.0), ell=0.06)
         chart = build_chart(sub, s, radius=0.3)
@@ -63,9 +62,9 @@ class TestBuildChart:
             assert np.all(diff <= d + 1e-12)
 
     def test_hundred_gon_corner_chart_bound(self):
-        space, ann = models.gen_regular_polygon(100, 0.002, interior=False)
+        space = models.gen_regular_polygon(100, 0.002, interior=False)
         sub = space.subsets["boundary"]
-        edge = ann.extra["perimeter"] / 100
+        edge = space.annotations["extra"]["perimeter"] / 100
         s = edge_midpoint_strainer(space, sub, tuple(space.coords[0]),
                                    ell=edge / 3, delta=0.15,
                                    search_radius=edge)
@@ -76,7 +75,7 @@ class TestBuildChart:
         assert chart.stats["extrinsic"]["max_abs_dev"] <= 3 * (2 * math.pi / 100)
 
     def test_missing_strainer_refused(self):
-        space, _ = models.gen_segment(1.0, 0.01)
+        space = models.gen_segment(1.0, 0.01)
         sub = space.all_points_subset()
         # no pair at a segment endpoint has a positive comparison angle
         s = find_strainer(space, 0, 1, 0.05, 0.1, 0.3)
@@ -85,7 +84,7 @@ class TestBuildChart:
             build_chart(sub, s)
 
     def test_tiny_region_refused(self, boundary_space):
-        space, _ = boundary_space
+        space = boundary_space
         sub = space.subsets["boundary"]
         s = edge_midpoint_strainer(space, sub, (0.5, 0.0), ell=0.06)
         with pytest.raises(Refusal):
@@ -94,7 +93,7 @@ class TestBuildChart:
 
 class TestOpenness:
     def test_segment_interior_realizes_both_directions(self):
-        space, _ = models.gen_segment(1.0, 0.01)
+        space = models.gen_segment(1.0, 0.01)
         sub = space.subsets["all"]
         s = find_strainer(space, 50, 1, 0.05, 0.1, 0.3)
         chart = build_chart(sub, s, radius=0.2)
@@ -102,7 +101,7 @@ class TestOpenness:
         assert out["eps_open"] < 0.01
 
     def test_segment_endpoint_direction_unrealizable(self):
-        space, _ = models.gen_segment(1.0, 0.01)
+        space = models.gen_segment(1.0, 0.01)
         # subset clipped at its end point 29, which the space strains:
         # the outward direction has no probes
         sub = space.subset(np.arange(0, 30), name="tail")
@@ -112,7 +111,7 @@ class TestOpenness:
         assert out["eps_open"] > 1.0
 
     def test_boundary_edge_midpoint_small_defect(self, boundary_space):
-        space, _ = boundary_space
+        space = boundary_space
         sub = space.subsets["boundary"]
         ell = 0.06
         s = edge_midpoint_strainer(space, sub, (0.5, 0.0), ell=ell)
@@ -132,7 +131,7 @@ class TestOpenness:
         ell = 0.3
         eps = []
         for h in (0.05, 0.04, 0.025):
-            space, _ = models.gen_convex_polygon(UNIT_SQUARE, h)
+            space = models.gen_convex_polygon(UNIT_SQUARE, h)
             centre = int(np.argmin(np.linalg.norm(space.coords - 0.5, axis=1)))
             s = find_strainer(space, centre, 2, 0.2, ell, 0.5)
             chart = build_chart(space.all_points_subset(), s, radius=2 * h)
@@ -148,7 +147,7 @@ class TestOpenness:
 
 class TestMetricComparison:
     def test_edge_midpoint_ratio_one(self, boundary_space):
-        space, _ = boundary_space
+        space = boundary_space
         sub = space.subsets["boundary"]
         mid = int(sub.indices[np.argmin(np.linalg.norm(
             space.coords[sub.indices] - np.array([0.5, 0.0]), axis=1))])
@@ -156,15 +155,15 @@ class TestMetricComparison:
         assert out["max_ratio"] == pytest.approx(1.0, abs=4 * 0.01 / 0.1)
 
     def test_corner_ratio_near_sqrt2(self, boundary_space):
-        space, ann = boundary_space
+        space = boundary_space
         sub = space.subsets["boundary"]
-        corner = int(ann.subsets["boundary"].singular_ids[0])
+        corner = space.annotations["subsets"]["boundary"]["singular_ids"][0]
         out = metric_comparison(sub, corner, 0.1)
         assert out["max_ratio"] >= 1.3
         assert out["max_ratio"] <= math.sqrt(2) + 0.02
 
     def test_convex_square_ratio_one(self):
-        space, _ = models.gen_convex_polygon(UNIT_SQUARE, 0.04)
+        space = models.gen_convex_polygon(UNIT_SQUARE, 0.04)
         sub = space.all_points_subset()
         center = int(np.argmin(np.linalg.norm(space.coords - 0.5, axis=1)))
         out = metric_comparison(sub, center, 0.3)
@@ -173,13 +172,12 @@ class TestMetricComparison:
 
 @pytest.fixture(scope="module")
 def square_with_interior():
-    space, ann = models.gen_convex_polygon(UNIT_SQUARE, 0.02)
-    return space, ann
+    return models.gen_convex_polygon(UNIT_SQUARE, 0.02)
 
 
 class TestQuasigeodesic:
     def test_straight_chord_has_no_violation(self, square_with_interior):
-        space, _ = square_with_interior
+        space = square_with_interior
         # points along the bottom edge form a straight chord
         sub = space.subsets["boundary"]
         edge_ids = [int(i) for i in sub.indices
@@ -191,7 +189,7 @@ class TestQuasigeodesic:
         assert out["max_violation"] <= 1e-9
 
     def test_boundary_geodesic_around_corner(self, square_with_interior):
-        space, _ = square_with_interior
+        space = square_with_interior
         sub = space.subsets["boundary"]
         ids = sub.indices
         start = int(ids[np.argmin(np.linalg.norm(
@@ -206,7 +204,7 @@ class TestQuasigeodesic:
         assert out["max_violation"] <= 1e-6 + 4 * 0.02
 
     def test_path_from_a_point_to_itself(self, square_with_interior):
-        space, _ = square_with_interior
+        space = square_with_interior
         sub = space.subsets["boundary"]
         p = int(sub.indices[5])
         with warnings.catch_warnings():
@@ -216,7 +214,7 @@ class TestQuasigeodesic:
         assert path.step == 0.0 and path.meta["length"] == 0.0
 
     def test_zigzag_negative_control(self, square_with_interior):
-        space, _ = square_with_interior
+        space = square_with_interior
         # sawtooth between two horizontal lines: not unit-speed for its
         # claimed parametrization, so monotonicity must fail badly
         xs = np.arange(0.1, 0.9, 0.04)
@@ -233,7 +231,7 @@ class TestQuasigeodesic:
         assert out["max_violation"] > 0.1
 
     def test_viewpoint_on_path_rejected(self, square_with_interior):
-        space, _ = square_with_interior
+        space = square_with_interior
         curve = Curve(points=np.array([0, 1, 2, 3]), step=0.02)
         with pytest.raises(KitError):
             quasigeodesic_check(space, curve, 2)
@@ -242,9 +240,9 @@ class TestQuasigeodesic:
 class TestDistortionTrend:
     @staticmethod
     def ngon_edge_chart(n, h=0.002):
-        space, ann = models.gen_regular_polygon(n, h, interior=False)
+        space = models.gen_regular_polygon(n, h, interior=False)
         sub = space.subsets["boundary"]
-        edge = ann.extra["perimeter"] / n
+        edge = space.annotations["extra"]["perimeter"] / n
         # delta falls with n but stays above the vertex margin 2*pi/n
         s = edge_midpoint_strainer(space, sub, tuple(space.coords[0]),
                                    ell=edge / 3, delta=0.3 * 25 / n,
@@ -261,7 +259,7 @@ class TestDistortionTrend:
             assert out["converging"]
 
     def test_flat_charts_saturate_at_zero(self):
-        space, _ = models.gen_convex_polygon(UNIT_SQUARE, 0.01, interior=False)
+        space = models.gen_convex_polygon(UNIT_SQUARE, 0.01, interior=False)
         sub = space.subsets["boundary"]
         charts = []
         for radius in (0.12, 0.1, 0.08):
@@ -273,9 +271,9 @@ class TestDistortionTrend:
     def test_corner_anchored_charts_flagged(self):
         charts = []
         for n, h in ((25, 0.004), (25, 0.002), (25, 0.001)):
-            space, ann = models.gen_regular_polygon(n, h, interior=False)
+            space = models.gen_regular_polygon(n, h, interior=False)
             sub = space.subsets["boundary"]
-            corner = int(ann.subsets["boundary"].singular_ids[0])
+            corner = space.annotations["subsets"]["boundary"]["singular_ids"][0]
             s = find_strainer(space, corner, 1, delta=0.3, ell=0.1,
                               search_radius=0.3)
             assert s is not None  # corner of a 25-gon is mildly strained
@@ -284,7 +282,7 @@ class TestDistortionTrend:
         assert not out["converging"]
 
     def test_needs_three_members(self):
-        space, _ = models.gen_convex_polygon(UNIT_SQUARE, 0.01, interior=False)
+        space = models.gen_convex_polygon(UNIT_SQUARE, 0.01, interior=False)
         sub = space.subsets["boundary"]
         s = edge_midpoint_strainer(space, sub, (0.5, 0.0), ell=0.06)
         chart = build_chart(sub, s, radius=0.1)

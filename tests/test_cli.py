@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from alexkit import models
 from alexkit.charts import quasigeodesic_check
 from alexkit.cli import DEFAULT_SEED, build_parser, main
 from alexkit.glue import build_projection, projection_quality
@@ -209,6 +210,11 @@ def test_qcheck_path_non_integer_id_refused(path, segment_file, tmp_path, capsys
     *[pytest.param(["run", "--config"], "config.json", config,
                    "config must be a JSON object", id=f"run-{config}")
       for config in ['"command"', '["command"]']],
+    *[pytest.param(["run", "--config"], "config.json", config,
+                   f"config 'command' must name a command other than 'run', got {got}",
+                   id=f"run-command-{got}")
+      for config, got in [('{"command": 5}', "5"), ("{}", "None"),
+                          ('{"command": "run", "config": "SELF"}', "'run'")]],
     *[pytest.param(["converge", "--m", "1", "--eps", "0.5", "--family"], "family.json",
                    family, "family must be an object whose members are a list of objects",
                    id=f"converge-{family}")
@@ -244,12 +250,19 @@ def test_qcheck_path_non_integer_id_refused(path, segment_file, tmp_path, capsys
            "exact measure of 'all' must be null or a finite number, got 'x'"),
           ("subset-list", {"members": [{"generator": "segment", "subset": ["all"],
                                         "params": {"length": 1.0, "h": 0.25}}]},
-           "space has no subset named ['all']; available: ['all']")]],
+           "space has no subset named ['all']; available: ['all']"),
+          ("lattice", {"members": [{"generator": "regular-polygon",
+                                    "params": {"n": 4, "h": 0.25, "lattice": "hexagonal"}}]},
+           "lattice must be 'triangular' or 'square', got 'hexagonal'"),
+          ("boundary-mode", {"members": [{"generator": "regular-polygon",
+                                          "params": {"n": 4, "h": 0.25,
+                                                     "boundary_mode": "spiral"}}]},
+           "boundary_mode must be 'per-edge' or 'loop-uniform', got 'spiral'")]],
 ])
 def test_json_input_of_the_wrong_shape_is_a_refusal(argv, name, text, reason,
                                                     segment_file, tmp_path, capsys):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text.replace("SELF", str(path)))  # a config that runs itself
     argv = [segment_file if a == "SEGMENT" else a for a in argv] + [str(path)]
     code, line = refused_cleanly(argv, capsys)
     assert (code, line) == (2, f"refusal: {reason}")
@@ -290,6 +303,19 @@ def test_gen_malformed_vertices_is_a_refusal(vertices, tmp_path, capsys):
     code, line = refused_cleanly(["gen", "polygon", "--vertices", vertices,
                                   "--h", "0.1", "--out", str(out)], capsys)
     assert code == 2 and line.startswith("refusal: vertices must be ")
+    assert not out.exists()
+
+
+def test_a_sample_too_large_to_allocate_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def out_of_memory(coords):  # what numpy raises for a matrix it cannot allocate
+        raise MemoryError(f"Unable to allocate the {len(coords)}-point distance matrix")
+
+    monkeypatch.setattr(models, "euclidean_matrix", out_of_memory)
+    out = tmp_path / "out.json"
+    code, line = refused_cleanly(["gen", "segment", "--h", "0.25", "--out", str(out)],
+                                 capsys)
+    assert (code, line) == (1, "error: MemoryError: Unable to allocate the 5-point "
+                               "distance matrix")
     assert not out.exists()
 
 

@@ -13,7 +13,7 @@ H = 0.05
 
 @pytest.fixture(scope="module")
 def square():
-    space, _ = models.gen_convex_polygon([(0, 0), (1, 0), (1, 1), (0, 1)], H)
+    space = models.gen_convex_polygon([(0, 0), (1, 0), (1, 1), (0, 1)], H)
     return space
 
 
@@ -33,7 +33,7 @@ def test_step_below_two_pitches_refused(square):
 
 
 def test_derivative_is_one_straight_away_from_q():
-    segment, _ = models.gen_segment(1.0, 0.1)
+    segment = models.gen_segment(1.0, 0.1)
     # x = 0.5 lies between q = 0 and w = 1 on the segment
     assert directional_derivative(segment, 0, 5, 10) == 1.0
 
@@ -67,7 +67,7 @@ def test_invariance_separates_boundary_from_midline(square, cfg):
 
 
 def test_invariance_records_a_stall_where_the_annulus_is_empty():
-    segment, _ = models.gen_segment(1.0, 0.1)
+    segment = models.gen_segment(1.0, 0.1)
     # samples lie at whole multiples of h, none in [2.5h, 2.9h]
     cfg = FlowConfig(step=0.25, witness_radius=0.29)
     left = Subset(segment, np.arange(5), name="left")

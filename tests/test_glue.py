@@ -27,7 +27,7 @@ def digest(obj) -> str:
 @pytest.fixture(scope="module")
 def collar():
     # the collar-32gon benchmark workload at seed 0
-    space, _ = models.gen_regular_polygon(32, 0.04, circumradius=0.6)
+    space = models.gen_regular_polygon(32, 0.04, circumradius=0.6)
     gmap = build_projection(space.subsets["boundary"], 1, 0.25, 0.1, 0.16, rho=0.03)
     return gmap, projection_quality(gmap)
 
@@ -49,8 +49,8 @@ def test_projection_domain_holds_the_subset(collar):
 
 
 def test_cross_space_digest(monkeypatch):
-    se, _ = models.gen_regular_polygon(32, 0.04, circumradius=0.6)
-    sf, _ = models.gen_regular_polygon(32, 0.03, circumradius=0.6)
+    se = models.gen_regular_polygon(32, 0.04, circumradius=0.6)
+    sf = models.gen_regular_polygon(32, 0.03, circumradius=0.6)
     nearest = np.argmin(((se.coords[:, None, :] - sf.coords[None, :, :]) ** 2)
                         .sum(axis=-1), axis=1)
     netted = []
@@ -68,8 +68,8 @@ def test_cross_space_digest(monkeypatch):
 
 
 def test_cross_space_refuses_when_no_pair_is_r_apart():
-    se, _ = models.gen_segment(1.0, 0.05)
-    sf, _ = models.gen_segment(1.0, 0.04)
+    se = models.gen_segment(1.0, 0.05)
+    sf = models.gen_segment(1.0, 0.04)
     nearest = np.argmin(np.abs(se.coords[:, None, 0] - sf.coords[None, :, 0]), axis=1)
     # the middle tenth of the segment: no two strained points are r = 0.2 apart
     middle = se.subset(np.flatnonzero(np.abs(se.coords[:, 0] - 0.5) <= 0.05),
@@ -81,7 +81,7 @@ def test_cross_space_refuses_when_no_pair_is_r_apart():
 
 @pytest.mark.parametrize("m", [0, -1])
 def test_chart_gluing_refuses_dimension_below_one(m):
-    space, _ = models.gen_regular_polygon(8, 0.1)
+    space = models.gen_regular_polygon(8, 0.1)
     sub = space.subsets["boundary"]
     with pytest.raises(Refusal, match=f"m >= 1, got m = {m}"):
         build_projection(sub, m, 0.25, 0.1, 0.4)
@@ -91,7 +91,7 @@ def test_chart_gluing_refuses_dimension_below_one(m):
 
 
 def test_net_is_discrete_and_maximal():
-    space, _ = models.gen_regular_polygon(12, 0.05, circumradius=0.6)
+    space = models.gen_regular_polygon(12, 0.05, circumradius=0.6)
     sub = space.subsets["boundary"]
     net = discrete_net(sub, 0.25)
     d = space.dist[np.ix_(net, net)]

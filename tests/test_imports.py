@@ -1,5 +1,6 @@
 """Every module of the package uses what it imports, every local it assigns
-and every attribute it stores, and imports at module level.
+and every attribute it stores, and imports at module level; every test file
+uses what it imports and every local it assigns.
 
 No linter is installed, so a walk over each module's syntax tree stands in
 for pyflakes' unused-import and unused-local checks and for vulture's unused
@@ -18,6 +19,7 @@ import alexkit
 
 MODULES = sorted(p for p in Path(alexkit.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,7 +41,7 @@ def test_checker_finds_unused_imports():
     assert unused_imports(source) == ["os", "pi"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -65,7 +67,7 @@ def test_checker_finds_unused_locals():
     assert unused_locals(source) == ["f.b", "f.e", "f.h", "g.h", "m.total"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=lambda p: p.name)
 def test_no_unused_locals(path):
     assert unused_locals(path.read_text()) == []
 

@@ -17,7 +17,7 @@ from alexkit.space import Space
 
 @pytest.fixture(scope="module")
 def polygon():
-    space, _ = models.gen_convex_polygon([(0, 0), (1, 0), (0.4, 0.8)], 0.1)
+    space = models.gen_convex_polygon([(0, 0), (1, 0), (0.4, 0.8)], 0.1)
     return space
 
 

@@ -39,8 +39,7 @@ def no_gc():
 
 @pytest.fixture(scope="module")
 def twelve_gon():
-    space, _ = models.gen_regular_polygon(12, H)
-    return space
+    return models.gen_regular_polygon(12, H)
 
 
 def traced_peak(fn) -> int:
@@ -58,16 +57,16 @@ def traced_peak(fn) -> int:
 # lifetimes
 
 def test_a_generated_space_dies_on_del(no_gc):
-    space, ann = models.gen_regular_polygon(12, 0.2)
+    space = models.gen_regular_polygon(12, 0.2)
     assert [space.subsets[name].size for name in space.subsets]
     ref = weakref.ref(space)
-    del space, ann
+    del space
     assert ref() is None
 
 
 def test_a_loaded_space_dies_on_del_after_its_subsets_are_read(no_gc, tmp_path):
     path = tmp_path / "space.json"
-    save_space(models.gen_regular_polygon(12, 0.2)[0], path)
+    save_space(models.gen_regular_polygon(12, 0.2), path)
     space = load_space(path)
     assert [space.subsets[name].size for name in space.subsets]
     ref = weakref.ref(space)
@@ -76,7 +75,7 @@ def test_a_loaded_space_dies_on_del_after_its_subsets_are_read(no_gc, tmp_path):
 
 
 def test_a_subset_keeps_its_space(no_gc):
-    space, _ = models.gen_regular_polygon(12, 0.2)
+    space = models.gen_regular_polygon(12, 0.2)
     boundary = space.subsets["boundary"]
     ref = weakref.ref(space)
     del space
@@ -101,9 +100,9 @@ def test_converge_holds_one_family_space_at_a_time(no_gc, tmp_path, monkeypatch)
 
     def counted_gen(*args, **kwargs):
         alive_at_gen.append(sum(r() is not None for r in refs))
-        space, ann = gen(*args, **kwargs)
+        space = gen(*args, **kwargs)
         refs.append(weakref.ref(space))
-        return space, ann
+        return space
 
     monkeypatch.setattr(models, "gen_regular_polygon", counted_gen)
     assert converge(write_family(tmp_path / "family.json"), tmp_path / "out.json") == 0

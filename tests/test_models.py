@@ -6,29 +6,31 @@ import pytest
 
 from alexkit import models
 from alexkit.errors import Refusal
-from alexkit.space import extremality_check, validate
+from alexkit.space import Space, extremality_check, validate
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
 
 class TestConvexPolygon:
     def test_square_annotations(self):
-        space, ann = models.gen_convex_polygon(UNIT_SQUARE, 0.02)
-        info = ann.subsets["boundary"]
-        assert info.exact_measure == pytest.approx(4.0)
-        assert info.singular_ids.size == 4
-        assert np.all(np.isin(info.singular_ids, info.ids))
-        assert not set(info.regular_ids) & set(info.singular_ids)
+        space = models.gen_convex_polygon(UNIT_SQUARE, 0.02)
+        info = space.annotations["subsets"]["boundary"]
+        assert info["exact_measure"] == pytest.approx(4.0)
+        assert len(info["singular_ids"]) == 4
+        assert set(info["singular_ids"]) <= set(info["ids"])
+        assert not set(info["regular_ids"]) & set(info["singular_ids"])
 
     def test_twelve_gon_perimeter(self):
-        space, ann = models.gen_regular_polygon(12, 0.02)
+        space = models.gen_regular_polygon(12, 0.02)
+        info = space.annotations["subsets"]["boundary"]
         expected = 24 * math.sin(math.pi / 12)
-        assert ann.subsets["boundary"].exact_measure == pytest.approx(expected)
+        assert info["exact_measure"] == pytest.approx(expected)
         assert abs(expected - 6.2117) < 1e-4
 
     def test_right_triangle_perimeter(self):
-        space, ann = models.gen_convex_polygon([(0, 0), (1, 0), (0, 1)], 0.02)
-        assert ann.subsets["boundary"].exact_measure == pytest.approx(2 + math.sqrt(2))
+        space = models.gen_convex_polygon([(0, 0), (1, 0), (0, 1)], 0.02)
+        info = space.annotations["subsets"]["boundary"]
+        assert info["exact_measure"] == pytest.approx(2 + math.sqrt(2))
 
     def test_nonconvex_refused(self):
         with pytest.raises(Refusal):
@@ -38,37 +40,44 @@ class TestConvexPolygon:
         with pytest.raises(Refusal):
             models.gen_convex_polygon([(0, 0), (0.5, 0), (1, 0), (1, 1)], 0.05)
 
+    @pytest.mark.parametrize("option, allowed", [
+        ({"lattice": "hexagonal"}, "'triangular' or 'square'"),
+        ({"boundary_mode": "spiral"}, "'per-edge' or 'loop-uniform'")])
+    def test_unknown_sampling_refused(self, option, allowed):
+        with pytest.raises(Refusal, match=allowed):
+            models.gen_convex_polygon(UNIT_SQUARE, 0.1, **option)
+
     def test_loop_uniform_pitch_is_exact(self):
-        space, ann = models.gen_convex_polygon(UNIT_SQUARE, 0.021,
-                                               boundary_mode="loop-uniform",
-                                               interior=False)
-        b = space.coords[ann.subsets["boundary"].ids]
+        space = models.gen_convex_polygon(UNIT_SQUARE, 0.021,
+                                          boundary_mode="loop-uniform",
+                                          interior=False)
+        b = space.coords[space.annotations["subsets"]["boundary"]["ids"]]
         gaps = np.linalg.norm(np.roll(b, -1, axis=0) - b, axis=1)
         # arcs are uniform; chords equal arcs except across the 4 corners
         assert np.isclose(np.median(gaps), space.resolution, rtol=1e-9)
 
     def test_corner_exclusion_for_regular_ids(self):
-        space, ann = models.gen_convex_polygon(UNIT_SQUARE, 0.02)
-        info = ann.subsets["boundary"]
-        corners = space.coords[info.singular_ids]
-        regs = space.coords[info.regular_ids]
+        space = models.gen_convex_polygon(UNIT_SQUARE, 0.02)
+        info = space.annotations["subsets"]["boundary"]
+        corners = space.coords[info["singular_ids"]]
+        regs = space.coords[info["regular_ids"]]
         d = np.linalg.norm(regs[:, None] - corners[None], axis=-1).min(axis=1)
         assert d.min() > 2 * 0.02
 
 
 class TestCone:
     def test_sharp_vertex_marked_extremal(self):
-        _, ann = models.gen_cone(math.pi / 2, 0.5, 0.05)
-        assert ann.subsets["vertex"].extremal
-        assert ann.extra["direction_diameter"] == pytest.approx(math.pi / 4)
+        space = models.gen_cone(math.pi / 2, 0.5, 0.05)
+        assert space.annotations["subsets"]["vertex"]["extremal"]
+        assert space.annotations["extra"]["direction_diameter"] == pytest.approx(math.pi / 4)
 
     def test_wide_vertex_not_extremal(self):
-        _, ann = models.gen_cone(1.5 * math.pi, 0.5, 0.05)
-        assert not ann.subsets["vertex"].extremal
+        space = models.gen_cone(1.5 * math.pi, 0.5, 0.05)
+        assert not space.annotations["subsets"]["vertex"]["extremal"]
 
     def test_full_angle_is_flat_disk(self):
-        space, ann = models.gen_cone(2 * math.pi, 0.5, 0.05)
-        assert not ann.subsets["vertex"].extremal
+        space = models.gen_cone(2 * math.pi, 0.5, 0.05)
+        assert not space.annotations["subsets"]["vertex"]["extremal"]
         # distances across the vertex behave like the plane
         d = space.dist[0]
         ring = np.flatnonzero(np.isclose(d, 0.5, atol=0.06))
@@ -89,38 +98,36 @@ def pillow():
 class TestPillow:
 
     def test_area_annotation(self, pillow):
-        _, ann = pillow
-        assert ann.extra["area"] == pytest.approx(2.0)
+        assert pillow.annotations["extra"]["area"] == pytest.approx(2.0)
 
     def test_corner_cone_angle(self, pillow):
-        _, ann = pillow
-        assert ann.extra["corner_cone_angle"] == pytest.approx(math.pi)
+        assert pillow.annotations["extra"]["corner_cone_angle"] == pytest.approx(math.pi)
 
     def test_four_extremal_corners(self, pillow):
-        _, ann = pillow
-        corners = [s for n, s in ann.subsets.items() if n.startswith("corner")]
-        assert len(corners) == 4 and all(c.extremal for c in corners)
+        corners = [s for n, s in pillow.annotations["subsets"].items()
+                   if n.startswith("corner")]
+        assert len(corners) == 4 and all(c["extremal"] for c in corners)
 
     def test_antipodal_corner_distance(self, pillow):
-        space, ann = pillow
-        i, j = ann.extra["antipodal_pair"]
+        space = pillow
+        i, j = space.annotations["extra"]["antipodal_pair"]
         h = space.resolution
         assert space.dist[i, j] == pytest.approx(math.sqrt(2), abs=2 * h)
 
     def test_same_sheet_distances_euclidean(self, pillow):
-        space, ann = pillow
+        space = pillow
         # corner to corner along one side stays a straight segment
-        i, j = ann.extra["corner_ids"][0], ann.extra["corner_ids"][1]
+        i, j = space.annotations["extra"]["corner_ids"][:2]
         assert space.dist[i, j] == pytest.approx(1.0, abs=2 * space.resolution)
 
     def test_seam_edges_count_once(self, pillow):
-        space, ann = pillow
+        space = pillow
         # sheet A's row j = 0 is ids 0..m, one side of the glued seam
-        side, h = ann.extra["side"], space.resolution
+        side, h = space.annotations["extra"]["side"], space.resolution
         m = round(side / h)
         seam = np.arange(m + 1)
         np.testing.assert_allclose(space.dist[seam[:-1], seam[1:]], h, rtol=0, atol=1e-12)
-        c = ann.extra["corner_ids"]
+        c = space.annotations["extra"]["corner_ids"]
         for i, j in ((0, 1), (0, 2), (1, 3), (2, 3)):
             assert space.dist[c[i], c[j]] == pytest.approx(side, abs=1e-9)
 
@@ -132,7 +139,7 @@ class TestPillow:
         (2.0, 0.1, 802, "fe08134746f656d0506f8a307fa2596e8033f1366476538f5f2eca8b3d607399"),
     ])
     def test_distance_digest(self, side, h, n, digest):
-        space, _ = models.gen_pillow(side, h)
+        space = models.gen_pillow(side, h)
         assert space.n_points == n
         assert hashlib.sha256(space.dist.tobytes()).hexdigest() == digest
 
@@ -140,19 +147,19 @@ class TestPillow:
 class TestSuspension:
     def test_suspension_of_two_points_is_circle(self):
         base = models.gen_two_point_base()
-        space, ann = models.gen_spherical_suspension(base, 0.1)
+        space = models.gen_spherical_suspension(base, 0.1)
         # sampled circle of length 2*pi: diameter pi, poles antipodal
-        poles = ann.extra["poles"]
+        poles = space.annotations["extra"]["poles"]
         assert space.dist[poles[0], poles[1]] == pytest.approx(math.pi, abs=1e-9)
         assert space.diameter <= math.pi + 1e-9
 
     def test_suspension_of_circle_is_round_sphere(self):
         base = models.gen_circle(2 * math.pi, 0.15)
-        space, ann = models.gen_spherical_suspension(base, 0.15)
+        space = models.gen_spherical_suspension(base, 0.15)
         assert validate(space)["passed"]
         assert space.diameter == pytest.approx(math.pi, abs=2 * 0.15)
         # spot-check against the closed form for a 2-sphere
-        poles = ann.extra["poles"]
+        poles = space.annotations["extra"]["poles"]
         equator = np.flatnonzero(
             np.isclose(space.dist[poles[0]], math.pi / 2, atol=0.08))
         assert equator.size >= 3
@@ -163,12 +170,12 @@ class TestSuspension:
 
     def test_pole_to_pole(self):
         base = models.gen_circle(2 * math.pi, 0.2)
-        space, ann = models.gen_spherical_suspension(base, 0.2)
-        p0, p1 = ann.extra["poles"]
+        space = models.gen_spherical_suspension(base, 0.2)
+        p0, p1 = space.annotations["extra"]["poles"]
         assert space.dist[p0, p1] == pytest.approx(math.pi, abs=1e-9)
 
     def test_rejects_flat_base(self):
-        space, _ = models.gen_segment(1.0, 0.1)
+        space = models.gen_segment(1.0, 0.1)
         with pytest.raises(Refusal):
             models.gen_spherical_suspension(space, 0.1)
 
@@ -186,19 +193,33 @@ ALL_GENERATORS = [
 
 @pytest.mark.parametrize("gen", ALL_GENERATORS)
 def test_every_generator_output_validates(gen):
-    space = gen()[0]
+    space = gen()
     assert validate(space)["passed"]
 
 
+@pytest.mark.parametrize("gen", ALL_GENERATORS + [
+    lambda: models.gen_circle(2 * math.pi, 0.2), models.gen_two_point_base])
+def test_every_generator_returns_the_space_its_annotations_describe(gen):
+    space = gen()
+    assert isinstance(space, Space)
+    for name, info in space.annotations.get("subsets", {}).items():
+        ids = set(info["ids"])
+        regular = set(info.get("regular_ids", []))
+        singular = set(info.get("singular_ids", []))
+        assert regular <= ids and singular <= ids and not regular & singular
+        assert space.subsets[name].indices.tolist() == info["ids"]
+        assert space.subsets[name].extremal_claim == info["extremal"]
+
+
 def test_polygon_boundary_extremality():
-    space, _ = models.gen_convex_polygon(UNIT_SQUARE, 0.02)
+    space = models.gen_convex_polygon(UNIT_SQUARE, 0.02)
     assert extremality_check(space.subsets["boundary"], witness_radius=0.2)["passed"]
 
 
 def test_cone_vertex_extremality_matches_annotation():
-    sharp, ann_s = models.gen_cone(math.pi / 2, 0.5, 0.025)
-    wide, ann_w = models.gen_cone(1.5 * math.pi, 0.5, 0.025)
+    sharp = models.gen_cone(math.pi / 2, 0.5, 0.025)
+    wide = models.gen_cone(1.5 * math.pi, 0.5, 0.025)
     assert extremality_check(sharp.subsets["vertex"], witness_radius=0.2)["passed"] \
-        == ann_s.subsets["vertex"].extremal
+        == sharp.annotations["subsets"]["vertex"]["extremal"]
     assert extremality_check(wide.subsets["vertex"], witness_radius=0.2)["passed"] \
-        == ann_w.subsets["vertex"].extremal
+        == wide.annotations["subsets"]["vertex"]["extremal"]

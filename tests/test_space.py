@@ -25,8 +25,7 @@ UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
 @pytest.fixture(scope="module")
 def square():
-    space, ann = models.gen_convex_polygon(UNIT_SQUARE, 0.05)
-    return space, ann
+    return models.gen_convex_polygon(UNIT_SQUARE, 0.05)
 
 
 def one_temporary_euclidean_matrix(coords, others=None):
@@ -69,7 +68,7 @@ class TestEuclideanMatrix:
 
 class TestValidate:
     def test_grid_sample_passes(self, square):
-        space, _ = square
+        space = square
         assert validate(space)["passed"]
 
     def test_asymmetric_matrix_fails_naming_pair(self):
@@ -122,26 +121,26 @@ class TestValidate:
 
     def test_report_is_plain_data(self, square):
         d = np.array([[0, 1.0, np.nan], [1.0, 0, 1], [1, 1, 0]])
-        for space in (square[0], Space("bad", 1.0, d)):
+        for space in (square, Space("bad", 1.0, d)):
             rep = validate(space)
             assert json.loads(dumps_stable(rep)) == rep
 
 
 class TestBall:
     def test_zero_radius_is_empty(self, square):
-        space, _ = square
+        space = square
         assert ball(space, 0, 0.0).size == 0
 
     def test_positive_radius_contains_center(self, square):
-        space, _ = square
+        space = square
         assert 0 in ball(space, 0, 0.01)
 
     def test_radius_beyond_diameter_is_everything(self, square):
-        space, _ = square
+        space = square
         assert ball(space, 0, space.diameter + 1).size == space.n_points
 
     def test_segment_ball_matches_direct_scan(self):
-        space, _ = models.gen_segment(1.0, 0.1)
+        space = models.gen_segment(1.0, 0.1)
         p = 5  # the point at 0.5
         got = set(ball(space, p, 0.25).tolist())
         want = {i for i in range(space.n_points)
@@ -152,16 +151,16 @@ class TestBall:
 
 class TestIntrinsicMetric:
     def test_square_boundary_opposite_corners(self):
-        space, ann = models.gen_convex_polygon(UNIT_SQUARE, 0.01, interior=False)
+        space = models.gen_convex_polygon(UNIT_SQUARE, 0.01, interior=False)
         sub = space.subsets["boundary"]
-        corners = ann.subsets["boundary"].singular_ids
+        corners = space.annotations["subsets"]["boundary"]["singular_ids"]
         d_e = intrinsic_metric(sub, corners[0])
         # two edges along the boundary, against the sqrt(2) chord
         assert d_e[sub.position(corners[2])] == pytest.approx(2.0, abs=0.02)
         assert space.dist[corners[0], corners[2]] == pytest.approx(math.sqrt(2))
 
     def test_positions_of_members_and_refusal_of_others(self):
-        space, _ = models.gen_segment(1.0, 0.25)
+        space = models.gen_segment(1.0, 0.25)
         sub = space.subset([1, 3, 4], name="odd")
         assert sub.position(3) == 1 and isinstance(sub.position(3), int)
         assert sub.position([4, 1]).tolist() == [2, 0]
@@ -170,13 +169,13 @@ class TestIntrinsicMetric:
                 sub.position(outside)
 
     def test_convex_space_intrinsic_equals_ambient(self, square):
-        space, _ = square
+        space = square
         sub = space.all_points_subset()
         d_e = intrinsic_metric(sub, sub.indices)
         assert np.all(d_e <= space.dist + 2 * sub.link_radius + 1e-9)
 
     def test_lower_bound_by_ambient(self, square):
-        space, _ = square
+        space = square
         sub = space.subsets["boundary"]
         d_e = intrinsic_metric(sub, sub.indices)
         assert np.all(d_e >= sub.ambient_matrix() - 1e-12)
@@ -196,7 +195,7 @@ class TestIntrinsicMetric:
     def test_rows_bitwise_equal_scipy_all_pairs(self, rows):
         # a 25-gon boundary, and the same with two arcs cut out so that it
         # falls apart into components at inf from each other
-        space, _ = models.gen_regular_polygon(25, 0.08, interior=False)
+        space = models.gen_regular_polygon(25, 0.08, interior=False)
         whole = space.subsets["boundary"]
         cut = space.subset(np.setdiff1d(whole.indices, [10, 11, 12, 50, 51, 52]),
                            name="cut")
@@ -210,7 +209,7 @@ class TestIntrinsicMetric:
         assert np.isinf(intrinsic_metric(cut, cut.indices[:1])).any()
 
     def test_non_member_row_is_refused(self, square):
-        space, _ = square
+        space = square
         sub = space.subsets["boundary"]
         with pytest.raises(KitError, match="not in subset"):
             intrinsic_metric(sub, [space.n_points - 1])
@@ -226,41 +225,41 @@ class TestPackingNumber:
     def test_greedy_is_a_lower_bound_of_the_true_maximum(self):
         # pitch 1/24 on [0, 1]: points > 0.3 apart are >= 8 pitches apart,
         # so at most floor(24 / 8) + 1 = 4 of them fit
-        space, _ = models.gen_segment(1.0, 1.0 / 24.0)
+        space = models.gen_segment(1.0, 1.0 / 24.0)
         assert space.n_points == 25
         greedy = packing_number(space, np.arange(space.n_points), 0.3)
         assert 3 <= greedy <= 4
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
     def test_eps_must_be_positive(self, eps, square):
-        space, _ = square
+        space = square
         with pytest.raises(KitError, match="eps must be positive"):
             packing_number(space, [0, 1], eps)
 
     def test_empty_id_list_packs_nothing(self, square):
-        space, _ = square
+        space = square
         assert packing_number(space, [], 0.1) == 0
 
     def test_eps_beyond_diameter(self, square):
-        space, _ = square
+        space = square
         assert packing_number(space, np.arange(space.n_points), 10.0) == 1
 
     def test_tiny_eps_counts_everything(self, square):
-        space, _ = square
+        space = square
         n = space.n_points
         assert packing_number(space, np.arange(n), 1e-9) == n
 
     def test_nonincreasing_in_eps(self, square):
-        space, _ = square
+        space = square
         ids = np.arange(space.n_points)
         values = [packing_number(space, ids, e)
                   for e in (0.05, 0.1, 0.2, 0.4, 0.8)]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_monotone_in_subset(self, square):
-        space, ann = square
-        small = ann.subsets["boundary"].ids[:40]
-        big = ann.subsets["boundary"].ids
+        space = square
+        small = space.annotations["subsets"]["boundary"]["ids"][:40]
+        big = space.annotations["subsets"]["boundary"]["ids"]
         assert (packing_number(space, small, 0.1)
                 <= packing_number(space, big, 0.1))
 
@@ -269,10 +268,10 @@ class TestPackingNumber:
 def packed_subsets(square):
     """A 12-gon boundary, the square's, and the 12-gon's with two arcs of
     4 pitches cut out, whose intrinsic rows hold inf."""
-    space, _ = models.gen_regular_polygon(12, 0.05, circumradius=0.6, interior=False)
+    space = models.gen_regular_polygon(12, 0.05, circumradius=0.6, interior=False)
     whole = space.subsets["boundary"]
     cut = space.subset(np.delete(whole.indices, np.r_[10:14, 50:54]), name="cut")
-    return {"12-gon": whole, "square": square[0].subsets["boundary"], "cut": cut}
+    return {"12-gon": whole, "square": square.subsets["boundary"], "cut": cut}
 
 
 class TestPackingIds:
@@ -299,19 +298,19 @@ class TestPackingIds:
         assert discrete_net(sub, r).tobytes() == want.tobytes()
 
     def test_unknown_metric_is_an_error(self, square):
-        space, _ = square
+        space = square
         with pytest.raises(KitError, match="extrinsic|intrinsic"):
             packing_ids(space, [0, 1], 0.1, "geodesic")
 
 
 class TestMeasureEstimate:
     def test_unit_segment_calibration_point(self):
-        space, _ = models.gen_segment(1.0, 0.05 / 25.95)
+        space = models.gen_segment(1.0, 0.05 / 25.95)
         est = hausdorff_measure_estimate(space.subsets["all"], 1, 0.05)
         assert est == pytest.approx(1.0, abs=0.05)
 
     def test_square_boundary_perimeter_both_metrics(self):
-        space, _ = models.gen_convex_polygon(
+        space = models.gen_convex_polygon(
             UNIT_SQUARE, 0.02 / 25.95, interior=False, boundary_mode="loop-uniform")
         sub = space.subsets["boundary"]
         ext = hausdorff_measure_estimate(sub, 1, 0.02, "extrinsic")
@@ -321,7 +320,7 @@ class TestMeasureEstimate:
         assert abs(ext - intr) / ext < 0.05
 
     def test_intrinsic_at_least_extrinsic_up_to_tolerance(self):
-        space, _ = models.gen_convex_polygon(
+        space = models.gen_convex_polygon(
             UNIT_SQUARE, 0.02 / 25.95, interior=False, boundary_mode="loop-uniform")
         sub = space.subsets["boundary"]
         ext = hausdorff_measure_estimate(sub, 1, 0.02, "extrinsic")
@@ -333,14 +332,14 @@ class TestMeasureEstimate:
         # perimeter 4, so the error is at most 2 s_eff; it falls with h
         errors = []
         for h in (0.05, 0.04, 0.025):
-            space, _ = models.gen_convex_polygon(UNIT_SQUARE, h)
+            space = models.gen_convex_polygon(UNIT_SQUARE, h)
             est = hausdorff_measure_estimate(space.all_points_subset(), 2, 2.5 * h)
             errors.append(abs(est - 1.0))
             assert errors[-1] <= 2 * effective_spacing(2.5 * h, h)
         assert errors[0] > errors[1] > errors[2]
 
     def test_refuses_eps_below_resolution(self):
-        space, _ = models.gen_segment(1.0, 0.05)
+        space = models.gen_segment(1.0, 0.05)
         with pytest.raises(Refusal):
             hausdorff_measure_estimate(space.subsets["all"], 1, 0.05)
 
@@ -385,7 +384,7 @@ FLOORS = {
 
 class TestResolutionFloors:
     def test_require_scale_admits_its_floor_and_refuses_below(self, square):
-        space, _ = square
+        space = square
         h = space.resolution
         assert space.require_scale(2.0 * h, 2.0, "eps") == h
         with pytest.raises(Refusal, match=r"^eps = 0.09 below 2h = 0.1$"):
@@ -396,7 +395,7 @@ class TestResolutionFloors:
     @pytest.mark.parametrize("call, name, factor", FLOORS.values(), ids=list(FLOORS))
     def test_each_caller_refuses_just_below_its_floor(self, call, name, factor,
                                                       square):
-        space, _ = square
+        space = square
         floor = factor * space.resolution
         below = math.nextafter(floor, 0.0)
         with pytest.raises(Refusal) as e:
@@ -405,7 +404,7 @@ class TestResolutionFloors:
 
     @pytest.mark.parametrize("call", [c for c, _, _ in FLOORS.values()], ids=list(FLOORS))
     def test_each_caller_refuses_nan(self, call, square):
-        space, _ = square
+        space = square
         with pytest.raises(Refusal, match="nan"):
             call(space, space.subsets["boundary"], math.nan)
 
@@ -416,37 +415,39 @@ DRIFT_KILL = 1.0 - 1e-9
 class TestPackingDimension:
     def test_square_interior(self):
         h = 0.0125
-        space, ann = models.gen_convex_polygon(UNIT_SQUARE, h, lattice="square")
+        space = models.gen_convex_polygon(UNIT_SQUARE, h, lattice="square")
         grid = [q * h * DRIFT_KILL for q in (3, 4, 6, 10, 16, 30)]
-        out = packing_dimension_estimate(space, ann.subsets["interior"].ids, grid)
+        out = packing_dimension_estimate(
+            space, space.annotations["subsets"]["interior"]["ids"], grid)
         assert out["dimension"] == pytest.approx(2.0, abs=0.15)
 
     def test_square_boundary(self):
-        space, ann = models.gen_convex_polygon(UNIT_SQUARE, 0.01, interior=False)
+        space = models.gen_convex_polygon(UNIT_SQUARE, 0.01, interior=False)
         grid = [q * 0.01 * DRIFT_KILL for q in (3, 5, 10, 15, 30)]
-        out = packing_dimension_estimate(space, ann.subsets["boundary"].ids, grid)
+        out = packing_dimension_estimate(
+            space, space.annotations["subsets"]["boundary"]["ids"], grid)
         assert out["dimension"] == pytest.approx(1.0, abs=0.15)
 
     def test_single_point_is_zero_dimensional(self):
-        space, _ = models.gen_segment(1.0, 0.01)
+        space = models.gen_segment(1.0, 0.01)
         out = packing_dimension_estimate(space, [7], [0.05, 0.2, 0.5])
         assert out["dimension"] == pytest.approx(0.0, abs=1e-9)
 
     def test_refuses_narrow_grid(self):
-        space, _ = models.gen_segment(1.0, 0.01)
+        space = models.gen_segment(1.0, 0.01)
         with pytest.raises(Refusal):
             packing_dimension_estimate(space, np.arange(space.n_points),
                                        [0.1, 0.2, 0.4])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_refuses_non_finite_grid_value(self, bad):
-        space, _ = models.gen_segment(1.0, 0.01)
+        space = models.gen_segment(1.0, 0.01)
         with pytest.raises(Refusal, match="finite"):
             packing_dimension_estimate(space, np.arange(space.n_points),
                                        [0.05, 0.5, bad])
 
     def test_refuses_grid_below_pitch(self):
-        space, _ = models.gen_segment(1.0, 0.01)
+        space = models.gen_segment(1.0, 0.01)
         with pytest.raises(Refusal):
             packing_dimension_estimate(space, np.arange(space.n_points),
                                        [0.01, 0.05, 0.2])
@@ -454,25 +455,25 @@ class TestPackingDimension:
 
 class TestExtremalityCheck:
     def test_square_boundary_passes(self):
-        space, _ = models.gen_convex_polygon(UNIT_SQUARE, 0.02)
+        space = models.gen_convex_polygon(UNIT_SQUARE, 0.02)
         rep = extremality_check(space.subsets["boundary"], witness_radius=0.2)
         assert rep["passed"]
         assert rep["worst_excess"] <= rep["angle_tol"]
 
     def test_sharp_cone_vertex_passes(self):
-        space, _ = models.gen_cone(math.pi / 2, 0.5, 0.025)
+        space = models.gen_cone(math.pi / 2, 0.5, 0.025)
         rep = extremality_check(space.subsets["vertex"], witness_radius=0.2)
         assert rep["passed"]
 
     def test_wide_cone_vertex_fails(self):
-        space, _ = models.gen_cone(1.5 * math.pi, 0.5, 0.025)
+        space = models.gen_cone(1.5 * math.pi, 0.5, 0.025)
         rep = extremality_check(space.subsets["vertex"], witness_radius=0.2)
         assert not rep["passed"]
         # a witness direction continues past the vertex: excess ~ pi/4
         assert rep["worst_excess"] > 0.5
 
     def test_interior_point_fails(self):
-        space, _ = models.gen_convex_polygon(UNIT_SQUARE, 0.02)
+        space = models.gen_convex_polygon(UNIT_SQUARE, 0.02)
         center = int(np.argmin(np.linalg.norm(space.coords - 0.5, axis=1)))
         sub = space.subset([center], name="one-interior-point")
         rep = extremality_check(sub, witness_radius=0.2)
@@ -480,7 +481,7 @@ class TestExtremalityCheck:
         assert rep["worst_excess"] > 1.0
 
     def test_report_is_plain_data(self):
-        space, _ = models.gen_cone(1.5 * math.pi, 0.5, 0.05)
+        space = models.gen_cone(1.5 * math.pi, 0.5, 0.05)
         rep = extremality_check(space.subsets["vertex"], witness_radius=0.2)
         assert rep["local_minima_checked"] > 0
         assert json.loads(dumps_stable(rep)) == rep

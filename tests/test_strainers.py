@@ -65,7 +65,7 @@ def fine_boundary():
 
 class TestFindStrainer:
     def test_square_interior_point_has_2_strainer(self, square):
-        space, _ = square
+        space = square
         center = int(np.argmin(np.linalg.norm(space.coords - 0.5, axis=1)))
         s = find_strainer(space, center, 2, delta=0.1, ell=0.05,
                           search_radius=0.3)
@@ -76,8 +76,8 @@ class TestFindStrainer:
         assert ok and margin == pytest.approx(s.delta_achieved)
 
     def test_square_corner_has_no_1_strainer(self, square):
-        space, ann = square
-        corner = int(ann.subsets["boundary"].singular_ids[0])
+        space = square
+        corner = space.annotations["subsets"]["boundary"]["singular_ids"][0]
         s = find_strainer(space, corner, 1, delta=0.3, ell=0.05,
                           search_radius=0.3)
         assert s is None
@@ -91,35 +91,35 @@ class TestFindStrainer:
         assert ang.max() <= math.pi / 2 + 1e-9
 
     def test_segment_midpoint_collinear(self):
-        space, _ = models.gen_segment(1.0, 0.01)
+        space = models.gen_segment(1.0, 0.01)
         mid = space.n_points // 2
         s = find_strainer(space, mid, 1, delta=0.01, ell=0.05, search_radius=0.4)
         assert s is not None
         assert s.delta_achieved == pytest.approx(0.0, abs=1e-9)
 
     def test_k_zero_is_vacuous(self, square):
-        space, _ = square
+        space = square
         s = find_strainer(space, 0, 0, delta=0.1, ell=0.05, search_radius=0.3)
         assert s is not None and s.k == 0 and s.delta_achieved == 0.0
 
     def test_ell_above_one_refused(self, square):
-        space, _ = square
+        space = square
         with pytest.raises(Refusal):
             find_strainer(space, 0, 1, delta=0.1, ell=1.5, search_radius=2.0)
 
     def test_negative_k_refused(self, square):
-        space, _ = square
+        space = square
         with pytest.raises(Refusal):
             find_strainer(space, 0, -1, delta=0.1, ell=0.05, search_radius=0.3)
 
 
 def witness_corpus_spaces():
     """Small samples of the model spaces, each with its pitch h."""
-    sq, _ = models.gen_convex_polygon(UNIT_SQUARE, 0.1)
-    hexagon, _ = models.gen_regular_polygon(6, 0.1, circumradius=0.6)
-    cone, _ = models.gen_cone(math.pi, 0.5, 0.08)
-    seg, _ = models.gen_segment(1.0, 0.04)
-    susp, _ = models.gen_spherical_suspension(
+    sq = models.gen_convex_polygon(UNIT_SQUARE, 0.1)
+    hexagon = models.gen_regular_polygon(6, 0.1, circumradius=0.6)
+    cone = models.gen_cone(math.pi, 0.5, 0.08)
+    seg = models.gen_segment(1.0, 0.04)
+    susp = models.gen_spherical_suspension(
         models.gen_circle(2 * math.pi, 0.6), 0.35)
     return [(sq, 0.1), (hexagon, 0.1), (cone, 0.08), (seg, 0.04), (susp, 0.35)]
 
@@ -221,7 +221,7 @@ def test_classify_is_find_strainer_at_every_point(classified):
 def test_strainer_number_is_the_largest_k_with_members(classified):
     # every case has full classify masks at k = 1, 2 and 3, and one is empty
     empty = {}
-    for (sub, k, delta, ell, radius), mask in classified:
+    for (sub, _k, delta, ell, radius), mask in classified:
         empty.setdefault((sub, delta, ell, radius), []).append(mask.is_empty())
     for (sub, delta, ell, radius), at_k in empty.items():
         assert strainer_number(sub, delta, ell, radius) == at_k.index(True)
@@ -236,10 +236,10 @@ def test_block_size_does_not_change_masks(classified, monkeypatch):
 
 class TestClassify:
     def test_boundary_edges_strained_corners_not(self, fine_boundary):
-        space, ann = fine_boundary
+        space = fine_boundary
         sub = space.subsets["boundary"]
         mask = classify(sub, 1, delta=0.1, ell=0.05, search_radius=0.2)
-        corners = set(ann.subsets["boundary"].singular_ids.tolist())
+        corners = set(space.annotations["subsets"]["boundary"]["singular_ids"])
         members = set(mask.member_ids.tolist())
         assert not corners & members
         # points away from corners are members
@@ -249,7 +249,7 @@ class TestClassify:
         assert set(far) <= members
 
     def test_witnesses_reverify(self, fine_boundary):
-        space, _ = fine_boundary
+        space = fine_boundary
         sub = space.subsets["boundary"]
         mask = classify(sub, 1, delta=0.1, ell=0.05, search_radius=0.2)
         for p, w in list(mask.witnesses.items())[::17]:
@@ -258,13 +258,13 @@ class TestClassify:
             assert w.length > mask.ell
 
     def test_k2_on_1d_boundary_is_empty(self, fine_boundary):
-        space, _ = fine_boundary
+        space = fine_boundary
         sub = space.subsets["boundary"]
         mask = classify(sub, 2, delta=0.1, ell=0.05, search_radius=0.2)
         assert mask.is_empty()
 
     def test_masks_monotone_in_delta_and_ell(self, fine_boundary):
-        space, _ = fine_boundary
+        space = fine_boundary
         sub = space.subsets["boundary"]
         big = classify(sub, 1, 0.2, 0.05, 0.2)
         small = classify(sub, 1, 0.05, 0.05, 0.2)
@@ -276,25 +276,25 @@ class TestClassify:
 
 class TestStrainerNumber:
     def test_square_boundary_is_one(self, fine_boundary):
-        space, _ = fine_boundary
+        space = fine_boundary
         assert strainer_number(space.subsets["boundary"], 0.1, ell=0.05) == 1
 
     def test_full_square_is_two(self, square):
-        space, _ = square
+        space = square
         sub = space.all_points_subset()
         assert strainer_number(sub, 0.1, ell=0.05, search_radius=0.2) == 2
 
     def test_segment_is_one(self):
-        space, _ = models.gen_segment(1.0, 0.01)
+        space = models.gen_segment(1.0, 0.01)
         assert strainer_number(space.subsets["all"], 0.1, ell=0.05) == 1
 
     def test_cone_vertex_singleton_is_zero(self):
-        space, _ = models.gen_cone(math.pi / 2, 0.5, 0.025)
+        space = models.gen_cone(math.pi / 2, 0.5, 0.025)
         assert strainer_number(space.subsets["vertex"], 0.1, ell=0.05) == 0
 
     def test_refuses_when_the_default_radius_is_not_above_ell(self):
         # the default search radius is min(4 ell, diameter) = 0.04 < ell
-        space, _ = models.gen_segment(0.04, 0.01)
+        space = models.gen_segment(0.04, 0.01)
         sub = space.subsets["all"]
         with pytest.raises(Refusal, match="need ell < search_radius"):
             strainer_number(sub, 0.1, ell=0.05)
@@ -304,7 +304,7 @@ class TestStrainerNumber:
 
 class TestLocalStrainerNumber:
     def test_edge_midpoint_is_one_at_all_scales(self, fine_boundary):
-        space, _ = fine_boundary
+        space = fine_boundary
         sub = space.subsets["boundary"]
         mid = int(sub.indices[np.argmin(
             np.linalg.norm(space.coords[sub.indices] - np.array([0.5, 0.0]),
@@ -314,32 +314,32 @@ class TestLocalStrainerNumber:
         assert all(v == 1 for v in out["profile"].values())
 
     def test_corner_is_one_via_nearby_edge_points(self, fine_boundary):
-        space, ann = fine_boundary
+        space = fine_boundary
         sub = space.subsets["boundary"]
-        corner = int(ann.subsets["boundary"].singular_ids[0])
+        corner = space.annotations["subsets"]["boundary"]["singular_ids"][0]
         out = local_strainer_number(sub, corner, 0.1, scales=[0.4, 0.2, 0.1])
         assert out["value"] == 1
 
     def test_interior_point_of_square_is_two(self, square):
-        space, _ = square
+        space = square
         sub = space.all_points_subset()
         center = int(np.argmin(np.linalg.norm(space.coords - 0.5, axis=1)))
         out = local_strainer_number(sub, center, 0.1, scales=[0.45, 0.3])
         assert out["value"] == 2
 
     def test_refuses_tiny_scales(self, square):
-        space, _ = square
+        space = square
         sub = space.all_points_subset()
         with pytest.raises(Refusal):
             local_strainer_number(sub, 0, 0.1, scales=[0.4, 0.01])
 
     def test_local_subsets_link_at_the_space_radius(self, fine_boundary, monkeypatch):
-        space, ann = fine_boundary
+        space = fine_boundary
         seen = []
         real = strainers.strainer_number
         monkeypatch.setattr(strainers, "strainer_number",
                             lambda sub, *a, **kw: seen.append(sub) or real(sub, *a, **kw))
-        corner = int(ann.subsets["boundary"].singular_ids[0])
+        corner = space.annotations["subsets"]["boundary"]["singular_ids"][0]
         local_strainer_number(space.subsets["boundary"], corner, 0.1, scales=[0.2, 0.1])
         assert len(seen) == 2
         assert all(sub.link_radius == space.link_radius() for sub in seen)
@@ -347,22 +347,22 @@ class TestLocalStrainerNumber:
 
 class TestRegularPoints:
     def test_boundary_masks_converge_to_edge_interiors(self, fine_boundary):
-        space, ann = fine_boundary
+        space = fine_boundary
         sub = space.subsets["boundary"]
         out = regular_points(sub, 1, delta_schedule=(0.2, 0.1, 0.05), ell=0.04)
-        corners = set(ann.subsets["boundary"].singular_ids.tolist())
+        corners = set(space.annotations["subsets"]["boundary"]["singular_ids"])
         assert not corners & set(out["regular_ids"].tolist())
         assert out["regular_ids"].size > 0.5 * sub.size
 
     def test_masks_are_nested(self, fine_boundary):
-        space, _ = fine_boundary
+        space = fine_boundary
         sub = space.subsets["boundary"]
         out = regular_points(sub, 1, delta_schedule=(0.2, 0.1, 0.05), ell=0.04)
         sets = [set(m.member_ids.tolist()) for m in out["masks"]]
         assert sets[2] <= sets[1] <= sets[0]
 
     def test_zero_dimensional_subset_trivially_regular(self):
-        space, _ = models.gen_cone(math.pi / 2, 0.5, 0.025)
+        space = models.gen_cone(math.pi / 2, 0.5, 0.025)
         sub = space.subsets["vertex"]
         out = regular_points(sub, 0, delta_schedule=(0.2, 0.1), ell=0.05)
         assert out["regular_ids"].tolist() == sub.indices.tolist()
@@ -370,7 +370,7 @@ class TestRegularPoints:
     def test_denseness_trend_as_pitch_halves(self):
         fractions = []
         for h in (0.04, 0.02, 0.01):
-            space, _ = models.gen_convex_polygon(UNIT_SQUARE, h, interior=False)
+            space = models.gen_convex_polygon(UNIT_SQUARE, h, interior=False)
             sub = space.subsets["boundary"]
             out = regular_points(sub, 1, delta_schedule=(0.1, 0.05), ell=4 * h)
             fractions.append(out["fractions"][0.05])
@@ -381,13 +381,13 @@ class TestRegularPoints:
                                       "12gon-boundary", "pi-cone"])
     def test_one_scan_equals_per_delta_classify(self, case):
         if case == "pi-cone":
-            space, _ = models.gen_cone(math.pi, 0.5, 0.05)
+            space = models.gen_cone(math.pi, 0.5, 0.05)
             sub, m = space.all_points_subset(), 2
         elif case == "12gon-boundary":
-            space, _ = models.gen_regular_polygon(12, 0.05, interior=False)
+            space = models.gen_regular_polygon(12, 0.05, interior=False)
             sub, m = space.subsets["boundary"], 1
         else:
-            space, _ = models.gen_convex_polygon(UNIT_SQUARE, 0.1)
+            space = models.gen_convex_polygon(UNIT_SQUARE, 0.1)
             sub = space.subsets[case.split("-")[1]]
             m = 1 if case == "square-boundary" else 2
         h = space.resolution
@@ -399,7 +399,7 @@ class TestRegularPoints:
             assert out["regular_ids"].tolist() == want.member_ids.tolist()
 
     def test_schedule_must_descend(self, fine_boundary):
-        space, _ = fine_boundary
+        space = fine_boundary
         with pytest.raises(Refusal):
             regular_points(space.subsets["boundary"], 1,
                            delta_schedule=(0.05, 0.1), ell=0.05)
@@ -407,21 +407,21 @@ class TestRegularPoints:
 
 class TestUnstrainedMass:
     def test_corner_caps_only(self, fine_boundary):
-        space, _ = fine_boundary
+        space = fine_boundary
         sub = space.subsets["boundary"]
         ell = 0.05
         mass = unstrained_mass(sub, 1, 1, delta=0.1, ell=ell, eps=0.02)
         assert mass <= 16 * ell
 
     def test_nonincreasing_as_ell_shrinks(self, fine_boundary):
-        space, _ = fine_boundary
+        space = fine_boundary
         sub = space.subsets["boundary"]
         masses = [unstrained_mass(sub, 1, 1, delta=0.1, ell=l, eps=0.02)
                   for l in (0.08, 0.04, 0.02)]
         assert masses[0] >= masses[1] >= masses[2]
 
     def test_zero_when_everything_strained(self):
-        space, _ = models.gen_segment(1.0, 0.01)
+        space = models.gen_segment(1.0, 0.01)
         sub = space.subset(np.arange(30, 70), name="middle")
         mass = unstrained_mass(sub, 1, 1, delta=0.1, ell=0.05, eps=0.02,
                                search_radius=0.4)
@@ -433,24 +433,24 @@ def test_strainer_number_tracks_packing_dimension(square):
     # the number is searched on a coarse sample (exhaustive k+1 emptiness
     # scan), the dimension fitted on a fine one
     kill = 1 - 1e-9
-    space_coarse, _ = square
+    space_coarse = square
     num = strainer_number(space_coarse.all_points_subset(), 0.1, ell=0.05,
                           search_radius=0.2)
     h = 0.0125
-    sq, ann = models.gen_convex_polygon(UNIT_SQUARE, h, lattice="square")
+    sq = models.gen_convex_polygon(UNIT_SQUARE, h, lattice="square")
     dim = packing_dimension_estimate(
-        sq, ann.subsets["interior"].ids,
+        sq, sq.annotations["subsets"]["interior"]["ids"],
         [q * h * kill for q in (3, 4, 6, 10, 16, 30)])["dimension"]
     assert num == 2 and abs(dim - num) <= 0.2
 
-    bnd, _ = models.gen_convex_polygon(UNIT_SQUARE, 0.01, interior=False)
+    bnd = models.gen_convex_polygon(UNIT_SQUARE, 0.01, interior=False)
     sub = bnd.subsets["boundary"]
     num = strainer_number(sub, 0.1, ell=0.05)
     dim = packing_dimension_estimate(
         bnd, sub.indices, [q * 0.01 * kill for q in (3, 5, 10, 15, 30)])["dimension"]
     assert num == 1 and abs(dim - num) <= 0.2
 
-    seg, _ = models.gen_segment(1.0, 0.01)
+    seg = models.gen_segment(1.0, 0.01)
     num = strainer_number(seg.subsets["all"], 0.1, ell=0.05)
     dim = packing_dimension_estimate(
         seg, seg.subsets["all"].indices,
