@@ -242,19 +242,6 @@ def quasigeodesic_check(space: Space, path: Curve, p: int) -> dict:
     return {"max_violation": worst, "worst": worst_at, "points": int(ids.size)}
 
 
-def _bottleneck_radius(amb: np.ndarray, i0: int, i1: int) -> float:
-    """Longest edge on the i0-i1 path through a minimum spanning tree of amb.
-
-    Returns inf when no path of positive-length edges joins them.
-    """
-    _, pred = breadth_first_order(minimum_spanning_tree(amb), i0,
-                                  directed=False, return_predecessors=True)
-    chain = graph_path(pred, i0, i1)
-    if chain is None:
-        return math.inf
-    return float(amb[chain[:-1], chain[1:]].max(initial=0.0))
-
-
 def intrinsic_shortest_path(subset: Subset, start: int, end: int) -> Curve:
     """Shortest path in the subset's link graph as a Curve.
 
@@ -264,20 +251,23 @@ def intrinsic_shortest_path(subset: Subset, start: int, end: int) -> Curve:
     under the sampling error.  The reported length is the true weight sum.
 
     The link radius is the smallest radius whose link graph joins start to
-    end: the longest edge on their path through a minimum spanning tree of
-    the subset's ambient distances.  The path then never jumps further than
+    end: the longest edge on their path through a minimum spanning forest of
+    the subset's :func:`link_graph`.  The path then never jumps further than
     it must, so it stays on the subset instead of cutting its corners by up
-    to the subset's own link radius.
+    to the subset's own link radius.  Points in different components of that
+    graph, at d_E = inf, raise KitError.
     """
-    amb = subset.ambient_matrix()
+    space, ids = subset.space, subset.indices
     i0, i1 = subset.position([start, end]).tolist()
-    graph = link_graph(amb, _bottleneck_radius(amb, i0, i1))
-    graph.data **= 1.01
-    chain = graph_path(shortest_path_tree(graph, i0)[1], i0, i1)
+    forest = minimum_spanning_tree(link_graph(space, ids, subset.link_radius))
+    _, pred = breadth_first_order(forest, i0, directed=False, return_predecessors=True)
+    chain = graph_path(pred, i0, i1)
     if chain is None:
         raise KitError(f"{start} and {end} are in different link components")
-    ids = subset.indices[chain]
-    gaps = subset.space.dist[ids[:-1], ids[1:]]
+    graph = link_graph(space, ids, space.dist[ids[chain[:-1]], ids[chain[1:]]].max(initial=0.0))
+    graph.data **= 1.01
+    ids = ids[graph_path(shortest_path_tree(graph, i0)[1], i0, i1)]
+    gaps = space.dist[ids[:-1], ids[1:]]
     step = float(np.median(gaps)) if gaps.size else 0.0  # start == end
     return Curve(points=ids, step=step,
                  kind="intrinsic-geodesic",

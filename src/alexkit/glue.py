@@ -150,7 +150,7 @@ def _net_charts(mask, net: np.ndarray, target: Subset, g: np.ndarray, r: float,
     source, space_t = mask.subset.space, target.space
     ell, delta = mask.ell, mask.delta
     rebase_distance = max(ell * delta, 4.0 * r)
-    graph = link_graph(source.dist, source.link_radius())
+    graph = link_graph(source, np.arange(source.n_points), source.link_radius())
     _, pred_rows = shortest_path_tree(graph, net)
     charts = []
     for row, p in enumerate(net):

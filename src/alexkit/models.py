@@ -24,6 +24,13 @@ from .space import Space, euclidean_matrix, validate
 CORNER_EXCLUSION_FACTOR = 2.0  # regular ids stay 2h clear of corners
 
 
+def _require_positive(**scales):
+    """Refuses each scale that is not positive and finite (NaN included)."""
+    for name, value in scales.items():
+        if not 0 < value < math.inf:
+            raise Refusal(f"{name} must be positive and finite, got {value}")
+
+
 def _annotate(space: Space, subsets: dict, extra: dict) -> Space:
     """Store ``subsets`` and ``extra`` as ``space.annotations``, in the form
     the module docstring gives, and register each subset; returns the space."""
@@ -146,8 +153,7 @@ def gen_convex_polygon(vertices, h: float, name: str | None = None,
     loop (corners approximated by nearest samples); the per-edge default puts
     corners exactly on the sample.
     """
-    if h <= 0:
-        raise Refusal("pitch h must be positive")
+    _require_positive(h=h)
     if lattice not in ("triangular", "square"):
         raise Refusal(f"lattice must be 'triangular' or 'square', got {lattice!r}")
     vertices = _vertex_array(vertices)
@@ -208,8 +214,7 @@ def gen_regular_polygon(n: int, h: float, circumradius: float = 1.0, **kwargs) -
 
 def gen_segment(length: float, h: float, name: str | None = None) -> Space:
     """Straight segment sample; the whole sample marked as a 1-d subset."""
-    if length <= 0 or h <= 0:
-        raise Refusal("length and pitch must be positive")
+    _require_positive(length=length, h=h)
     m = max(1, round(length / h))
     pitch = length / m
     xs = np.arange(m + 1) * pitch
@@ -245,8 +250,7 @@ def gen_cone(total_angle: float, radius: float, h: float, name: str | None = Non
     """
     if not 0.0 < total_angle <= 2.0 * math.pi:
         raise Refusal(f"total_angle must be in (0, 2*pi], got {total_angle}")
-    if radius <= 0 or h <= 0:
-        raise Refusal("radius and pitch must be positive")
+    _require_positive(radius=radius, h=h)
     rings = max(1, round(radius / h))
     ss, phis = [0.0], [0.0]
     for i in range(1, rings + 1):
@@ -283,8 +287,7 @@ def gen_pillow(side: float, h: float, name: str | None = None) -> Space:
     The four corners have cone angle pi (two right angles glued) and are
     marked as one-point extremal subsets; total area is 2 * side^2.
     """
-    if side <= 0 or h <= 0:
-        raise Refusal("side and pitch must be positive")
+    _require_positive(side=side, h=h)
     m = max(2, round(side / h))
     pitch = side / m
 
@@ -343,8 +346,7 @@ def gen_spherical_suspension(base: Space, h: float, name: str | None = None) -> 
     if not rep["passed"]:
         raise Refusal(f"suspension base fails validation: "
                       f"{[c['name'] for c in rep['checks'] if not c['passed']]}")
-    if h <= 0:
-        raise Refusal("pitch must be positive")
+    _require_positive(h=h)
     levels = max(2, round(math.pi / h))
     s_vals = np.arange(levels + 1) * (math.pi / levels)
     nb = base.n_points
@@ -379,6 +381,7 @@ def gen_circle(length: float, h: float, name: str | None = None) -> Space:
     A circle of length <= 2*pi is a curvature >= 1 space; used as a
     suspension base.
     """
+    _require_positive(length=length, h=h)
     if length > 2 * math.pi + 1e-9:
         raise Refusal("circle longer than 2*pi is not a curvature >= 1 space")
     m = max(3, round(length / h))
@@ -392,6 +395,7 @@ def gen_circle(length: float, h: float, name: str | None = None) -> Space:
 
 def gen_two_point_base(separation: float = math.pi) -> Space:
     """Two points at distance pi: the 0-sphere as a suspension base."""
+    _require_positive(separation=separation)
     dist = np.array([[0.0, separation], [separation, 0.0]])
     return Space("two-points", kappa=1.0, dist=dist, coords=None,
                  resolution=separation / 2)

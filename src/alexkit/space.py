@@ -17,9 +17,13 @@ gives fresh Subset views of them.  So no reference cycle holds a distance
 matrix, and a space is freed as soon as its last user lets it go.
 
 Link graphs and shortest paths have one owner here: the link rule
-(:func:`linked`), its csr graph (:func:`link_graph`), Dijkstra from given
-sources (:func:`shortest_path_tree`) and the walk along its predecessors
-(:func:`graph_path`).  So do packings: every packing number, measure and
+(:func:`linked`), its csr graph on given ids (:func:`link_graph`, the only
+code that applies the rule to a matrix, built from one row block of
+``space.dist`` at a time), Dijkstra from given sources
+(:func:`shortest_path_tree`) and the walk along its predecessors
+(:func:`graph_path`).  The intrinsic metric, intrinsic shortest paths, the
+extremality check and the glue's rebase paths all read that graph, and none
+copies an S x S block.  So do packings: every packing number, measure and
 dimension estimate and r/2-net is the id-order greedy packing of
 :func:`packing_ids`, which reads the rows of the points it keeps only.
 """
@@ -39,7 +43,7 @@ from .errors import KitError, Refusal
 from .kplane import comparison_angles_array
 
 DEFAULT_LINK_FACTOR = 3.0  # link_radius = 3 * resolution keeps geodesic graphs connected
-ROW_BLOCK_ELEMENTS = 2**16  # most elements in one row block (euclidean_matrix, validate)
+ROW_BLOCK_ELEMENTS = 2**16  # most elements in one row block (euclidean_matrix, validate, link_graph)
 
 
 def euclidean_matrix(coords: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
@@ -180,9 +184,6 @@ class Subset:
         if missing.any():
             raise KitError(f"point {ids[missing].flat[0]} not in subset {self.name!r}")
         return int(pos) if pos.ndim == 0 else pos
-
-    def ambient_matrix(self) -> np.ndarray:
-        return self.space.dist[np.ix_(self.indices, self.indices)]
 
     def __repr__(self):
         return f"Subset({self.name!r}, size={self.size}, of {self.space.name!r})"
@@ -333,15 +334,26 @@ def linked(d: np.ndarray, radius: float) -> np.ndarray:
     return (d > 0) & (d <= radius)
 
 
-def link_graph(d: np.ndarray, radius: float) -> csr_matrix:
-    """The graph of the link rule on a square distance matrix, weighted by d.
+def link_graph(space: Space, ids: np.ndarray, radius: float) -> csr_matrix:
+    """The graph of the link rule on the positions of ``ids``, weighted by
+    distance: node i is ``ids[i]``.
 
-    Built from the mask: from (row, col) lists, scipy would sum duplicates,
-    which adds 64 KiB of its code to the peak RSS of a CLI run."""
-    mask = linked(d, radius)
-    graph = csr_matrix(mask, dtype=float)
-    graph.data = d[mask]  # both in row-major order
-    return graph
+    Built one block of rows of ``space.dist[np.ix_(ids, ids)]`` at a time
+    (ROW_BLOCK_ELEMENTS entries or one row), straight into csr arrays: from
+    (row, col) lists, scipy would sum duplicates, which adds 64 KiB of its
+    code to the peak RSS of a CLI run.
+    """
+    n = len(ids)
+    step = max(1, ROW_BLOCK_ELEMENTS // max(n, 1))
+    indptr, cols, data = [np.zeros(1, dtype=int)], [], []
+    for a in range(0, n, step):
+        block = space.dist[np.ix_(ids[a:a + step], ids)]
+        mask = linked(block, radius)
+        indptr.append(indptr[-1][-1] + np.cumsum(mask.sum(axis=1)))
+        cols.append(np.nonzero(mask)[1])
+        data.append(block[mask])  # row-major, as the columns
+    return csr_matrix((np.concatenate(data), np.concatenate(cols), np.concatenate(indptr)),
+                      shape=(n, n))
 
 
 def shortest_path_tree(graph: csr_matrix, sources) -> tuple[np.ndarray, np.ndarray]:
@@ -365,10 +377,11 @@ def intrinsic_metric(subset: Subset, ids) -> np.ndarray:
     """Link-graph distances d_E from each of the ids (rows) to every subset
     point (columns, in ``subset.indices`` order).
 
-    Dijkstra runs from the given ids only; pass ``subset.indices`` for all
-    pairs.  A non-member id raises KitError.
+    Dijkstra runs on the subset's :func:`link_graph` from the given ids only;
+    pass ``subset.indices`` for all pairs.  No S x S block is made beyond the
+    rows asked for.  A non-member id raises KitError.
     """
-    graph = link_graph(subset.ambient_matrix(), subset.link_radius)
+    graph = link_graph(subset.space, subset.indices, subset.link_radius)
     return dijkstra(graph, directed=False, indices=subset.position(ids))
 
 
@@ -556,7 +569,8 @@ def extremality_check(subset: Subset, witness_radius: float | None = None) -> di
     """Test the defining property of an extremal subset on the sample.
 
     For sampled exterior points q, finds local minima p of dist_q restricted
-    to the subset (local in the link graph) and checks criticality there: the
+    to the subset (local in its :func:`link_graph`: no edge (p, j) has
+    dist_q(p) > dist_q(j) + 1e-12) and checks criticality there: the
     comparison angle at p between q and every witness w with d(p, w) <=
     witness_radius (default 4 link radii) must be <= pi/2 + angle_tol, with
     angle_tol = 0.05 + 2h / witness_radius since the first-order witness
@@ -585,8 +599,8 @@ def extremality_check(subset: Subset, witness_radius: float | None = None) -> di
     exterior = exterior[far_enough]
     exterior = exterior[even_positions(exterior.size, EXTERIOR_CAP)]
 
-    amb = subset.ambient_matrix()
-    link = linked(amb, subset.link_radius)
+    graph = link_graph(space, subset.indices, subset.link_radius)
+    rows = np.repeat(np.arange(subset.size), np.diff(graph.indptr))  # each edge's source
 
     worst_excess = -np.inf
     worst_triple = [-1, -1, -1]
@@ -595,9 +609,8 @@ def extremality_check(subset: Subset, witness_radius: float | None = None) -> di
 
     for q in exterior:
         dq = space.dist[q, subset.indices]
-        neigh_min = np.where(link, dq[None, :], np.inf).min(axis=1)
-        is_min = dq <= neigh_min + 1e-12
-        for pos in np.flatnonzero(is_min):
+        lower = np.bincount(rows, dq[rows] > dq[graph.indices] + 1e-12, subset.size)
+        for pos in np.flatnonzero(lower == 0):  # no link neighbour lower
             p = int(subset.indices[pos])
             minima_count += 1
             dp = space.dist[p]

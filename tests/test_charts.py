@@ -9,7 +9,7 @@ from alexkit.charts import (build_chart, direction_defects, direction_grid,
                             distortion_trend, intrinsic_shortest_path,
                             metric_comparison, openness_measure, quasigeodesic_check)
 from alexkit.errors import KitError, Refusal
-from alexkit.space import Curve
+from alexkit.space import Curve, intrinsic_metric
 from alexkit.strainers import find_strainer
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -212,6 +212,19 @@ class TestQuasigeodesic:
             path = intrinsic_shortest_path(sub, p, p)
         assert path.points.tolist() == [p]
         assert path.step == 0.0 and path.meta["length"] == 0.0
+
+    def test_no_path_between_link_components(self, square_with_interior):
+        # two pieces of the bottom edge, 0.3 > 3h apart: d_E between them is
+        # inf, so there is no intrinsic path to jump the gap with
+        space = square_with_interior
+        x, y = space.coords[space.subsets["boundary"].indices].T
+        bottom = space.subsets["boundary"].indices[(y == 0) & ((x < 0.3) | (x > 0.6))]
+        sub = space.subset(bottom, name="two-pieces")
+        start, end = int(bottom[0]), int(bottom[-1])
+        assert np.isinf(intrinsic_metric(sub, [start])[0, sub.position(end)])
+        with pytest.raises(KitError, match="in different link components"):
+            intrinsic_shortest_path(sub, start, end)
+        assert intrinsic_shortest_path(sub, start, int(bottom[1])).points.size == 2
 
     def test_zigzag_negative_control(self, square_with_interior):
         space = square_with_interior

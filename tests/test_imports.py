@@ -1,10 +1,11 @@
-"""Every module of the package uses what it imports, every local it assigns
-and every attribute it stores, and imports at module level; every test file
-uses what it imports and every local it assigns.
+"""Every module of the package uses what it imports, every local it assigns,
+every attribute it stores and every function, class and method it defines,
+and imports at module level; every test file uses what it imports and every
+local it assigns.
 
 No linter is installed, so a walk over each module's syntax tree stands in
 for pyflakes' unused-import and unused-local checks and for vulture's unused
-attributes.  ``__init__.py`` is left out of the import check: its imports are
+attributes and definitions.  ``__init__.py`` is left out of the import check: its imports are
 the package's public names.  An import inside a function would hide its cost
 (scipy's submodules cost RSS and start-up time) in whichever call runs it
 first, so every module imports at its top level.
@@ -114,6 +115,48 @@ def test_no_unread_attributes():
                for p in sorted((root / d).rglob("*.py"))]
     package = sorted(Path(alexkit.__file__).parent.glob("*.py"))
     assert unread_attributes([p.read_text() for p in package], readers) == []
+
+
+def definitions(source: str) -> set[str]:
+    """Names of the functions, classes and methods a module defines, nested
+    ones included; dunders are left out (Python calls them)."""
+    return {n.name for n in ast.walk(ast.parse(source))
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (n.name.startswith("__") and n.name.endswith("__"))}
+
+
+def unread_definitions(sources: list[str], readers: list[str]) -> list[str]:
+    """Each definition of the ``sources`` whose name no ``reader`` reads as a
+    name, as an attribute, or as a string (``getattr`` by name, as the
+    benchmark's tracer does): a name-based stand-in for vulture.  An import
+    is not a read, so a name that only ``__init__.py`` re-exports is unread."""
+    read = set()
+    for node in (n for text in readers for n in ast.walk(ast.parse(text))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return sorted(set().union(*map(definitions, sources)) - read)
+
+
+def test_checker_finds_unread_definitions():
+    source = ("class A:\n    def __init__(self):\n        pass\n    def m(self):\n"
+              "        pass\n    def n(self):\n        pass\n\n"
+              "class B:\n    pass\n\n"
+              "def f():\n    def inner():\n        pass\n    return A().n\n\n"
+              "def g():\n    pass\n\ndef h():\n    pass\n")
+    reader = "from mod import g, B\n\ngetattr(mod, 'h')()\nf()\n"
+    assert unread_definitions([source], [source, reader]) == ["B", "g", "inner", "m"]
+
+
+def test_no_unread_definitions():
+    root = Path(alexkit.__file__).parents[2]
+    readers = [p.read_text() for d in ("src", "tests", "perfbench")
+               for p in sorted((root / d).rglob("*.py"))]
+    package = sorted(Path(alexkit.__file__).parent.glob("*.py"))
+    assert unread_definitions([p.read_text() for p in package], readers) == []
 
 
 def function_imports(source: str) -> list[int]:

@@ -17,8 +17,10 @@ import numpy as np
 import pytest
 
 from alexkit import cli, models
+from alexkit.charts import intrinsic_shortest_path
 from alexkit.io import FLOAT_CHUNK, WRITE_BATCH, dumps_stable, load_space, save_space
-from alexkit.space import ROW_BLOCK_ELEMENTS, calibration_constant, euclidean_matrix
+from alexkit.space import (ROW_BLOCK_ELEMENTS, calibration_constant, euclidean_matrix,
+                           extremality_check, intrinsic_metric, link_graph)
 
 F64 = 8  # bytes of one float64 or int64 entry
 H = 0.08  # pitch of the budget runs: the 12-gon has N = 584, a 2.6 MiB matrix
@@ -175,3 +177,65 @@ def test_converge_peak_is_its_largest_members(tmp_path):
                                              tmp_path / "alone.json"))
                 for n in FAMILY_SIDES)
     assert traced_peak(lambda: converge(family, tmp_path / "out.json")) <= alone + 2**14
+
+
+# ---------------------------------------------------------------------------
+# link-graph budgets: no caller copies an S x S block
+
+@pytest.fixture(scope="module")
+def long_boundary():
+    """The boundary of a boundary-only 25-gon at h = 0.004: S = 1,575 points,
+    whose S x S block would take 19 MiB."""
+    return models.gen_regular_polygon(25, 0.004, interior=False).subsets["boundary"]
+
+
+def link_budget(subset) -> int:
+    """The design's peak for building the subset's link graph and running
+    scipy on it, output left out.  One row block of B entries (the rows that
+    fit ROW_BLOCK_ELEMENTS, or one row) costs at most 35 bytes an entry: the
+    block held from the step before, the next one with numpy's gather
+    buffers (two blocks more), and the link rule's three boolean masks.  The
+    graph costs at most 64 bytes an edge and a point: its csr arrays (12
+    bytes an edge), their pieces before they are joined, and scipy's
+    validated, transposed or spanning-tree copies and per-point work."""
+    s = subset.size
+    block = max(1, ROW_BLOCK_ELEMENTS // s) * s
+    edges = link_graph(subset.space, subset.indices, subset.link_radius).nnz
+    return 35 * block + 64 * (edges + s)
+
+
+def test_intrinsic_metric_budget(long_boundary):
+    # the link graph and two rows of d_E, S floats each
+    sub = long_boundary
+    budget = link_budget(sub) + 2 * F64 * sub.size
+    assert budget < F64 * sub.size**2  # less than one S x S block
+    assert traced_peak(lambda: intrinsic_metric(sub, sub.indices[:2])) <= budget
+
+
+def test_intrinsic_shortest_path_budget(long_boundary):
+    # two graph builds, each within the link budget: the 3h graph and its
+    # spanning forest, then the graph at the bottleneck radius (no more
+    # edges) and one Dijkstra row with its predecessors
+    sub = long_boundary
+    ids = sub.indices
+    budget = 2 * link_budget(sub)
+    assert budget < F64 * sub.size**2  # less than one S x S block
+    path = []
+    assert traced_peak(lambda: path.append(
+        intrinsic_shortest_path(sub, int(ids[0]), int(ids[sub.size // 2])))) <= budget
+    assert path[0].points.size > sub.size // 2
+
+
+def test_extremality_check_budget(long_boundary):
+    # an arc of the boundary, its last 100 points the exterior: the exterior
+    # x arc block of the 4h test, the link graph, and per exterior point the
+    # distances to the arc and the edge-wise comparison (within the link
+    # budget's 64 bytes an edge and a point)
+    space = long_boundary.space
+    arc = space.subset(long_boundary.indices[:-100], name="arc")
+    budget = F64 * 100 * arc.size + link_budget(arc)
+    assert budget < F64 * arc.size**2  # less than one S x S block
+    report = []
+    assert traced_peak(lambda: report.append(extremality_check(arc))) <= budget
+    assert report[0]["checked_exterior_points"] > 80
+    assert report[0]["local_minima_checked"] > 0

@@ -179,6 +179,38 @@ class TestSuspension:
         with pytest.raises(Refusal):
             models.gen_spherical_suspension(space, 0.1)
 
+    # (1, 0) divided by zero, (-1, 0.1) gave distance -1.667, (nan, 0.1) a
+    # ValueError and h = inf a 3-point circle
+    @pytest.mark.parametrize("length, h", [
+        (1.0, 0.0), (1.0, -0.1), (-1.0, 0.1), (0.0, 0.1), (math.nan, 0.1),
+        (1.0, math.nan), (math.inf, 0.1), (1.0, math.inf)])
+    def test_circle_refuses_non_positive_or_non_finite_scales(self, length, h):
+        with pytest.raises(Refusal, match="positive and finite"):
+            models.gen_circle(length, h)
+
+    @pytest.mark.parametrize("separation", [-1.0, 0.0, math.nan, math.inf])
+    def test_two_point_base_refuses_non_positive_or_non_finite_separation(self,
+                                                                          separation):
+        with pytest.raises(Refusal, match="positive and finite"):
+            models.gen_two_point_base(separation)
+
+
+# each generator with a scale h; all refuse h = 0, nan and inf alike
+GENERATORS_OF_H = {
+    "polygon": lambda h: models.gen_convex_polygon(UNIT_SQUARE, h),
+    "segment": lambda h: models.gen_segment(1.0, h),
+    "cone": lambda h: models.gen_cone(math.pi / 2, 0.5, h),
+    "pillow": lambda h: models.gen_pillow(1.0, h),
+    "suspension": lambda h: models.gen_spherical_suspension(models.gen_two_point_base(), h),
+}
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
+@pytest.mark.parametrize("name", list(GENERATORS_OF_H))
+def test_every_generator_refuses_a_non_positive_or_non_finite_pitch(name, h):
+    with pytest.raises(Refusal, match=f"^h must be positive and finite, got {h}$"):
+        GENERATORS_OF_H[name](h)
+
 
 ALL_GENERATORS = [
     lambda: models.gen_convex_polygon(UNIT_SQUARE, 0.05),

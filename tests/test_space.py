@@ -149,6 +149,43 @@ class TestBall:
         assert got == {3, 4, 5, 6, 7}
 
 
+def dense_mask_link_graph(d, radius):
+    """The reference: the link rule's graph from one whole S x S mask."""
+    mask = (d > 0) & (d <= radius)
+    graph = csr_matrix(mask, dtype=float)
+    graph.data = d[mask]  # both in row-major order
+    return graph
+
+
+@pytest.fixture(scope="module")
+def link_cases(square):
+    """(space, ids) for the filled square, its boundary, and a 25-gon's
+    boundary with two arcs cut out, which falls apart into pieces."""
+    polygon = models.gen_regular_polygon(25, 0.08, interior=False)
+    return {"whole": (square, np.arange(square.n_points)),
+            "boundary": (square, square.subsets["boundary"].indices),
+            "pieces": (polygon, np.setdiff1d(polygon.subsets["boundary"].indices,
+                                             [10, 11, 12, 50, 51, 52]))}
+
+
+class TestLinkGraph:
+    # 1 element: a block of one row; 2**30: all rows in one block
+    @pytest.mark.parametrize("elements", [1, ROW_BLOCK_ELEMENTS, 2**30])
+    @pytest.mark.parametrize("case", ["whole", "boundary", "pieces"])
+    def test_blocks_give_the_dense_mask_graph_bits(self, case, elements, link_cases,
+                                                   monkeypatch):
+        space, ids = link_cases[case]
+        radius = space.link_radius()
+        want = dense_mask_link_graph(space.dist[np.ix_(ids, ids)], radius)
+        monkeypatch.setattr(space_module, "ROW_BLOCK_ELEMENTS", elements)
+        got = space_module.link_graph(space, ids, radius)
+        assert got.shape == want.shape == (ids.size, ids.size)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got.nnz > 0
+
+
 class TestIntrinsicMetric:
     def test_square_boundary_opposite_corners(self):
         space = models.gen_convex_polygon(UNIT_SQUARE, 0.01, interior=False)
@@ -178,7 +215,7 @@ class TestIntrinsicMetric:
         space = square
         sub = space.subsets["boundary"]
         d_e = intrinsic_metric(sub, sub.indices)
-        assert np.all(d_e >= sub.ambient_matrix() - 1e-12)
+        assert np.all(d_e >= space.dist[np.ix_(sub.indices, sub.indices)] - 1e-12)
 
     def test_disconnected_pair_is_inf_and_flagged(self):
         coords = np.array([[0, 0], [0.1, 0], [5, 0], [5.1, 0.0]])
@@ -201,7 +238,7 @@ class TestIntrinsicMetric:
                            name="cut")
         for sub in (whole, cut):
             ids = sub.indices if rows == "all" else sub.indices[rows]
-            amb = sub.ambient_matrix()
+            amb = space.dist[np.ix_(sub.indices, sub.indices)]
             graph = csr_matrix(np.where((amb > 0) & (amb <= sub.link_radius), amb, 0.0))
             want = shortest_path(graph, method="D", directed=False)[sub.position(ids)]
             got = intrinsic_metric(sub, ids)
@@ -279,7 +316,7 @@ class TestPackingIds:
     @pytest.mark.parametrize("name", ["12-gon", "square", "cut"])
     def test_equals_greedy_over_the_full_matrix(self, name, eps, packed_subsets):
         sub = packed_subsets[name]
-        for metric, full in (("extrinsic", sub.ambient_matrix()),
+        for metric, full in (("extrinsic", sub.space.dist[np.ix_(sub.indices, sub.indices)]),
                              ("intrinsic", intrinsic_metric(sub, sub.indices))):
             want = sub.indices[greedy_packing_ids(sub.size, full.__getitem__, eps)]
             for ids in (sub.indices, sub.indices[::-1]):
@@ -293,7 +330,7 @@ class TestPackingIds:
     @pytest.mark.parametrize("r", [0.25, 0.4])
     def test_discrete_net_equals_greedy_over_ambient_matrix(self, r, packed_subsets):
         sub = packed_subsets["12-gon"]
-        amb = sub.ambient_matrix()
+        amb = sub.space.dist[np.ix_(sub.indices, sub.indices)]
         want = sub.indices[greedy_packing_ids(sub.size, amb.__getitem__, r / 2.0)]
         assert discrete_net(sub, r).tobytes() == want.tobytes()
 

@@ -428,6 +428,53 @@ class TestUnstrainedMass:
         assert mass == 0.0
 
 
+# polygon boundaries (generator, number of corners), sampled at pitch h
+RATE_BOUNDARIES = {
+    "square": (lambda h: models.gen_convex_polygon(UNIT_SQUARE, h, interior=False), 4),
+    "12-gon": (lambda h: models.gen_regular_polygon(12, h, interior=False), 12),
+}
+
+
+@pytest.mark.parametrize("name", list(RATE_BOUNDARIES))
+def test_regular_points_are_dense_and_of_full_measure_as_h_falls(name):
+    """The abstract's claims at m = 1, as rates in the pitch h (the space's
+    resolution), with ell = 4h, the delta schedule (0.1, 0.05) and, for the
+    unstrained mass, k = 1, delta = 0.05 and eps = 2h.
+
+    Where the unstrained points lie: a boundary point at least ell + h from
+    both corners of its edge has a sample of its own edge at distance in
+    (ell, ell + h] on either side, inside the pool (ell, 4 ell); the two are
+    collinear with it, at angle pi, so it is strained.  The unstrained
+    points thus lie in corner caps: arcs of length 2(ell + h) about each
+    corner.  A corner itself is never strained (its angle is at most 5pi/6).
+
+    Density radius: the first sample past a cap (every edge here is longer
+    than two caps and a pitch) is regular and at most ell + 2h along the
+    boundary from any point of the cap, and the chord is no longer than the
+    arc, so every point is within ell + 2h of the regular set.
+
+    Unstrained mass: eps = 2h keeps packing points more than 2h apart, so
+    on the pitch-h sample at least 3h apart along the boundary (the chord
+    is no longer than the arc).  A cap of length 2(ell + h) = 10h holds at
+    most floor(10h / 3h) + 1 = 4 of them, so the mass eps * beta is at most
+    8h per corner, and positive since the corners are unstrained.
+    """
+    gen, corners = RATE_BOUNDARIES[name]
+    fractions = []
+    for pitch in (0.04, 0.02, 0.01):
+        space = gen(pitch)
+        sub = space.subsets["boundary"]
+        h = space.resolution
+        ell = 4 * h
+        out = regular_points(sub, 1, delta_schedule=(0.1, 0.05), ell=ell)
+        to_regular = space.dist[np.ix_(sub.indices, out["regular_ids"])]
+        assert to_regular.min(axis=1).max() <= ell + 2 * h  # the density radius
+        mass = unstrained_mass(sub, 1, 1, delta=0.05, ell=ell, eps=2 * h)
+        assert 0 < mass <= 8 * h * corners
+        fractions.append(out["fractions"][0.05])
+    assert fractions[0] < fractions[1] < fractions[2]
+
+
 def test_strainer_number_tracks_packing_dimension(square):
     # empirical dimension-equals-strainer-number check on model outputs;
     # the number is searched on a coarse sample (exhaustive k+1 emptiness
