@@ -125,7 +125,9 @@ def cmd_gen(args):
         space = models.gen_spherical_suspension(base, args.h, name=args.name)
     else:
         raise Refusal(f"unknown generator {kind!r}")
-    save_space(space, args.out)
+    # polygon and segment distances are their coordinates' Euclidean ones: save no matrix
+    metric_type = "euclidean" if kind in ("polygon", "regular-polygon", "segment") else "matrix"
+    save_space(space, args.out, metric_type)
     return 0
 
 

@@ -12,7 +12,13 @@ Space files are JSON with schema_version 1:
     }
 
 Matrix data is the strict lower triangle, row-major, 64-bit floats.  The
-"euclidean" metric type recomputes distances from coords on load.
+"euclidean" metric type recomputes distances from coords on load.  ``gen``
+writes "euclidean" for polygon, regular-polygon and segment models, whose
+generators compute their distances with ``euclidean_matrix`` from the same
+coordinates; cone, pillow and suspension files hold the matrix.  Each
+coordinate is written as its ``repr`` and parses back to the same float, and
+loading calls the same ``euclidean_matrix``, so the loaded matrix is
+bit-identical to the generator's.
 
 One JSON walker writes space files and CLI reports alike: sorted keys,
 one-space indent, ``repr`` floats, no timestamps, so identical runs are

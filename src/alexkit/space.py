@@ -2,9 +2,11 @@
 
 A :class:`Space` is a point set 0..N-1 with a frozen symmetric distance
 matrix, a lower curvature bound tag ``kappa``, optional generator coordinates
-(provenance only, never consumed by algorithms) and an optional sampling
-``resolution`` h (the intended Hausdorff distance between the sample and the
-idealized space it approximates).
+and an optional sampling ``resolution`` h (the intended Hausdorff distance
+between the sample and the idealized space it approximates).  Algorithms
+read distances only, never coordinates; a space file of metric type
+``euclidean`` stores coordinates in place of the matrix, and loading it
+rebuilds the matrix from them with :func:`euclidean_matrix`.
 
 The rules derived from h have one owner, the Space: the floor below which a
 scale is refused (:meth:`Space.require_scale`) and the link radius 3h of
@@ -43,7 +45,7 @@ from .errors import KitError, Refusal
 from .kplane import comparison_angles_array
 
 DEFAULT_LINK_FACTOR = 3.0  # link_radius = 3 * resolution keeps geodesic graphs connected
-ROW_BLOCK_ELEMENTS = 2**16  # most elements in one row block (euclidean_matrix, validate, link_graph)
+ROW_BLOCK_ELEMENTS = 2**16  # most elements in one row block of any walk over a matrix
 
 
 def euclidean_matrix(coords: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
@@ -595,8 +597,11 @@ def extremality_check(subset: Subset, witness_radius: float | None = None) -> di
     inside = np.zeros(space.n_points, dtype=bool)
     inside[subset.indices] = True
     exterior = np.flatnonzero(~inside)
-    far_enough = space.dist[np.ix_(exterior, subset.indices)].min(axis=1) >= 4.0 * h
-    exterior = exterior[far_enough]
+    gap = np.empty(exterior.size)  # distance to the subset, one row block at a time
+    step = max(1, ROW_BLOCK_ELEMENTS // subset.size)
+    for a in range(0, exterior.size, step):
+        gap[a:a + step] = space.dist[np.ix_(exterior[a:a + step], subset.indices)].min(axis=1)
+    exterior = exterior[gap >= 4.0 * h]
     exterior = exterior[even_positions(exterior.size, EXTERIOR_CAP)]
 
     graph = link_graph(space, subset.indices, subset.link_radius)

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +11,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from alexkit import models
+from alexkit.cli import main
 from alexkit.errors import KitError
 from alexkit.io import (FLOAT_CHUNK, dumps_stable, from_lower_triangle, load_space,
                         lower_triangle, save_space, space_to_dict)
 from alexkit.space import Space
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +67,62 @@ def test_lower_triangle_is_row_major():
 def test_wrong_triangle_length_refused():
     with pytest.raises(KitError, match="needs 3 entries, got 2"):
         from_lower_triangle([1.0, 2.0], 3)
+
+
+GEN_H = 0.25
+TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.4, 0.8]]
+
+
+def gen_file(argv, h, path) -> dict:
+    """Run ``gen`` and return the file's parsed JSON."""
+    assert main(["gen", *argv, "--h", repr(h), "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@pytest.fixture(scope="module")
+def circle_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("base") / "circle.json"
+    save_space(models.gen_circle(2 * math.pi, 0.5), path)
+    return path
+
+
+# each gen kind: its options, the in-memory generator, and the file's metric
+# type, which is "euclidean" exactly where the distances are the Euclidean
+# distances of the coordinates
+GEN_KINDS = [
+    (["polygon", "--vertices", json.dumps(TRIANGLE)],
+     lambda base: models.gen_convex_polygon(TRIANGLE, GEN_H), "euclidean"),
+    (["regular-polygon", "--n", "7"],
+     lambda base: models.gen_regular_polygon(7, GEN_H), "euclidean"),
+    (["segment"], lambda base: models.gen_segment(1.0, GEN_H), "euclidean"),
+    (["cone"], lambda base: models.gen_cone(math.pi / 2, 1.0, GEN_H), "matrix"),
+    (["pillow"], lambda base: models.gen_pillow(1.0, GEN_H), "matrix"),
+    (["suspension"],
+     lambda base: models.gen_spherical_suspension(load_space(base), GEN_H), "matrix"),
+]
+
+
+@pytest.mark.parametrize("argv, generate, metric_type", GEN_KINDS,
+                         ids=[argv[0] for argv, _, _ in GEN_KINDS])
+def test_gen_file_loads_to_the_generators_bits(argv, generate, metric_type, circle_file,
+                                               tmp_path):
+    if argv[0] == "suspension":
+        argv = [*argv, "--base", str(circle_file)]
+    path = tmp_path / "space.json"
+    assert gen_file(argv, GEN_H, path)["metric"]["type"] == metric_type
+    assert load_space(path).dist.tobytes() == generate(circle_file).dist.tobytes()
+
+
+@pytest.mark.parametrize("workload", ["strain-square", "collar-32gon"])
+def test_gen_polygon_file_is_exact_at_every_benchmark_rotation(workload, tmp_path):
+    # the benchmark's vertex lists, rotated by workloads.turn(seed, n)
+    path = tmp_path / "space.json"
+    for seed in range(20):
+        vertices = workloads.make(workload, seed).vertices
+        data = gen_file(["polygon", "--vertices", json.dumps(vertices)], 0.1, path)
+        assert data["metric"] == {"type": "euclidean"}
+        expected = models.gen_convex_polygon(vertices, 0.1)
+        assert load_space(path).dist.tobytes() == expected.dist.tobytes(), seed
 
 
 # SHA-256 of save_space's bytes for the triangle, recorded before the writer

@@ -155,15 +155,30 @@ def test_dumps_stable_budget():
     assert traced_peak(lambda: dumps_stable(report)) <= budget
 
 
-def test_load_space_budget(twelve_gon, tmp_path):
+def matrix_file_load_budget(path, n) -> int:
     # the file's text, the parsed triangle (a 24-byte float and an 8-byte
     # list slot per value, the list over-allocated by at most 1/8), the
     # parsed points (under 1 KiB each) and the matrix
+    t = n * (n - 1) // 2
+    return path.stat().st_size + (24 + 9 * F64 // 8) * t + 1024 * n + F64 * n * n
+
+
+def test_load_space_budget(twelve_gon, tmp_path):
     path = tmp_path / "space.json"
     save_space(twelve_gon, path)
+    budget = matrix_file_load_budget(path, twelve_gon.n_points)
+    assert traced_peak(lambda: load_space(path)) <= budget
+
+
+def test_load_euclidean_space_budget(twelve_gon, tmp_path):
+    # the file's text, the parsed points (under 1 KiB each), the matrix and
+    # one row block of euclidean_matrix's work: no parsed triangle
+    path = tmp_path / "space.json"
+    save_space(twelve_gon, path, "euclidean")
     n = twelve_gon.n_points
-    t = n * (n - 1) // 2
-    budget = path.stat().st_size + (24 + 9 * F64 // 8) * t + 1024 * n + F64 * n * n
+    budget = path.stat().st_size + 1024 * n + F64 * n * n + F64 * max(ROW_BLOCK_ELEMENTS, n)
+    save_space(twelve_gon, tmp_path / "matrix.json")
+    assert budget < matrix_file_load_budget(tmp_path / "matrix.json", n)
     assert traced_peak(lambda: load_space(path)) <= budget
 
 
@@ -224,6 +239,22 @@ def test_intrinsic_shortest_path_budget(long_boundary):
     assert traced_peak(lambda: path.append(
         intrinsic_shortest_path(sub, int(ids[0]), int(ids[sub.size // 2])))) <= budget
     assert path[0].points.size > sub.size // 2
+
+
+def test_extremality_check_budget_on_a_filled_polygon():
+    # the boundary of the filled unit square at h = 0.02: N = 3,022 points,
+    # S = 200 on the boundary, so the exterior x boundary block would take
+    # 4.3 MiB.  The 4h test holds one row block of it (ROW_BLOCK_ELEMENTS
+    # entries or one row) and, per exterior point, an id, a gap and a flag
+    # (under 3 x 8 bytes); then the link graph and the per-point work as above
+    space = models.gen_convex_polygon([[0, 0], [1, 0], [1, 1], [0, 1]], 0.02)
+    boundary = space.subsets["boundary"]
+    n, s = space.n_points, boundary.size
+    budget = F64 * max(ROW_BLOCK_ELEMENTS, s) + 3 * F64 * n + link_budget(boundary)
+    assert budget < F64 * (n - s) * s  # less than one exterior x boundary block
+    report = []
+    assert traced_peak(lambda: report.append(extremality_check(boundary))) <= budget
+    assert report[0]["checked_exterior_points"] == 200
 
 
 def test_extremality_check_budget(long_boundary):
