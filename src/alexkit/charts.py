@@ -273,22 +273,3 @@ def intrinsic_shortest_path(subset: Subset, start: int, end: int) -> Curve:
                  kind="intrinsic-geodesic",
                  meta={"length": float(gaps.sum())})
 
-
-def distortion_trend(charts: list[Chart], metric: str = "extrinsic",
-                     converged_threshold: float = 0.05) -> dict:
-    """Check max|ratio - 1| is nonincreasing along a refinement family.
-
-    The family must share a base-point class with delta and h jointly
-    decreasing; emits the sequence and flags families that do not converge
-    toward ratio 1 (e.g. charts anchored at non-regular points).
-    """
-    if len(charts) < 3:
-        raise Refusal("need at least 3 charts for a trend")
-    seq = [c.stats[metric]["max_abs_dev"] for c in charts]
-    nonincreasing = all(b <= a + 1e-12 for a, b in zip(seq, seq[1:]))
-    return {
-        "sequence": seq,
-        "nonincreasing": nonincreasing,
-        "converging": bool(seq[-1] <= converged_threshold),
-        "metric": metric,
-    }

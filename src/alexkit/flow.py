@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FlowStalled, KitError, Refusal
+from .errors import FlowStalled, Refusal
 from .kplane import comparison_angles_array
-from .space import Curve, Space, Subset
+from .space import Curve, Space, Subset, distance_to
 
 DEFAULT_STOP_THRESHOLD = 0.1  # discrete derivative noise floor is O(h/step)
 NEAR_CRITICAL_THRESHOLD = 0.3  # gradient estimates below this are flagged
@@ -34,16 +34,6 @@ class FlowConfig:
         space.require_scale(self.step, 2.0, "step")
         if self.witness_radius < self.step:
             raise Refusal("witness_radius must be >= step")
-
-
-def directional_derivative(space: Space, q: int, x: int, w: int) -> float:
-    """Witness approximation of d(dist_q) at x toward w: -cos angle(q, x, w)."""
-    q, x, w = (int(i) for i in space.check_ids([q, x, w]))
-    if x == q or w == x:
-        raise KitError("directional derivative needs distinct q != x and w != x")
-    ang = comparison_angles_array(space.kappa, space.dist[q, x],
-                                  space.dist[x, w], space.dist[q, w])
-    return float(-np.cos(ang))
 
 
 def _best_step(space: Space, q: int, x: int, cfg: FlowConfig):
@@ -112,7 +102,7 @@ def extremal_invariance_test(subset: Subset, q: int, starts, cfg: FlowConfig) ->
         except FlowStalled as e:
             stalls[int(x0)] = str(e)
             continue
-        dev = float(space.dist[np.ix_(curve.points, subset.indices)].min(axis=1).max())
+        dev = float(distance_to(space, curve.points, subset.indices).max())
         deviations[int(x0)] = dev
         worst = max(worst, dev)
     return {"max_deviation": worst, "per_start": deviations, "stalls": stalls}
@@ -132,7 +122,7 @@ def dist_gradient_lower_bound(subset: Subset, band: dict, cfg: FlowConfig) -> di
     inner, outer = float(band["inner"]), float(band["outer"])
     space.require_scale(inner, 2.0, "band inner radius")
     cfg.check(space)
-    d_to_sub = space.dist[:, subset.indices].min(axis=1)
+    d_to_sub = distance_to(space, np.arange(space.n_points), subset.indices)
     in_band = np.flatnonzero((d_to_sub >= inner) & (d_to_sub <= outer))
     in_band = np.setdiff1d(in_band, subset.indices)
     if in_band.size == 0:

@@ -29,7 +29,7 @@ import numpy as np
 from .charts import (DIRECTION_COUNT, direction_defects, direction_grid,
                      nearest_values)
 from .errors import KitError, Refusal
-from .space import (Space, Subset, ball, calibration_constant,
+from .space import (Space, Subset, ball, calibration_constant, distance_to,
                     effective_spacing, even_positions, graph_path,
                     hausdorff_measure_estimate, link_graph, packing_ids,
                     shortest_path_tree)
@@ -100,12 +100,6 @@ class GlueMap:
     flagged_points: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
     quality: dict = field(default_factory=dict)
-
-    def image_of(self, x: int) -> int:
-        pos = np.searchsorted(self.domain, x)
-        if pos >= self.domain.size or self.domain[pos] != x:
-            raise KitError(f"{x} not in the glue-map domain")
-        return int(self.assignment[pos])
 
     def to_dict(self) -> dict:
         return {
@@ -242,7 +236,7 @@ def build_projection(subset: Subset, m: int, delta: float, ell: float, r: float,
     charts = _net_charts(mask, net, subset, np.arange(space.n_points), r,
                          3.0 * r, delta + REBASE_MARGIN_SLACK)
 
-    d_to_sub = space.dist[:, subset.indices].min(axis=1)
+    d_to_sub = distance_to(space, np.arange(space.n_points), subset.indices)
     domain = np.flatnonzero(d_to_sub < rho)
     domain = np.union1d(domain, subset.indices)
     assignment, resid = _blend(space, space, charts, domain, r)
@@ -282,7 +276,7 @@ def projection_quality(gmap: GlueMap) -> dict:
     lip = float((fd[iu, ju][sel] / dd[iu, ju][sel]).max())
 
     # displacement against twice the distance to the subset
-    d_to_sub = space.dist[np.ix_(domain, gmap.subset.indices)].min(axis=1)
+    d_to_sub = distance_to(space, domain, gmap.subset.indices)
     disp = space.dist[domain, gmap.assignment]
     off = d_to_sub > 0
     ratio_max = float((disp[off] / d_to_sub[off]).max()) if off.any() else 0.0

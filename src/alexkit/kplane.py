@@ -1,6 +1,6 @@
 """Closed-form trigonometry on the plane of constant curvature kappa.
 
-Comparison angles from three side lengths and the inverse law of cosines,
+Comparison angles from three side lengths by the kappa law of cosines,
 for kappa < 0 (hyperbolic), kappa = 0 (Euclidean) and kappa > 0 (spherical).
 All functions are pure; kappa is an argument of every call, never global
 state, so spaces with different curvature bounds can coexist.
@@ -122,35 +122,6 @@ def comparison_angle(kappa: float, a: float, b: float, c: float,
         raise UndefinedAngle(f"spherical vertex degenerate: sin(a * sqrt(kappa)) * "
                              f"sin(b * sqrt(kappa)) ~ 0 for a = {a}, b = {b}")
     return _clamped_acos(float(cos_ang))
-
-
-def side_from_angle(kappa: float, l1: float, l2: float, angle: float) -> float:
-    """Third side of the kappa-plane triangle with sides l1, l2 enclosing angle.
-
-    Round-trips with :func:`comparison_angle` to within 1e-9 on nondegenerate
-    inputs.
-    """
-    if l1 < 0 or l2 < 0:
-        raise DomainError("side lengths must be nonnegative")
-    if not -ACOS_CLAMP <= angle <= math.pi + ACOS_CLAMP:
-        raise DomainError(f"angle {angle} outside [0, pi]")
-    if kappa == 0.0:
-        sq = l1 * l1 + l2 * l2 - 2.0 * l1 * l2 * math.cos(angle)
-        return math.sqrt(max(sq, 0.0))
-    if kappa > 0.0:
-        s = math.sqrt(kappa)
-        bound = math.pi / s
-        if l1 > bound + 1e-9 or l2 > bound + 1e-9:
-            raise DomainError(f"side exceeds pi/sqrt(kappa) = {bound}")
-        val = math.cos(l1 * s) * math.cos(l2 * s) + math.sin(l1 * s) * math.sin(
-            l2 * s
-        ) * math.cos(angle)
-        return _clamped_acos(val) / s
-    s = math.sqrt(-kappa)
-    val = math.cosh(l1 * s) * math.cosh(l2 * s) - math.sinh(l1 * s) * math.sinh(
-        l2 * s
-    ) * math.cos(angle)
-    return math.acosh(max(val, 1.0)) / s
 
 
 def comparison_angles_array(kappa, a, b, c):

@@ -28,6 +28,10 @@ extremality check and the glue's rebase paths all read that graph, and none
 copies an S x S block.  So do packings: every packing number, measure and
 dimension estimate and r/2-net is the id-order greedy packing of
 :func:`packing_ids`, which reads the rows of the points it keeps only.
+
+The distance function of a subset, dist_E(x) = min over e in E of d(x, e),
+has one owner too: :func:`distance_to`, which reads one row block at a time.
+The extremality check, the gradient-flow tests and the glue all call it.
 """
 
 from __future__ import annotations
@@ -323,6 +327,17 @@ def _triangle_check(d, n, seed):
 # ---------------------------------------------------------------------------
 # balls, link graphs and the intrinsic metric
 
+def distance_to(space: Space, rows, ids) -> np.ndarray:
+    """dist_E for E = ``ids``: the least distance from each of the ``rows``
+    to the ids, read one block of rows at a time (ROW_BLOCK_ELEMENTS
+    entries or one row), so no len(rows) x len(ids) block is made."""
+    out = np.empty(len(rows))
+    step = max(1, ROW_BLOCK_ELEMENTS // max(len(ids), 1))
+    for a in range(0, len(rows), step):
+        out[a:a + step] = space.dist[np.ix_(rows[a:a + step], ids)].min(axis=1)
+    return out
+
+
 def ball(space: Space, p: int, r: float) -> np.ndarray:
     """Open ball {q : d(p, q) < r}; contains p itself iff r > 0."""
     if r < 0:
@@ -521,8 +536,8 @@ def packing_dimension_estimate(space: Space, indices, eps_grid) -> dict:
     Requires >= 3 grid values spanning a decade, all >= 2 * resolution.
     """
     eps_grid = sorted(float(e) for e in eps_grid)
-    if not all(map(math.isfinite, eps_grid)):
-        raise Refusal(f"eps_grid values must be finite, got {eps_grid}")
+    if not all(0 < e < math.inf for e in eps_grid):  # nor NaN
+        raise Refusal(f"eps_grid values must be positive and finite, got {eps_grid}")
     if len(eps_grid) < 3:
         raise Refusal("eps_grid needs at least 3 values")
     if eps_grid[-1] / eps_grid[0] < 10.0 * (1 - 1e-9):
@@ -597,11 +612,7 @@ def extremality_check(subset: Subset, witness_radius: float | None = None) -> di
     inside = np.zeros(space.n_points, dtype=bool)
     inside[subset.indices] = True
     exterior = np.flatnonzero(~inside)
-    gap = np.empty(exterior.size)  # distance to the subset, one row block at a time
-    step = max(1, ROW_BLOCK_ELEMENTS // subset.size)
-    for a in range(0, exterior.size, step):
-        gap[a:a + step] = space.dist[np.ix_(exterior[a:a + step], subset.indices)].min(axis=1)
-    exterior = exterior[gap >= 4.0 * h]
+    exterior = exterior[distance_to(space, exterior, subset.indices) >= 4.0 * h]
     exterior = exterior[even_positions(exterior.size, EXTERIOR_CAP)]
 
     graph = link_graph(space, subset.indices, subset.link_radius)

@@ -24,7 +24,7 @@ witness at every point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,11 +63,14 @@ class ClassificationMask:
     delta: float
     ell: float
     search_radius: float
-    member_ids: np.ndarray
-    witnesses: dict[int, Strainer] = field(default_factory=dict)
+    witnesses: dict[int, Strainer]  # by base point, in ascending id order
+
+    @property
+    def member_ids(self) -> np.ndarray:
+        return np.asarray(list(self.witnesses), dtype=int)
 
     def is_empty(self) -> bool:
-        return self.member_ids.size == 0
+        return not self.witnesses
 
     def to_dict(self) -> dict:
         return {
@@ -288,9 +291,7 @@ def classify(subset: Subset, k: int, delta: float, ell: float,
                                            delta, ell, search_radius)
                  for p, s in found.items()}
     return ClassificationMask(subset=subset, k=k, delta=delta, ell=ell,
-                              search_radius=search_radius,
-                              member_ids=np.asarray(list(witnesses), dtype=int),
-                              witnesses=witnesses)
+                              search_radius=search_radius, witnesses=witnesses)
 
 
 def strainer_number(subset: Subset, delta: float, ell: float,
@@ -317,12 +318,15 @@ def strainer_number(subset: Subset, delta: float, ell: float,
 def local_strainer_number(subset: Subset, p: int, delta: float, scales) -> dict:
     """Strainer number of subset-intersect-ball(p, r) per scale r.
 
-    Each scale searches with ell = r / 4 and search radius r.  Scales must be
-    descending and >= 4h.  The returned value is the number stabilized over
-    the two smallest scales; the full per-scale profile is reported alongside.
+    Each scale searches with ell = r / 4 and search radius r.  Scales, at
+    least two, must be descending and >= 4h.  The returned value is the
+    number stabilized over the two smallest scales; the full per-scale
+    profile is reported alongside.
     """
     space = subset.space
     scales = [float(r) for r in scales]
+    if len(scales) < 2:
+        raise Refusal(f"stability needs at least two scales, got {scales}")
     if not all(s1 > s2 for s1, s2 in zip(scales, scales[1:])):  # nor NaN
         raise Refusal(f"scales must be strictly descending, got {scales}")
     space.require_scale(min(scales), 4.0, "smallest scale")
@@ -351,6 +355,8 @@ def regular_points(subset: Subset, m: int, delta_schedule=(0.2, 0.1, 0.05),
     is the witnesses with delta_achieved below it, so the masks are nested.
     """
     sched = [float(d) for d in delta_schedule]
+    if not sched or not all(0 < d < math.inf for d in sched):  # nor NaN
+        raise Refusal(f"delta_schedule needs positive finite values, got {sched}")
     if any(d2 >= d1 for d1, d2 in zip(sched, sched[1:])):
         raise Refusal("delta_schedule must be strictly descending")
     h = subset.space.require_resolution()
@@ -362,7 +368,7 @@ def regular_points(subset: Subset, m: int, delta_schedule=(0.2, 0.1, 0.05),
         witnesses = {p: w for p, w in scan.witnesses.items() if w.delta_achieved < d}
         masks.append(ClassificationMask(
             subset=subset, k=m, delta=d, ell=ell, search_radius=scan.search_radius,
-            member_ids=np.asarray(list(witnesses), dtype=int), witnesses=witnesses))
+            witnesses=witnesses))
     return {
         "masks": masks,
         "regular_ids": masks[-1].member_ids,
@@ -373,6 +379,8 @@ def regular_points(subset: Subset, m: int, delta_schedule=(0.2, 0.1, 0.05),
 def unstrained_mass(subset: Subset, m: int, k: int, delta: float, ell: float,
                     eps: float, search_radius: float | None = None) -> float:
     """eps^m times the packing number of the unstrained part of the subset."""
+    if m < 0:
+        raise Refusal(f"dimension m must be >= 0, got {m}")
     subset.space.require_scale(eps, 2.0, "eps")
     mask = classify(subset, k, delta, ell, search_radius)
     rest = np.setdiff1d(subset.indices, mask.member_ids)

@@ -3,8 +3,7 @@ import pytest
 
 from alexkit import models
 from alexkit.errors import Refusal
-from alexkit.flow import (FlowConfig, directional_derivative,
-                          dist_gradient_lower_bound, extremal_invariance_test,
+from alexkit.flow import (FlowConfig, dist_gradient_lower_bound, extremal_invariance_test,
                           gradient_curve)
 from alexkit.space import Subset
 
@@ -34,8 +33,9 @@ def test_step_below_two_pitches_refused(square):
 
 def test_derivative_is_one_straight_away_from_q():
     segment = models.gen_segment(1.0, 0.1)
-    # x = 0.5 lies between q = 0 and w = 1 on the segment
-    assert directional_derivative(segment, 0, 5, 10) == 1.0
+    # x = 0.5 lies between q = 0 and the witnesses beyond it on the segment
+    curve = gradient_curve(segment, 0, 5, FlowConfig(0.2, 0.5, max_steps=1))
+    assert curve.meta["derivatives"] == [1.0]
 
 
 def test_gradient_curves_ascend(square, cfg):

@@ -44,7 +44,8 @@ def test_projection_domain_holds_the_subset(collar):
     gmap, _ = collar
     sub = gmap.subset.indices
     assert np.isin(sub, gmap.domain).all()
-    assert gmap.image_of(int(sub[0])) in set(sub.tolist())
+    pos = np.searchsorted(gmap.domain, sub[0])
+    assert gmap.domain[pos] == sub[0] and gmap.assignment[pos] in set(sub.tolist())
     assert np.isin(gmap.assignment, sub).all()
 
 

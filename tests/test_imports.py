@@ -1,25 +1,27 @@
 """Every module of the package uses what it imports, every local it assigns,
 every attribute it stores and every function, class and method it defines,
 and imports at module level; every test file uses what it imports and every
-local it assigns.
+local it assigns.  Every public function or class of the package is read by
+another part of it or carries a claim of the ledger in the package
+docstring, and every ledger entry names a real function and a real test.
 
 No linter is installed, so a walk over each module's syntax tree stands in
 for pyflakes' unused-import and unused-local checks and for vulture's unused
-attributes and definitions.  ``__init__.py`` is left out of the import check: its imports are
-the package's public names.  An import inside a function would hide its cost
+attributes and definitions.  An import inside a function would hide its cost
 (scipy's submodules cost RSS and start-up time) in whichever call runs it
 first, so every module imports at its top level.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import alexkit
 
-MODULES = sorted(p for p in Path(alexkit.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+ROOT = Path(alexkit.__file__).parents[2]
+MODULES = sorted(Path(alexkit.__file__).parent.glob("*.py"))
 TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
 
 
@@ -110,11 +112,24 @@ def test_checker_finds_unread_attributes():
 
 
 def test_no_unread_attributes():
-    root = Path(alexkit.__file__).parents[2]
     readers = [p.read_text() for d in ("src", "tests", "perfbench")
-               for p in sorted((root / d).rglob("*.py"))]
-    package = sorted(Path(alexkit.__file__).parent.glob("*.py"))
-    assert unread_attributes([p.read_text() for p in package], readers) == []
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unread_attributes([p.read_text() for p in MODULES], readers) == []
+
+
+def names_read(readers: list[str]) -> set[str]:
+    """Every name the ``readers`` read as a name, as an attribute, or as a
+    string (``getattr`` by name, as the benchmark's tracer does).  An import
+    is not a read."""
+    read = set()
+    for node in (n for text in readers for n in ast.walk(ast.parse(text))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
 
 
 def definitions(source: str) -> set[str]:
@@ -126,19 +141,9 @@ def definitions(source: str) -> set[str]:
 
 
 def unread_definitions(sources: list[str], readers: list[str]) -> list[str]:
-    """Each definition of the ``sources`` whose name no ``reader`` reads as a
-    name, as an attribute, or as a string (``getattr`` by name, as the
-    benchmark's tracer does): a name-based stand-in for vulture.  An import
-    is not a read, so a name that only ``__init__.py`` re-exports is unread."""
-    read = set()
-    for node in (n for text in readers for n in ast.walk(ast.parse(text))):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            read.add(node.value)
-    return sorted(set().union(*map(definitions, sources)) - read)
+    """Each definition of the ``sources`` whose name no ``reader`` reads
+    (:func:`names_read`): a name-based stand-in for vulture."""
+    return sorted(set().union(*map(definitions, sources)) - names_read(readers))
 
 
 def test_checker_finds_unread_definitions():
@@ -152,11 +157,116 @@ def test_checker_finds_unread_definitions():
 
 
 def test_no_unread_definitions():
-    root = Path(alexkit.__file__).parents[2]
     readers = [p.read_text() for d in ("src", "tests", "perfbench")
-               for p in sorted((root / d).rglob("*.py"))]
-    package = sorted(Path(alexkit.__file__).parent.glob("*.py"))
-    assert unread_definitions([p.read_text() for p in package], readers) == []
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unread_definitions([p.read_text() for p in MODULES], readers) == []
+
+
+# an entry of the claims ledger: a bullet ``module.name``, then its tests as
+# file::test, up to the next bullet, the next numbered claim or the end
+LEDGER_ENTRY = re.compile(r"^\s*- ``(\w+)\.(\w+)``(.*?)(?=^\s*- |^\d+\. |\Z)",
+                          re.MULTILINE | re.DOTALL)
+GATE = re.compile(r"tests/\w+\.py::[\w:]+")
+
+
+def ledger(doc: str) -> list[tuple[str, str, list[str]]]:
+    """(module, name, its tests as file::test) for each entry of the ledger."""
+    return [(module, name, GATE.findall(body))
+            for module, name, body in LEDGER_ENTRY.findall(doc)]
+
+
+def public_definitions(source: str) -> set[str]:
+    """Names of the public functions and classes at a module's top level."""
+    return {n.name for n in ast.parse(source).body
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not n.name.startswith("_")}
+
+
+def unclaimed_definitions(modules: dict[str, str], doc: str) -> list[str]:
+    """``module.name`` for each public definition of the ``modules`` (module
+    name -> source) that no module reads and the ledger in ``doc`` does not
+    name."""
+    read = names_read(list(modules.values()))
+    claimed = {f"{module}.{name}" for module, name, _ in ledger(doc)}
+    return sorted(f"{module}.{name}" for module, text in modules.items()
+                  for name in public_definitions(text) - read
+                  if f"{module}.{name}" not in claimed)
+
+
+def gate_ids(source: str) -> set[str]:
+    """``test`` for each test function and ``Class::test`` for each test method."""
+    ids = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            ids.add(node.name)
+        elif isinstance(node, ast.ClassDef):
+            ids |= {f"{node.name}::{m.name}" for m in node.body
+                    if isinstance(m, ast.FunctionDef)}
+    return ids
+
+
+def unresolved_entries(doc: str, modules: dict[str, str], tests: dict[str, str]) -> list[str]:
+    """Each ``module.name`` of the ledger that no module defines at its top
+    level, and each file::test it names that is not in ``tests`` (path ->
+    source)."""
+    bad = []
+    for module, name, gates in ledger(doc):
+        if name not in public_definitions(modules.get(module, "")):
+            bad.append(f"{module}.{name}")
+        for gate in gates:
+            path, test = gate.split("::", 1)
+            if path not in tests or test not in gate_ids(tests[path]):
+                bad.append(gate)
+    return bad
+
+
+SYNTHETIC_LEDGER = """1. A claim, not gated by tests/test_mod.py::test_claim itself.
+
+   - ``mod.claimed`` (a note on ``two``
+     lines)
+     tests/test_mod.py::test_claim
+     tests/test_mod.py::TestClass::test_method
+   - ``mod.gone``
+     tests/test_mod.py::test_gone
+
+2. Another claim.
+
+   - ``other.g`` tests/test_other.py::test_g
+"""
+
+
+def test_checker_finds_unclaimed_definitions():
+    modules = {"mod": "def claimed():\n    pass\n\ndef orphan():\n    pass\n\n"
+                      "def _private():\n    pass\n\nclass Read:\n    def method(self):\n"
+                      "        pass\n",
+               "other": "from mod import Read, orphan\n\nRead().method()\n"}
+    assert ledger(SYNTHETIC_LEDGER) == [
+        ("mod", "claimed", ["tests/test_mod.py::test_claim",
+                            "tests/test_mod.py::TestClass::test_method"]),
+        ("mod", "gone", ["tests/test_mod.py::test_gone"]),
+        ("other", "g", ["tests/test_other.py::test_g"])]
+    assert unclaimed_definitions(modules, SYNTHETIC_LEDGER) == ["mod.orphan"]
+
+
+def test_checker_finds_unresolved_ledger_entries():
+    modules = {"mod": "def claimed():\n    pass\n\ndef _g():\n    pass\n"}
+    tests = {"tests/test_mod.py": "def test_claim():\n    pass\n\nclass TestClass:\n"
+                                  "    def test_other(self):\n        pass\n"}
+    assert unresolved_entries(SYNTHETIC_LEDGER, modules, tests) == [
+        "tests/test_mod.py::TestClass::test_method", "mod.gone",
+        "tests/test_mod.py::test_gone", "other.g", "tests/test_other.py::test_g"]
+
+
+def test_every_public_definition_is_read_or_claimed():
+    modules = {p.stem: p.read_text() for p in MODULES}
+    assert unclaimed_definitions(modules, alexkit.__doc__) == []
+
+
+def test_every_ledger_entry_resolves():
+    modules = {p.stem: p.read_text() for p in MODULES}
+    tests = {f"tests/{p.name}": p.read_text() for p in TEST_FILES}
+    assert len(ledger(alexkit.__doc__)) == len(re.findall(r"^\s*- ", alexkit.__doc__, re.M))
+    assert unresolved_entries(alexkit.__doc__, modules, tests) == []
 
 
 def function_imports(source: str) -> list[int]:
@@ -174,7 +284,6 @@ def test_checker_finds_function_imports():
     assert function_imports(source) == [4, 6, 11]
 
 
-@pytest.mark.parametrize("path", sorted(Path(alexkit.__file__).parent.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_imports_at_module_level(path):
     assert function_imports(path.read_text()) == []

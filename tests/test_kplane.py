@@ -6,11 +6,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alexkit.errors import DomainError, NoComparisonTriangle, UndefinedAngle
-from alexkit.kplane import comparison_angle, comparison_angles_array, side_from_angle
+from alexkit.kplane import ACOS_CLAMP, comparison_angle, comparison_angles_array
 
 
 def angle(kappa, a, b, c, mode="error"):
     return comparison_angle(kappa, a, b, c, mode)
+
+
+def side_from_angle(kappa: float, l1: float, l2: float, theta: float) -> float:
+    """Third side of the kappa-plane triangle with sides l1, l2 enclosing theta:
+    the law of cosines, the round-trip reference for comparison_angle."""
+    if l1 < 0 or l2 < 0:
+        raise DomainError("side lengths must be nonnegative")
+    if not -ACOS_CLAMP <= theta <= math.pi + ACOS_CLAMP:
+        raise DomainError(f"angle {theta} outside [0, pi]")
+    if kappa == 0.0:
+        sq = l1 * l1 + l2 * l2 - 2.0 * l1 * l2 * math.cos(theta)
+        return math.sqrt(max(sq, 0.0))
+    if kappa > 0.0:
+        s = math.sqrt(kappa)
+        bound = math.pi / s
+        if l1 > bound + 1e-9 or l2 > bound + 1e-9:
+            raise DomainError(f"side exceeds pi/sqrt(kappa) = {bound}")
+        val = math.cos(l1 * s) * math.cos(l2 * s) + math.sin(l1 * s) * math.sin(
+            l2 * s
+        ) * math.cos(theta)
+        return math.acos(min(max(val, -1.0), 1.0)) / s
+    s = math.sqrt(-kappa)
+    val = math.cosh(l1 * s) * math.cosh(l2 * s) - math.sinh(l1 * s) * math.sinh(
+        l2 * s
+    ) * math.cos(theta)
+    return math.acosh(max(val, 1.0)) / s
 
 
 class TestComparisonAngle:

@@ -18,6 +18,7 @@ import pytest
 
 from alexkit import cli, models
 from alexkit.charts import intrinsic_shortest_path
+from alexkit.flow import FlowConfig, dist_gradient_lower_bound
 from alexkit.io import FLOAT_CHUNK, WRITE_BATCH, dumps_stable, load_space, save_space
 from alexkit.space import (ROW_BLOCK_ELEMENTS, calibration_constant, euclidean_matrix,
                            extremality_check, intrinsic_metric, link_graph)
@@ -255,6 +256,26 @@ def test_extremality_check_budget_on_a_filled_polygon():
     report = []
     assert traced_peak(lambda: report.append(extremality_check(boundary))) <= budget
     assert report[0]["checked_exterior_points"] == 200
+
+
+def test_dist_gradient_lower_bound_budget_on_a_filled_polygon():
+    # the same square: dist_E of every ambient point is read one row block
+    # of the N x S block at a time (ROW_BLOCK_ELEMENTS entries or one row),
+    # with numpy's gather buffers (one block more); per ambient point a
+    # distance, an id and the band and annulus masks (under 4 x 8 bytes);
+    # the angle work at one band point, a few nearest points by the
+    # annulus's witnesses, is smaller than that
+    h = 0.02
+    space = models.gen_convex_polygon([[0, 0], [1, 0], [1, 1], [0, 1]], h)
+    boundary = space.subsets["boundary"]
+    n, s = space.n_points, boundary.size
+    budget = 2 * F64 * max(ROW_BLOCK_ELEMENTS, s) + 4 * F64 * n
+    assert budget < F64 * n * s  # less than one N x S block
+    report = []
+    assert traced_peak(lambda: report.append(dist_gradient_lower_bound(
+        boundary, {"inner": 2 * h, "outer": 4 * h},
+        FlowConfig(step=3 * h, witness_radius=6 * h)))) <= budget
+    assert report[0]["band_points"] == 382
 
 
 def test_extremality_check_budget(long_boundary):

@@ -14,7 +14,7 @@ from alexkit.flow import FlowConfig, dist_gradient_lower_bound
 from alexkit.glue import NET_MIN_PITCH_FACTOR, discrete_net
 from alexkit.io import dumps_stable
 from alexkit.space import (ROW_BLOCK_ELEMENTS, Space, ball, calibration_constant,
-                           effective_spacing, euclidean_matrix, extremality_check,
+                           distance_to, effective_spacing, euclidean_matrix, extremality_check,
                            greedy_packing_ids, hausdorff_measure_estimate,
                            intrinsic_metric, packing_dimension_estimate, packing_ids,
                            packing_number, validate)
@@ -64,6 +64,18 @@ class TestEuclideanMatrix:
         want = one_temporary_euclidean_matrix(coords)
         monkeypatch.setattr(space_module, "ROW_BLOCK_ELEMENTS", elements)
         assert euclidean_matrix(coords).tobytes() == want.tobytes()
+
+
+class TestDistanceTo:
+    # blocks of one row, the default, and the whole N x S block at once
+    @pytest.mark.parametrize("elements", [1, ROW_BLOCK_ELEMENTS, 2**30])
+    def test_blocks_give_the_whole_block_bits(self, elements, monkeypatch):
+        space = models.gen_convex_polygon(UNIT_SQUARE, 0.02)
+        ids = space.subsets["boundary"].indices
+        rows = np.random.default_rng(0).permutation(space.n_points)[:2000]
+        want = space.dist[np.ix_(rows, ids)].min(axis=1)
+        monkeypatch.setattr(space_module, "ROW_BLOCK_ELEMENTS", elements)
+        assert distance_to(space, rows, ids).tobytes() == want.tobytes()
 
 
 class TestValidate:
@@ -475,6 +487,13 @@ class TestPackingDimension:
         with pytest.raises(Refusal):
             packing_dimension_estimate(space, np.arange(space.n_points),
                                        [0.1, 0.2, 0.4])
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5])
+    def test_refuses_non_positive_grid_value(self, bad):
+        space = models.gen_segment(1.0, 0.01)
+        with pytest.raises(Refusal, match="positive"):
+            packing_dimension_estimate(space, np.arange(space.n_points),
+                                       [bad, 0.5, 5])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_refuses_non_finite_grid_value(self, bad):

@@ -327,6 +327,12 @@ class TestLocalStrainerNumber:
         out = local_strainer_number(sub, center, 0.1, scales=[0.45, 0.3])
         assert out["value"] == 2
 
+    @pytest.mark.parametrize("scales", [[], [0.4]])
+    def test_refuses_fewer_than_two_scales(self, square, scales):
+        sub = square.all_points_subset()
+        with pytest.raises(Refusal, match="at least two scales"):
+            local_strainer_number(sub, 0, 0.1, scales=scales)
+
     def test_refuses_tiny_scales(self, square):
         space = square
         sub = space.all_points_subset()
@@ -398,6 +404,12 @@ class TestRegularPoints:
                 assert mask.to_dict() == want.to_dict()
             assert out["regular_ids"].tolist() == want.member_ids.tolist()
 
+    @pytest.mark.parametrize("sched", [(), (0.1, 0.0), (0.1, -0.1), (math.inf, 0.1),
+                                       (math.nan,)])
+    def test_schedule_must_be_positive_and_finite(self, fine_boundary, sched):
+        with pytest.raises(Refusal, match="positive finite"):
+            regular_points(fine_boundary.subsets["boundary"], 1, delta_schedule=sched)
+
     def test_schedule_must_descend(self, fine_boundary):
         space = fine_boundary
         with pytest.raises(Refusal):
@@ -419,6 +431,11 @@ class TestUnstrainedMass:
         masses = [unstrained_mass(sub, 1, 1, delta=0.1, ell=l, eps=0.02)
                   for l in (0.08, 0.04, 0.02)]
         assert masses[0] >= masses[1] >= masses[2]
+
+    def test_refuses_negative_dimension(self, fine_boundary):
+        with pytest.raises(Refusal, match="got -1"):
+            unstrained_mass(fine_boundary.subsets["boundary"], -1, 1, delta=0.1,
+                            ell=0.05, eps=0.02)
 
     def test_zero_when_everything_strained(self):
         space = models.gen_segment(1.0, 0.01)
