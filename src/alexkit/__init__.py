@@ -105,9 +105,9 @@ Background (Perelman and Petrunin 1993; Burago, Gromov and Perelman 1992).
 8. Comparison angles on the plane of curvature kappa, the measure of every
    claim above.
 
-   - ``kplane.comparison_angle`` (the scalar reference of the vectorised
-     kernel)
-     tests/test_kplane.py::test_vectorized_angles_match_scalar
+   - ``kplane.comparison_angles_array`` (angle 0 where no comparison
+     triangle exists, against the law of cosines at 50 digits)
+     tests/test_kplane.py::test_kernel_matches_the_50_digit_law_of_cosines
      tests/test_kplane.py::TestComparisonAngle::test_hyperbolic_equilateral_against_high_precision_oracle
 
 9. Model spaces with known curvature bound: the spherical suspension of a

@@ -94,7 +94,7 @@ def build_chart(subset: Subset, strainer: Strainer, radius: float | None = None)
     a_ids = np.array([a for a, _ in strainer.pairs], dtype=int)
     values = space.dist[np.ix_(a_ids, region)].T.copy()
 
-    fdiff = np.sqrt(((values[:, None, :] - values[None, :, :]) ** 2).sum(axis=-1))
+    fdiff = _space.euclidean_matrix(values)
     stats = {"extrinsic": _ratio_stats(fdiff, space.dist[np.ix_(region, region)])}
     d_e = _space.intrinsic_metric(subset, region)[:, subset.position(region)]
     stats["intrinsic"] = _ratio_stats(fdiff, d_e)

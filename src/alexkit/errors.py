@@ -12,17 +12,5 @@ class Refusal(KitError):
     """
 
 
-class DomainError(Refusal):
-    """Numeric input outside the mathematical domain of an operation."""
-
-
-class NoComparisonTriangle(KitError):
-    """No triangle with the given sides exists on the comparison plane."""
-
-
-class UndefinedAngle(KitError):
-    """Angle at a vertex adjacent to a zero-length (or antipodal) side."""
-
-
 class FlowStalled(KitError):
     """A discrete gradient curve found no candidate step."""

@@ -52,12 +52,10 @@ def discrete_net(subset: Subset, r: float) -> np.ndarray:
     space.require_scale(r, NET_MIN_PITCH_FACTOR, "r")
     half = r / 2.0
     net = packing_ids(space, subset.indices, half)
-    rows = space.dist[np.ix_(net, subset.indices)]
-    sub = rows[:, subset.position(net)]
     iu, ju = np.triu_indices(net.size, k=1)
-    if net.size > 1 and not np.all(sub[iu, ju] > half):
+    if not np.all(space.dist[net[iu], net[ju]] > half):
         raise KitError("net lost r/2-discreteness")  # unreachable by construction
-    if not np.all(rows.min(axis=0) <= half):
+    if not np.all(distance_to(space, subset.indices, net) <= half):
         raise KitError("net is not maximal")
     return net
 

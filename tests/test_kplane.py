@@ -1,25 +1,54 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alexkit.errors import DomainError, NoComparisonTriangle, UndefinedAngle
-from alexkit.kplane import ACOS_CLAMP, comparison_angle, comparison_angles_array
+from alexkit import models
+from alexkit.kplane import comparison_angles_array
+from alexkit.space import validate
+
+# side_from_angle accepts an angle this far outside [0, pi]: float noise at
+# flat and degenerate triangles is routine and must not raise.
+ACOS_CLAMP = 1e-12
 
 
-def angle(kappa, a, b, c, mode="error"):
-    return comparison_angle(kappa, a, b, c, mode)
+def angle(kappa, a, b, c):
+    return float(comparison_angles_array(kappa, a, b, c))
+
+
+def law_of_cosines_50(kappa, a, b, c):
+    """The comparison angle between sides a, b opposite c, by the kappa law
+    of cosines at 50 digits: the reference of the kernel, with angle 0 where
+    no comparison triangle exists."""
+    with mpmath.workdps(50):
+        a, b, c = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
+        if c > a + b or a > b + c or b > a + c:
+            return 0.0
+        if kappa > 0:
+            s = mpmath.sqrt(kappa)
+            if max(a, b, c) > mpmath.pi / s or a + b + c > 2 * mpmath.pi / s:
+                return 0.0
+            cos_ang = ((mpmath.cos(c * s) - mpmath.cos(a * s) * mpmath.cos(b * s))
+                       / (mpmath.sin(a * s) * mpmath.sin(b * s)))
+        elif kappa < 0:
+            s = mpmath.sqrt(-kappa)
+            cos_ang = ((mpmath.cosh(a * s) * mpmath.cosh(b * s) - mpmath.cosh(c * s))
+                       / (mpmath.sinh(a * s) * mpmath.sinh(b * s)))
+        else:
+            cos_ang = (a * a + b * b - c * c) / (2 * a * b)
+        return float(mpmath.acos(min(max(cos_ang, -1), 1)))
 
 
 def side_from_angle(kappa: float, l1: float, l2: float, theta: float) -> float:
     """Third side of the kappa-plane triangle with sides l1, l2 enclosing theta:
-    the law of cosines, the round-trip reference for comparison_angle."""
+    the law of cosines, the round-trip reference for comparison angles."""
     if l1 < 0 or l2 < 0:
-        raise DomainError("side lengths must be nonnegative")
+        raise ValueError("side lengths must be nonnegative")
     if not -ACOS_CLAMP <= theta <= math.pi + ACOS_CLAMP:
-        raise DomainError(f"angle {theta} outside [0, pi]")
+        raise ValueError(f"angle {theta} outside [0, pi]")
     if kappa == 0.0:
         sq = l1 * l1 + l2 * l2 - 2.0 * l1 * l2 * math.cos(theta)
         return math.sqrt(max(sq, 0.0))
@@ -27,7 +56,7 @@ def side_from_angle(kappa: float, l1: float, l2: float, theta: float) -> float:
         s = math.sqrt(kappa)
         bound = math.pi / s
         if l1 > bound + 1e-9 or l2 > bound + 1e-9:
-            raise DomainError(f"side exceeds pi/sqrt(kappa) = {bound}")
+            raise ValueError(f"side exceeds pi/sqrt(kappa) = {bound}")
         val = math.cos(l1 * s) * math.cos(l2 * s) + math.sin(l1 * s) * math.sin(
             l2 * s
         ) * math.cos(theta)
@@ -52,35 +81,24 @@ class TestComparisonAngle:
 
     def test_hyperbolic_equilateral_against_high_precision_oracle(self):
         # hyperbolic law of cosines evaluated at 50 digits
-        import mpmath
-
-        mpmath.mp.dps = 50
-        expected = float(mpmath.acos(
-            (mpmath.cosh(1) ** 2 - mpmath.cosh(1)) / mpmath.sinh(1) ** 2))
+        with mpmath.workdps(50):
+            expected = float(mpmath.acos(
+                (mpmath.cosh(1) ** 2 - mpmath.cosh(1)) / mpmath.sinh(1) ** 2))
         assert angle(-1.0, 1, 1, 1) == pytest.approx(expected, abs=1e-12)
         assert abs(angle(-1.0, 1, 1, 1) - 0.918) < 1e-3
 
-    def test_degenerate_zero_convention(self):
-        assert angle(0.0, 1, 1, 3, mode="zero") == 0.0
-
-    def test_degenerate_error_convention(self):
-        with pytest.raises(NoComparisonTriangle) as e:
-            angle(0.0, 1, 1, 3)
-        assert "triangle inequality" in str(e.value)
+    def test_no_triangle_is_zero(self):
+        assert angle(0.0, 1, 1, 3) == 0.0
 
     def test_spherical_perimeter_bound(self):
-        with pytest.raises(NoComparisonTriangle) as e:
-            angle(1.0, 2.5, 2.5, 2.5)
-        assert "perimeter" in str(e.value)
+        assert angle(1.0, 2.5, 2.5, 2.5) == 0.0
 
     def test_spherical_side_bound(self):
-        with pytest.raises(NoComparisonTriangle):
-            angle(1.0, 3.5, 0.1, 3.5)
+        assert angle(1.0, 3.5, 0.1, 3.5) == 0.0
 
-    def test_zero_adjacent_side_always_errors(self):
-        for mode in ("error", "zero"):
-            with pytest.raises(UndefinedAngle):
-                angle(0.0, 0.0, 1.0, 1.0, mode=mode)
+    def test_zero_adjacent_side_is_nan(self):
+        assert math.isnan(angle(0.0, 0.0, 1.0, 1.0))
+        assert math.isnan(angle(0.0, 1.0, 0.0, 1.0))
 
     def test_collinear_angle_pi(self):
         assert angle(0.0, 1, 1, 2) == pytest.approx(math.pi, abs=1e-9)
@@ -101,7 +119,7 @@ class TestSideFromAngle:
                                math.pi / 2) == pytest.approx(math.pi / 2)
 
     def test_spherical_domain_error(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError):
             side_from_angle(1.0, 3.5, 1.0, 1.0)
 
 
@@ -162,7 +180,7 @@ def test_symmetry_in_adjacent_sides(l1, l2, frac, kappa):
                                                     abs=1e-12)
 
 
-def test_vectorized_angles_match_scalar():
+def test_kernel_matches_the_50_digit_law_of_cosines():
     rng = np.random.default_rng(3)
     a = rng.uniform(0.2, 1.5, 50)
     b = rng.uniform(0.2, 1.5, 50)
@@ -170,10 +188,25 @@ def test_vectorized_angles_match_scalar():
     for kappa in KAPPAS:
         vec = comparison_angles_array(kappa, a, b, c)
         for i in range(50):
-            assert vec[i] == pytest.approx(angle(kappa, a[i], b[i], c[i]),
+            assert vec[i] == pytest.approx(law_of_cosines_50(kappa, a[i], b[i], c[i]),
                                            abs=1e-12)
 
 
 def test_vectorized_degenerate_entries_are_zero():
     vec = comparison_angles_array(0.0, [1.0, 1.0], [1.0, 1.0], [3.0, 1.0])
     assert vec[0] == 0.0 and vec[1] > 0
+
+
+def test_straight_angle_one_rounding_past_the_triangle_inequality_scores_zero():
+    """A known defect, pinned: the kernel tests for a triangle with
+    ``c <= a + b`` and no slack, so a straight angle whose computed far side
+    rounds past the sum scores 0, not pi, while ``validate``, which allows
+    1e-9 of slack, passes the same space.  Points 1, 82 and 103 of the
+    h=0.05 unit square lie on one line, 82 in the middle, and d(1, 103)
+    exceeds d(82, 1) + d(82, 103) by 2.8e-17.  The rounding-robust
+    comparisons of ROADMAP item 1 flip this test: the angle becomes pi."""
+    square = models.gen_convex_polygon([(0, 0), (1, 0), (1, 1), (0, 1)], 0.05)
+    d = square.dist
+    assert d[1, 103] > d[82, 1] + d[82, 103]
+    assert angle(square.kappa, d[82, 1], d[82, 103], d[1, 103]) == 0.0
+    assert validate(square)["passed"]
