@@ -87,7 +87,7 @@ class TestComparisonAngle:
         assert angle(-1.0, 1, 1, 1) == pytest.approx(expected, abs=1e-12)
         assert abs(angle(-1.0, 1, 1, 1) - 0.918) < 1e-3
 
-    def test_no_triangle_is_zero(self):
+    def test_degenerate_zero_convention(self):
         assert angle(0.0, 1, 1, 3) == 0.0
 
     def test_spherical_perimeter_bound(self):
