@@ -8,15 +8,21 @@ inequalities hold, stored quantitatively because the trend tests need it.
 
 Search is a beam search (width 8, deterministic id-order tie-breaking) that
 drops every pair and beam already at margin >= delta.  That pruning is exact:
-the witness does not depend on delta except for whether it is returned.  The
-beam itself is heuristic: "no strainer found" is NOT proof of absence.
-Strainer lengths are capped at 1; all arguments using strainers are local.
+the witness does not depend on delta except for whether it is returned.  At
+k = 1 the search is exhaustive over the pool's pairs (the pair of least
+margin), so "no strainer found" is a certificate relative to the pool
+(ell < d < R), not to the space.  At k >= 2 the beam is heuristic: "no
+strainer found" is NOT proof of absence.  Strainer lengths are capped at 1;
+all arguments using strainers are local.
 
 One kernel runs the search for a block of base points at once: their pools
 padded to one width P, one (points, P, P) comparison-angle array, the live
 pairs of each point and every beam level as arrays over the block.  Blocks
 are runs of consecutive points sized so that the angle array stays within a
-fixed element budget.  ``classify`` scans a subset block by block, and
+fixed element budget.  At k = 1 the kernel builds no angle array: it reads
+the pool pairs of the upper triangle a run of rows at a time and computes
+angles only for the pairs that a law-of-cosines bound lets through (all of
+them for kappa > 0).  ``classify`` scans a subset block by block, and
 ``find_strainer`` is the kernel called on one point; both give the same
 witness at every point.
 """
@@ -38,6 +44,8 @@ HALF_PI = math.pi / 2.0
 BEAM_WIDTH = 8
 # most elements in one block's (points, pool, pool) angle array
 _BLOCK_ELEMENTS = 2**15
+# most pool pairs in one run of rows of the k = 1 search (or one row)
+_PAIR_CHUNK = 2**11
 
 
 @dataclass(frozen=True)
@@ -159,6 +167,7 @@ def _beam(space: Space, block: list[int], pools: list[np.ndarray], k: int,
     (C, L) arrays, which is (pool id i, pool id j) order because pools are
     ascending; a stable sort on margin therefore breaks ties by pool id.
     Beams are (C, B) arrays of margins (inf: no beam) and live-pair slots.
+    At k = 1 no beam runs: the witness is the live pair of least margin.
     """
     c_n, width = len(block), max(pool.size for pool in pools)
     base = np.asarray(block)
@@ -167,12 +176,54 @@ def _beam(space: Space, block: list[int], pools: list[np.ndarray], k: int,
         pool_ids[c, :pool.size] = pool
     d = space.dist
     dp = d[base[:, None], pool_ids]
+    # No int64 comparison here or below: its first use in a process faults
+    # in 128 KiB of numpy code, which shows in the peak RSS of a CLI run.
+    if k == 1:
+        # The pair margins of the pool pairs i < j, a run of rows of the
+        # upper triangle at a time, each angle computed only where it can
+        # exceed pi - delta.  For kappa = 0 and an angle of at least
+        # pi - delta, the law of cosines gives
+        #   c^2 - (a + b)^2 cos^2(delta/2) >= (1 - cos delta)(a - b)^2 / 2 >= 0,
+        # strictly for an angle above it (a live pair), so a live pair has
+        # c > (a + b) cos(delta/2) >= (a + b)(1 - delta^2/8); for delta > pi
+        # the bound is negative and keeps every pair.  Comparison angles do
+        # not decrease as kappa grows (Alexander-Kapovitch-Petrunin), so the
+        # bound holds for kappa < 0 too.  The factor 1 - 1e-9 keeps the pairs
+        # that are live only by rounding; for kappa < 0 it also covers the
+        # kernel's cosh cancellation (a few ulps over sinh(a s) sinh(b s),
+        # s = sqrt(-kappa)) while every side is at least 1e-3 / s.  Otherwise,
+        # and for kappa > 0, every pair is computed.  A NaN side keeps its pair.
+        short = dp[dp > 0].min(initial=math.inf)
+        if space.kappa == 0 or -space.kappa * short * short >= 1e-6:
+            reach = dp * ((1.0 - delta * delta / 8.0) * (1.0 - 1e-9))
+        else:
+            reach = np.full(dp.shape, -math.inf)
+        upper = ~np.tri(width, dtype=bool)
+        kept, r = [], 0
+        while r < width - 1:
+            rows = slice(r, r + max(1, _PAIR_CHUNK // (c_n * (width - r - 1))))
+            c = d[pool_ids[:, rows, None], pool_ids[:, None, r + 1:]]
+            keep = ~(c <= reach[:, rows, None] + reach[:, None, r + 1:]) & upper[rows, r + 1:]
+            at, i, j = np.nonzero(keep)
+            kept.append((at, i + r, j + r + 1, c[at, i, j]))
+            r += c.shape[1]
+        at, i, j, c = map(np.concatenate, zip(*kept))
+        m = math.pi - comparison_angles_array(space.kappa, dp[at, i], dp[at, j], c)
+        live = m < delta
+        at, i, j, m = at[live], i[live], j[live], m[live]
+        # each point's least margin; lexsort is stable and each point's pairs
+        # were kept row-major, so ties go to the first in (pool id i, j) order
+        order = np.lexsort((m, at))
+        count = np.bincount(at, minlength=c_n)
+        hit = np.flatnonzero(count)
+        first = order[(np.cumsum(count) - count)[hit]]
+        slots = np.stack([i[first], j[first]], axis=1)[:, None, :]
+        return _witnesses(space, block, pool_ids, hit, slots, m[first])
+
     ang = comparison_angles_array(space.kappa, dp[:, :, None], dp[:, None, :],
                                   d[pool_ids[:, :, None], pool_ids[:, None, :]])
 
-    # the live pool pairs: pair margin (the pi - delta condition) below delta.
-    # No int64 comparison here or below: its first use in a process faults
-    # in 128 KiB of numpy code, which shows in the peak RSS of a CLI run.
+    # the live pool pairs: pair margin (the pi - delta condition) below delta
     pair_margin = (math.pi - ang).reshape(c_n, -1)
     upper = ~np.tri(width, dtype=bool).ravel()
     live, live_m = _below((pair_margin < delta) & upper, pair_margin)
@@ -181,11 +232,8 @@ def _beam(space: Space, block: list[int], pools: list[np.ndarray], k: int,
     live_i, live_j = np.divmod(live, width)
 
     rows = np.arange(c_n)[:, None]
-    if k == 1:
-        chosen = live_m.argmin(axis=1)[:, None, None]
-    else:
-        chosen = np.argsort(live_m, axis=1, kind="stable")[:, :BEAM_WIDTH, None]
-        cross = HALF_PI - ang          # the pi/2 - delta condition
+    chosen = np.argsort(live_m, axis=1, kind="stable")[:, :BEAM_WIDTH, None]
+    cross = HALF_PI - ang          # the pi/2 - delta condition
     margin = np.take_along_axis(live_m, chosen[:, :, 0], axis=1)
 
     for level in range(1, k):
@@ -230,13 +278,19 @@ def _beam(space: Space, block: list[int], pools: list[np.ndarray], k: int,
 
     hit = np.flatnonzero(margin[:, 0] < delta)
     best = chosen[hit, 0]
-    pts = pool_ids[hit[:, None, None], np.stack([live_i[hit[:, None], best],
-                                            live_j[hit[:, None], best]], axis=2)]
-    length = d[base[hit, None], pts.reshape(hit.size, 2 * k)].min(axis=1)
+    return _witnesses(space, block, pool_ids, hit, np.stack(
+        [live_i[hit[:, None], best], live_j[hit[:, None], best]], axis=2), margin[hit, 0])
+
+
+def _witnesses(space, block, pool_ids, hit, slots, margin):
+    """The strainers at the points hit of a block: their pairs, as (hit, k, 2)
+    pool slots, and margins."""
+    pts = pool_ids[hit[:, None, None], slots]
+    length = space.dist[np.asarray(block)[hit, None, None], pts].min(axis=(1, 2))
     return {block[c]: Strainer(base=block[c], pairs=tuple(map(tuple, pr)),
                                delta_achieved=m, length=ln)
             for c, pr, m, ln in zip(hit.tolist(), pts.tolist(),
-                                    margin[hit, 0].tolist(), length.tolist())}
+                                    margin.tolist(), length.tolist())}
 
 
 def _search(space: Space, ids: list[int], k: int, delta: float, ell: float,
@@ -266,10 +320,12 @@ def find_strainer(space: Space, p: int, k: int, delta: float, ell: float,
     deterministic id-order tie-breaking).  An extension's margin is never
     below its parent's, so pairs and beams already at margin >= delta are
     dropped before ranking; the pruning is exact, and the witness does not
-    depend on delta except for whether it is returned.  None means that no
-    beam reached a margin < delta: a heuristic result, not a certificate.
-    This is the one-point call of the block kernel that :func:`classify`
-    runs over a whole subset.
+    depend on delta except for whether it is returned.  At k = 1 the search
+    is exhaustive over the pool's pairs, so None certifies that no pool pair
+    (ell < d < R) has margin < delta; at k >= 2 None means that no beam
+    reached a margin < delta: a heuristic result, not a certificate.  This
+    is the one-point call of the block kernel that :func:`classify` runs
+    over a whole subset.
     """
     p = int(space.check_ids([p])[0])
     return next(_search(space, [p], k, delta, ell, search_radius), {}).get(p)
@@ -284,7 +340,9 @@ def classify(subset: Subset, k: int, delta: float, ell: float,
     consecutive points (sized by their pools, see ``_blocks``), one array
     pass per block, with the witness at each point exactly that of
     :func:`find_strainer`.  Every point is searched; :func:`strainer_number`
-    reads the same blocks but stops at the first one with a member.
+    reads the same blocks but stops at the first one with a member.  At
+    k = 1 a non-member has no strainer with its points in the pool
+    (ell < d < R); at k >= 2 non-membership is heuristic (beam search).
     """
     search_radius = resolve_search_radius(subset.space, ell, search_radius)
     witnesses = {p: s for found in _search(subset.space, subset.indices.tolist(), k,
@@ -302,8 +360,10 @@ def strainer_number(subset: Subset, delta: float, ell: float,
     the value is the largest k whose :func:`classify` mask is non-empty.
     Each scan reads :func:`classify`'s blocks of points and stops at the
     first block with a member; the rest of that block is searched anyway.
-    Emptiness is heuristic (beam search), so the result is a best-effort
-    value, exact on the model spaces the search was tuned for.
+    The k = 1 scan is exhaustive over each point's pool pairs, so a value of
+    0 is a certificate relative to the pools; emptiness at k >= 2 is
+    heuristic (beam search), so a larger value is a best-effort one, exact
+    on the model spaces the search was tuned for.
     ``search_radius`` defaults to min(4 ell, diameter); like every scan this
     refuses when it is not above ell.
     """

@@ -20,8 +20,10 @@ from alexkit import cli, models
 from alexkit.charts import intrinsic_shortest_path
 from alexkit.flow import FlowConfig, dist_gradient_lower_bound
 from alexkit.io import FLOAT_CHUNK, WRITE_BATCH, dumps_stable, load_space, save_space
-from alexkit.space import (ROW_BLOCK_ELEMENTS, calibration_constant, euclidean_matrix,
-                           extremality_check, intrinsic_metric, link_graph)
+from alexkit.space import (RANDOM_TRIPLES, ROW_BLOCK_ELEMENTS, TRIPLE_CHUNK,
+                           calibration_constant, euclidean_matrix, extremality_check,
+                           intrinsic_metric, link_graph, validate)
+from alexkit.strainers import classify
 
 F64 = 8  # bytes of one float64 or int64 entry
 H = 0.08  # pitch of the budget runs: the 12-gon has N = 584, a 2.6 MiB matrix
@@ -193,6 +195,46 @@ def test_converge_peak_is_its_largest_members(tmp_path):
                                              tmp_path / "alone.json"))
                 for n in FAMILY_SIDES)
     assert traced_peak(lambda: converge(family, tmp_path / "out.json")) <= alone + 2**14
+
+
+def test_validate_budget(twelve_gon):
+    # N = 584 > 300, so triangles are sampled: the three int32 draws of
+    # RANDOM_TRIPLES ids, then one chunk of TRIPLE_CHUNK triples at a time
+    # (its gathered distances, their differences and numpy's int64 copies of
+    # the index slices: under 8 x 8 bytes a triple); before them, the
+    # symmetry and positivity loop holds one row block
+    budget = (3 * 4 * RANDOM_TRIPLES + 8 * F64 * TRIPLE_CHUNK
+              + F64 * max(ROW_BLOCK_ELEMENTS, twelve_gon.n_points))
+    assert twelve_gon.n_points > 300
+    assert traced_peak(lambda: validate(twelve_gon)) <= budget
+
+
+@pytest.mark.parametrize("n", [509, 879, 1028, 3022, 2**20])
+def test_int32_triple_draws_match_int64(n):
+    # validate draws its triples as int32; on this numpy that gives the same
+    # ids and leaves the generator in the same state as the default int64
+    wide, narrow = np.random.default_rng(0), np.random.default_rng(0)
+    for _ in range(3):
+        assert np.array_equal(wide.integers(0, n, RANDOM_TRIPLES),
+                              narrow.integers(0, n, RANDOM_TRIPLES, dtype=np.int32))
+    assert wide.bit_generator.state == narrow.bit_generator.state
+
+
+def test_k1_classify_budget():
+    # the boundary of the collar-32gon workload's 32-gon (radius 0.6,
+    # h = 0.04, N = 879; pools of up to P = 158 points at ell = 0.1 < d < 0.4):
+    # the k = 1 search holds no pool x pool array, only one run of rows of
+    # at most 2^11 pool pairs (gathered sides, bounds and numpy's buffers),
+    # the P x P boolean upper-triangle mask and the witnesses
+    vertices = [[0.6 * np.cos(2 * np.pi * k / 32), 0.6 * np.sin(2 * np.pi * k / 32)]
+                for k in range(32)]
+    boundary = models.gen_convex_polygon(vertices, 0.04).subsets["boundary"]
+    dist = boundary.space.dist[boundary.indices]
+    p_max = int(((dist > 0.1) & (dist < 0.4)).sum(axis=1).max())
+    assert p_max == 158
+    mask = []
+    assert traced_peak(lambda: mask.append(classify(boundary, 1, 0.25, 0.1))) < F64 * p_max**2
+    assert mask[0].member_ids.size == boundary.size
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,61 @@ def test_block_size_does_not_change_masks(classified, monkeypatch):
         assert classify(*case).to_dict() == mask.to_dict()
 
 
+def full_array_pair(space, p, delta, ell, radius):
+    """The k = 1 witness from the whole pool x pool angle array: the least
+    pair margin over its strict upper triangle, the first in row-major
+    order on ties (the search before the k = 1 bound)."""
+    dp = space.dist[p]
+    pool = np.flatnonzero((dp > ell) & (dp < radius))
+    ang = comparison_angles_array(space.kappa, dp[pool][:, None], dp[pool][None, :],
+                                  space.dist[np.ix_(pool, pool)])
+    iu, ju = np.triu_indices(pool.size, 1)
+    margin = (math.pi - ang)[iu, ju]
+    live = np.flatnonzero(margin < delta)
+    if live.size == 0:
+        return None
+    t = live[np.argmin(margin[live])]
+    a, b = int(pool[iu[t]]), int(pool[ju[t]])
+    return strainers.Strainer(base=p, pairs=((a, b),), delta_achieved=float(margin[t]),
+                              length=float(min(dp[a], dp[b])))
+
+
+def k1_equivalence_cases():
+    """(subset, ell, radius) for the k = 1 equivalence test: the corpus
+    spaces (kappa = 0 and the kappa = 1 suspension) and their mixed subsets,
+    whose blocks pad short pools with the base point; a polygon re-tagged
+    kappa = -1 (a valid lower bound), also shrunk by 1e-6, where the bound is
+    not applied; and the h=0.05 square around point 82, which lies between
+    points 1 and 103 with d(1, 103) one rounding above d(82, 1) + d(82, 103)."""
+    for (sub, k, delta, ell, radius) in classify_cases():
+        if k == 1 and delta == 0.1:
+            yield sub, ell, radius
+    sq = witness_corpus_spaces()[0][0]
+    for scale in (1.0, 1e-6):
+        hyperbolic = Space("hyperbolic-square", -1.0, sq.dist * scale, coords=sq.coords,
+                           resolution=0.1 * scale)
+        yield Subset(hyperbolic, np.arange(sq.n_points), name="all"), 0.15 * scale, 0.5 * scale
+    knife = models.gen_convex_polygon(UNIT_SQUARE, 0.05)
+    d = knife.dist
+    assert d[1, 103] > d[82, 1] + d[82, 103]
+    yield Subset(knife, np.arange(70, 95), name="around-82"), 0.05, 0.2
+
+
+def test_k1_search_is_the_full_array_argmin():
+    # every witness, bit for bit, at every point and at the corpus deltas,
+    # at the workloads' 0.25, and at 4 > pi, where pairs without a
+    # comparison triangle (margin pi) are live and the bound keeps every pair
+    found = 0
+    for sub, ell, radius in k1_equivalence_cases():
+        for delta in (0.05, 0.1, 0.2, 0.25, 0.4, 0.8, 2.0, 4.0):
+            mask = classify(sub, 1, delta, ell, radius)
+            for p in sub.indices.tolist():
+                want = full_array_pair(sub.space, p, delta, ell, radius)
+                assert repr(mask.witnesses.get(p)) == repr(want), (sub.name, p, delta)
+                found += want is not None
+    assert found == 9524
+
+
 class TestClassify:
     def test_boundary_edges_strained_corners_not(self, fine_boundary):
         space = fine_boundary
