@@ -19,12 +19,11 @@ One kernel runs the search for a block of base points at once: their pools
 padded to one width P, one (points, P, P) comparison-angle array, the live
 pairs of each point and every beam level as arrays over the block.  Blocks
 are runs of consecutive points sized so that the angle array stays within a
-fixed element budget.  At k = 1 the kernel builds no angle array: it reads
-the pool pairs of the upper triangle a run of rows at a time and computes
-angles only for the pairs that a law-of-cosines bound lets through (all of
-them for kappa > 0).  ``classify`` scans a subset block by block, and
-``find_strainer`` is the kernel called on one point; both give the same
-witness at every point.
+fixed element budget.  At k = 1 the kernel builds no angle array: it
+computes angles only for the pool pairs of the upper triangle that a
+law-of-cosines bound lets through (all of them for kappa != 0).
+``classify`` scans a subset block by block, and ``find_strainer`` is the
+kernel called on one point; both give the same witness at every point.
 """
 
 from __future__ import annotations
@@ -44,8 +43,6 @@ HALF_PI = math.pi / 2.0
 BEAM_WIDTH = 8
 # most elements in one block's (points, pool, pool) angle array
 _BLOCK_ELEMENTS = 2**15
-# most pool pairs in one run of rows of the k = 1 search (or one row)
-_PAIR_CHUNK = 2**11
 
 
 @dataclass(frozen=True)
@@ -179,36 +176,23 @@ def _beam(space: Space, block: list[int], pools: list[np.ndarray], k: int,
     # No int64 comparison here or below: its first use in a process faults
     # in 128 KiB of numpy code, which shows in the peak RSS of a CLI run.
     if k == 1:
-        # The pair margins of the pool pairs i < j, a run of rows of the
-        # upper triangle at a time, each angle computed only where it can
-        # exceed pi - delta.  For kappa = 0 and an angle of at least
-        # pi - delta, the law of cosines gives
+        # The pair margins of the pool pairs i < j, each angle computed only
+        # where it can exceed pi - delta.  For kappa = 0 and an angle of at
+        # least pi - delta, the law of cosines gives
         #   c^2 - (a + b)^2 cos^2(delta/2) >= (1 - cos delta)(a - b)^2 / 2 >= 0,
         # strictly for an angle above it (a live pair), so a live pair has
         # c > (a + b) cos(delta/2) >= (a + b)(1 - delta^2/8); for delta > pi
-        # the bound is negative and keeps every pair.  Comparison angles do
-        # not decrease as kappa grows (Alexander-Kapovitch-Petrunin), so the
-        # bound holds for kappa < 0 too.  The factor 1 - 1e-9 keeps the pairs
-        # that are live only by rounding; for kappa < 0 it also covers the
-        # kernel's cosh cancellation (a few ulps over sinh(a s) sinh(b s),
-        # s = sqrt(-kappa)) while every side is at least 1e-3 / s.  Otherwise,
-        # and for kappa > 0, every pair is computed.  A NaN side keeps its pair.
-        short = dp[dp > 0].min(initial=math.inf)
-        if space.kappa == 0 or -space.kappa * short * short >= 1e-6:
+        # the bound is negative and keeps every pair.  The factor 1 - 1e-9
+        # keeps the pairs that are live only by rounding.  For kappa != 0
+        # every pair is computed.  A NaN side keeps its pair.
+        if space.kappa == 0:
             reach = dp * ((1.0 - delta * delta / 8.0) * (1.0 - 1e-9))
         else:
             reach = np.full(dp.shape, -math.inf)
-        upper = ~np.tri(width, dtype=bool)
-        kept, r = [], 0
-        while r < width - 1:
-            rows = slice(r, r + max(1, _PAIR_CHUNK // (c_n * (width - r - 1))))
-            c = d[pool_ids[:, rows, None], pool_ids[:, None, r + 1:]]
-            keep = ~(c <= reach[:, rows, None] + reach[:, None, r + 1:]) & upper[rows, r + 1:]
-            at, i, j = np.nonzero(keep)
-            kept.append((at, i + r, j + r + 1, c[at, i, j]))
-            r += c.shape[1]
-        at, i, j, c = map(np.concatenate, zip(*kept))
-        m = math.pi - comparison_angles_array(space.kappa, dp[at, i], dp[at, j], c)
+        c = d[pool_ids[:, :, None], pool_ids[:, None, :]]
+        at, i, j = np.nonzero(~(c <= reach[:, :, None] + reach[:, None, :])
+                              & ~np.tri(width, dtype=bool))
+        m = math.pi - comparison_angles_array(space.kappa, dp[at, i], dp[at, j], c[at, i, j])
         live = m < delta
         at, i, j, m = at[live], i[live], j[live], m[live]
         # each point's least margin; lexsort is stable and each point's pairs

@@ -23,7 +23,7 @@ from alexkit.io import FLOAT_CHUNK, WRITE_BATCH, dumps_stable, load_space, save_
 from alexkit.space import (RANDOM_TRIPLES, ROW_BLOCK_ELEMENTS, TRIPLE_CHUNK,
                            calibration_constant, euclidean_matrix, extremality_check,
                            intrinsic_metric, link_graph, validate)
-from alexkit.strainers import classify
+from alexkit.strainers import _BLOCK_ELEMENTS, classify
 
 F64 = 8  # bytes of one float64 or int64 entry
 H = 0.08  # pitch of the budget runs: the 12-gon has N = 584, a 2.6 MiB matrix
@@ -223,9 +223,9 @@ def test_int32_triple_draws_match_int64(n):
 def test_k1_classify_budget():
     # the boundary of the collar-32gon workload's 32-gon (radius 0.6,
     # h = 0.04, N = 879; pools of up to P = 158 points at ell = 0.1 < d < 0.4):
-    # the k = 1 search holds no pool x pool array, only one run of rows of
-    # at most 2^11 pool pairs (gathered sides, bounds and numpy's buffers),
-    # the P x P boolean upper-triangle mask and the witnesses
+    # the k = 1 search holds no angle array, only a block's gathered pool x
+    # pool sides and their bounds (each within _BLOCK_ELEMENTS float64), the
+    # boolean masks and the witnesses
     vertices = [[0.6 * np.cos(2 * np.pi * k / 32), 0.6 * np.sin(2 * np.pi * k / 32)]
                 for k in range(32)]
     boundary = models.gen_convex_polygon(vertices, 0.04).subsets["boundary"]
@@ -233,7 +233,8 @@ def test_k1_classify_budget():
     p_max = int(((dist > 0.1) & (dist < 0.4)).sum(axis=1).max())
     assert p_max == 158
     mask = []
-    assert traced_peak(lambda: mask.append(classify(boundary, 1, 0.25, 0.1))) < F64 * p_max**2
+    assert traced_peak(lambda: mask.append(classify(boundary, 1, 0.25, 0.1))) \
+        < 3 * F64 * _BLOCK_ELEMENTS
     assert mask[0].member_ids.size == boundary.size
 
 
