@@ -13,14 +13,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
+from scipy.sparse.csgraph import breadth_first_order, dijkstra, minimum_spanning_tree
 
 # intrinsic_metric is called through its home module, where wrappers are installed
 from . import space as _space
 from .errors import KitError, Refusal
 from .kplane import comparison_angles_array
-from .space import (Curve, Space, Subset, ball, graph_path, link_graph, linked,
-                    shortest_path_tree)
+from .space import (Curve, Space, Subset, ball, euclidean_matrix, graph_path, link_graph,
+                    linked)
 from .strainers import Strainer
 
 RATIO_QUANTILES = (0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0)
@@ -94,7 +94,7 @@ def build_chart(subset: Subset, strainer: Strainer, radius: float | None = None)
     a_ids = np.array([a for a, _ in strainer.pairs], dtype=int)
     values = space.dist[np.ix_(a_ids, region)].T.copy()
 
-    fdiff = _space.euclidean_matrix(values)
+    fdiff = euclidean_matrix(values)
     stats = {"extrinsic": _ratio_stats(fdiff, space.dist[np.ix_(region, region)])}
     d_e = _space.intrinsic_metric(subset, region)[:, subset.position(region)]
     stats["intrinsic"] = _ratio_stats(fdiff, d_e)
@@ -217,7 +217,7 @@ def quasigeodesic_check(space: Space, path: Curve, p: int) -> dict:
         raise Refusal("path too short for a monotonicity check")
     if np.any(ids == p):
         raise Refusal("viewpoint lies on the path")
-    gaps = path.gaps(space)
+    gaps = space.dist[ids[:-1], ids[1:]]
     step = path.step if path.step else float(np.median(gaps))
     if np.any(np.abs(gaps - step) > ARC_LENGTH_TOLERANCE * step):
         raise Refusal("path is not arc-length parametrized at its declared step")
@@ -259,14 +259,19 @@ def intrinsic_shortest_path(subset: Subset, start: int, end: int) -> Curve:
     """
     space, ids = subset.space, subset.indices
     i0, i1 = subset.position([start, end]).tolist()
-    forest = minimum_spanning_tree(link_graph(space, ids, subset.link_radius))
-    _, pred = breadth_first_order(forest, i0, directed=False, return_predecessors=True)
+    graph = link_graph(space, ids, space.link_radius())
+    _, pred = breadth_first_order(minimum_spanning_tree(graph), i0, directed=False,
+                                  return_predecessors=True)
     chain = graph_path(pred, i0, i1)
     if chain is None:
         raise KitError(f"{start} and {end} are in different link components")
-    graph = link_graph(space, ids, space.dist[ids[chain[:-1]], ids[chain[1:]]].max(initial=0.0))
+    # the link graph at the bottleneck radius: the same csr entries, in order
+    bottleneck = space.dist[ids[chain[:-1]], ids[chain[1:]]].max(initial=0.0)
+    graph.data[graph.data > bottleneck] = 0
+    graph.eliminate_zeros()
     graph.data **= 1.01
-    ids = ids[graph_path(shortest_path_tree(graph, i0)[1], i0, i1)]
+    _, pred = dijkstra(graph, directed=False, indices=i0, return_predecessors=True)
+    ids = ids[graph_path(pred, i0, i1)]
     gaps = space.dist[ids[:-1], ids[1:]]
     step = float(np.median(gaps)) if gaps.size else 0.0  # start == end
     return Curve(points=ids, step=step,

@@ -58,7 +58,7 @@ def _check_param_ranges(args):
 
 def _load(args):
     space = load_space(args.space)
-    rep = validate(space, seed=getattr(args, "seed", DEFAULT_SEED))
+    rep = validate(space, seed=args.seed)
     if not rep["passed"]:
         raise Refusal(f"space file fails validation: "
                       f"{[c['name'] for c in rep['checks'] if not c['passed']]}")

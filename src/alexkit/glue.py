@@ -25,14 +25,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from .charts import (DIRECTION_COUNT, direction_defects, direction_grid,
                      nearest_values)
 from .errors import KitError, Refusal
 from .space import (Space, Subset, ball, calibration_constant, distance_to,
                     effective_spacing, even_positions, graph_path,
-                    hausdorff_measure_estimate, link_graph, packing_ids,
-                    shortest_path_tree)
+                    hausdorff_measure_estimate, link_graph, packing_ids)
 from .strainers import Strainer, classify, is_strainer
 
 NET_MIN_PITCH_FACTOR = 4.0       # r >= 4h keeps the net resolvable
@@ -143,7 +143,7 @@ def _net_charts(mask, net: np.ndarray, target: Subset, g: np.ndarray, r: float,
     ell, delta = mask.ell, mask.delta
     rebase_distance = max(ell * delta, 4.0 * r)
     graph = link_graph(source, np.arange(source.n_points), source.link_radius())
-    _, pred_rows = shortest_path_tree(graph, net)
+    _, pred_rows = dijkstra(graph, directed=False, indices=net, return_predecessors=True)
     charts = []
     for row, p in enumerate(net):
         a_ids, b_ids = _rebase_strainer(source, mask.witnesses[int(p)],
@@ -359,7 +359,7 @@ def cross_space_almost_isometry(e_subset: Subset, f_subset: Subset,
     if g.shape[0] != space_e.n_points:
         raise Refusal("correspondence must cover every ambient point of E's space")
     mask = classify(e_subset, m, delta, ell)
-    if mask.is_empty():
+    if not mask.witnesses:
         raise Refusal("no strained points to map")
     domain_sub = Subset(space_e, mask.member_ids, name=f"{e_subset.name}(strained)")
     net = discrete_net(domain_sub, r)

@@ -58,9 +58,11 @@ def comparison_angles_array(kappa, a, b, c):
             with np.errstate(divide="ignore", invalid="ignore"):
                 cos_ang = np.where(np.abs(denom) < 1e-14, 1.0, num / denom)
         else:
+            # cosh a cosh b - cosh c = sinh a sinh b - 2 sinh((c+a-b)/2) sinh((c-a+b)/2)
+            # for sides times s, which does not cancel when sides are short against 1/s
             s = math.sqrt(-kappa)
-            denom = np.sinh(a * s) * np.sinh(b * s)
-            cos_ang = (np.cosh(a * s) * np.cosh(b * s) - np.cosh(c * s)) / denom
+            num = 2.0 * np.sinh((c + a - b) * (s / 2.0)) * np.sinh((c - a + b) * (s / 2.0))
+            cos_ang = 1.0 - num / (np.sinh(a * s) * np.sinh(b * s))
         out[sel] = np.arccos(np.clip(cos_ang, -1.0, 1.0))
     out[bad_vertex] = np.nan
     return out

@@ -375,7 +375,7 @@ def gen_spherical_suspension(base: Space, h: float, name: str | None = None) -> 
                                  "base_size": nb})
 
 
-def gen_circle(length: float, h: float, name: str | None = None) -> Space:
+def gen_circle(length: float, h: float) -> Space:
     """Circle of the given length with its arc metric, tagged kappa = 1.
 
     A circle of length <= 2*pi is a curvature >= 1 space; used as a
@@ -389,8 +389,7 @@ def gen_circle(length: float, h: float, name: str | None = None) -> Space:
     gap = np.abs(arc[:, None] - arc[None, :])
     dist = np.minimum(gap, length - gap)
     np.fill_diagonal(dist, 0.0)
-    return Space(name or "circle", kappa=1.0, dist=dist, coords=None,
-                 resolution=length / m)
+    return Space("circle", kappa=1.0, dist=dist, coords=None, resolution=length / m)
 
 
 def gen_two_point_base(separation: float = math.pi) -> Space:

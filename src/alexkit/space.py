@@ -21,13 +21,13 @@ matrix, and a space is freed as soon as its last user lets it go.
 Link graphs and shortest paths have one owner here: the link rule
 (:func:`linked`), its csr graph on given ids (:func:`link_graph`, the only
 code that applies the rule to a matrix, built from one row block of
-``space.dist`` at a time), Dijkstra from given sources
-(:func:`shortest_path_tree`) and the walk along its predecessors
-(:func:`graph_path`).  The intrinsic metric, intrinsic shortest paths, the
-extremality check and the glue's rebase paths all read that graph, and none
-copies an S x S block.  So do packings: every packing number, measure and
-dimension estimate and r/2-net is the id-order greedy packing of
-:func:`packing_ids`, which reads the rows of the points it keeps only.
+``space.dist`` at a time) and the walk along the predecessors that scipy's
+``dijkstra`` returns (:func:`graph_path`).  The intrinsic metric, intrinsic
+shortest paths, the extremality check and the glue's rebase paths all read
+that graph, and none copies an S x S block.  So do packings: every packing
+number, measure and dimension estimate and r/2-net is the id-order greedy
+packing of :func:`packing_ids`, which reads the rows of the points it keeps
+only.
 
 The distance function of a subset, dist_E(x) = min over e in E of d(x, e),
 has one owner too: :func:`distance_to`, which reads one row block at a time.
@@ -146,8 +146,8 @@ class Space:
         self._subsets[name] = (sub.indices, sub.extremal_claim)
         return sub
 
-    def all_points_subset(self, name="all") -> "Subset":
-        return self.subset(np.arange(self.n_points), name=name)
+    def all_points_subset(self) -> "Subset":
+        return self.subset(np.arange(self.n_points), name="all")
 
     def __repr__(self):
         return (f"Space({self.name!r}, kappa={self.kappa}, n={self.n_points}, "
@@ -172,10 +172,6 @@ class Subset:
             raise KitError("empty subset")
         self.name = name
         self.extremal_claim = bool(extremal_claim)
-
-    @property
-    def link_radius(self) -> float:
-        return self.space.link_radius()
 
     @property
     def size(self) -> int:
@@ -223,10 +219,6 @@ class Curve:
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=int)
-
-    def gaps(self, space: Space) -> np.ndarray:
-        p = self.points
-        return space.dist[p[:-1], p[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +373,6 @@ def link_graph(space: Space, ids: np.ndarray, radius: float) -> csr_matrix:
                       shape=(n, n))
 
 
-def shortest_path_tree(graph: csr_matrix, sources) -> tuple[np.ndarray, np.ndarray]:
-    """Dijkstra distances and predecessors from each source; no path: inf, -9999."""
-    return dijkstra(graph, directed=False, indices=sources, return_predecessors=True)
-
-
 def graph_path(pred: np.ndarray, source: int, target: int) -> np.ndarray | None:
     """The nodes from source to target along a predecessor row; None if the
     row holds no path between them."""
@@ -406,7 +393,7 @@ def intrinsic_metric(subset: Subset, ids) -> np.ndarray:
     pass ``subset.indices`` for all pairs.  No S x S block is made beyond the
     rows asked for.  A non-member id raises KitError.
     """
-    graph = link_graph(subset.space, subset.indices, subset.link_radius)
+    graph = link_graph(subset.space, subset.indices, subset.space.link_radius())
     return dijkstra(graph, directed=False, indices=subset.position(ids))
 
 
@@ -613,7 +600,7 @@ def extremality_check(subset: Subset, witness_radius: float | None = None) -> di
     """
     space = subset.space
     if witness_radius is None:
-        witness_radius = 4.0 * subset.link_radius
+        witness_radius = 4.0 * space.link_radius()
     h = space.require_scale(witness_radius, 2.0, "witness_radius")
     angle_tol = 0.05 + 2.0 * h / witness_radius
 
@@ -623,7 +610,7 @@ def extremality_check(subset: Subset, witness_radius: float | None = None) -> di
     exterior = exterior[distance_to(space, exterior, subset.indices) >= 4.0 * h]
     exterior = exterior[even_positions(exterior.size, EXTERIOR_CAP)]
 
-    graph = link_graph(space, subset.indices, subset.link_radius)
+    graph = link_graph(space, subset.indices, space.link_radius())
     rows = np.repeat(np.arange(subset.size), np.diff(graph.indptr))  # each edge's source
 
     worst_excess = -np.inf

@@ -74,9 +74,6 @@ class ClassificationMask:
     def member_ids(self) -> np.ndarray:
         return np.asarray(list(self.witnesses), dtype=int)
 
-    def is_empty(self) -> bool:
-        return not self.witnesses
-
     def to_dict(self) -> dict:
         return {
             "k": self.k, "delta": self.delta, "ell": self.ell,
@@ -388,15 +385,15 @@ def local_strainer_number(subset: Subset, p: int, delta: float, scales) -> dict:
 
 
 def regular_points(subset: Subset, m: int, delta_schedule=(0.2, 0.1, 0.05),
-                   ell: float | None = None,
-                   search_radius: float | None = None) -> dict:
+                   ell: float | None = None) -> dict:
     """Nested (m, delta)-strained masks along a descending delta schedule.
 
     The member set at the smallest feasible delta is the empirical regular
     set.  The limit delta -> 0 is not decidable from a finite sample, so the
     schedule makes the approximation explicit.  One scan runs at the largest
-    delta; since the search is exact in delta, the mask at each smaller delta
-    is the witnesses with delta_achieved below it, so the masks are nested.
+    delta, out to min(4 ell, diameter); since the search is exact in delta,
+    the mask at each smaller delta is the witnesses with delta_achieved below
+    it, so the masks are nested.
     """
     sched = [float(d) for d in delta_schedule]
     if not sched or not all(0 < d < math.inf for d in sched):  # nor NaN
@@ -406,7 +403,7 @@ def regular_points(subset: Subset, m: int, delta_schedule=(0.2, 0.1, 0.05),
     h = subset.space.require_resolution()
     if ell is None:
         ell = 4.0 * h
-    scan = classify(subset, m, sched[0], ell, search_radius)
+    scan = classify(subset, m, sched[0], ell)
     masks = []
     for d in sched:
         witnesses = {p: w for p, w in scan.witnesses.items() if w.delta_achieved < d}
@@ -420,13 +417,14 @@ def regular_points(subset: Subset, m: int, delta_schedule=(0.2, 0.1, 0.05),
     }
 
 
-def unstrained_mass(subset: Subset, m: int, k: int, delta: float, ell: float,
-                    eps: float, search_radius: float | None = None) -> float:
-    """eps^m times the packing number of the unstrained part of the subset."""
+def unstrained_mass(subset: Subset, m: int, delta: float, ell: float, eps: float,
+                    search_radius: float | None = None) -> float:
+    """eps^m times the packing number of the unstrained part of the subset:
+    its points that are not (m, delta)-strained."""
     if m < 0:
         raise Refusal(f"dimension m must be >= 0, got {m}")
     subset.space.require_scale(eps, 2.0, "eps")
-    mask = classify(subset, k, delta, ell, search_radius)
+    mask = classify(subset, m, delta, ell, search_radius)
     rest = np.setdiff1d(subset.indices, mask.member_ids)
     if rest.size == 0:
         return 0.0

@@ -83,12 +83,34 @@ class TestBuildChart:
         with pytest.raises(Refusal):
             build_chart(sub, s)
 
+    def test_region_without_intrinsic_pairs_refused(self):
+        # every tenth point of a segment at h = 0.01: 0.1 apart, beyond the
+        # link radius 3h, so every pair of the region is at d_E = inf
+        space = models.gen_segment(1.0, 0.01)
+        sparse = space.subset(np.arange(0, space.n_points, 10), name="sparse")
+        s = find_strainer(space, 50, 1, 0.05, 0.1, 0.3)
+        with pytest.raises(Refusal, match="^no usable pairs in chart region$"):
+            build_chart(sparse, s, radius=0.25)
+
     def test_tiny_region_refused(self, boundary_space):
         space = boundary_space
         sub = space.subsets["boundary"]
         s = edge_midpoint_strainer(space, sub, (0.5, 0.0), ell=0.06)
         with pytest.raises(Refusal):
             build_chart(sub, s, radius=1e-6)
+
+
+class TestDirectionGrid:
+    def test_k3_is_count_squared_unit_vectors(self):
+        dirs = direction_grid(3, 4)
+        assert dirs.shape == (16, 3)
+        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.unique(dirs, axis=0).shape == (16, 3)
+
+    def test_k4_refused(self):
+        with pytest.raises(Refusal, match="^direction grids implemented for k <= 3, "
+                                          "got k = 4$"):
+            direction_grid(4, 16)
 
 
 class TestOpenness:
@@ -161,6 +183,17 @@ class TestMetricComparison:
         out = metric_comparison(sub, corner, 0.1)
         assert out["max_ratio"] >= 1.3
         assert out["max_ratio"] <= math.sqrt(2) + 0.02
+
+    @pytest.mark.parametrize("radius, reason", [
+        (0.04, "fewer than 2 subset points in the ball"),
+        (0.25, "all pairs disconnected in the intrinsic metric"),
+    ])
+    def test_ball_without_intrinsic_pairs_refused(self, radius, reason):
+        # every tenth point of a segment at h = 0.01, beyond the link radius
+        space = models.gen_segment(1.0, 0.01)
+        sparse = space.subset(np.arange(0, space.n_points, 10), name="sparse")
+        with pytest.raises(Refusal, match=f"^{reason}$"):
+            metric_comparison(sparse, 50, radius)
 
     def test_convex_square_ratio_one(self):
         space = models.gen_convex_polygon(UNIT_SQUARE, 0.04)
@@ -242,6 +275,16 @@ class TestQuasigeodesic:
             space.coords - np.array([0.5, 0.95]), axis=1)))
         out = quasigeodesic_check(space, curve, viewpoint)
         assert out["max_violation"] > 0.1
+
+    @pytest.mark.parametrize("points, reason", [
+        ([0, 1], "path too short for a monotonicity check"),
+        ([0, 1, 5], "path is not arc-length parametrized at its declared step"),
+    ])
+    def test_short_or_uneven_path_refused(self, points, reason):
+        space = models.gen_segment(1.0, 0.01)
+        curve = Curve(points=np.array(points), step=0.01)
+        with pytest.raises(Refusal, match=f"^{reason}$"):
+            quasigeodesic_check(space, curve, 50)
 
     def test_viewpoint_on_path_rejected(self, square_with_interior):
         space = square_with_interior

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +165,13 @@ def test_eps_grid_values_refused(grid, reason, segment_file, capsys):
      "a chart needs k >= 1, got k = 0"),
     (["glue", "--subset", "all", "--m", "0", "--delta", "0.2", "--ell", "0.3",
       "--r", "1.0"], "a projection needs m >= 1, got m = 0"),
+    (["strain", "--subset", "all", "--k", "1", "--delta", "0.5", "--ell", "0.3"],
+     "delta must be <= 0.3, got 0.5"),
+    (["strain", "--subset", "all", "--k", "1", "--delta", "0.2", "--ell", "2"],
+     "ell must be <= 1.0, got 2.0"),
+    # the segment's end point 0 has one point, 1, in its pool (0.1 < d < 0.4)
+    (["chart", "--subset", "all", "--base", "0", "--k", "1", "--delta", "0.2"],
+     "no (1, 0.2)-strainer found at point 0 (heuristic search)"),
 ])
 def test_meaningless_parameter_is_a_refusal(args, reason, segment_file, tmp_path,
                                             capsys):
@@ -374,6 +382,30 @@ def test_dim_eps_grid_writes_the_packing_fit(tmp_path):
     want = packing_dimension_estimate(loaded, np.arange(loaded.n_points),
                                       [0.2, 0.5, 2.0])
     assert json.loads(text)["packing_dimension"] == json.loads(dumps_stable(want))
+
+
+def test_internal_error_is_one_error_line_and_exit_1(segment_file, tmp_path, capsys):
+    data = json.loads(Path(segment_file).read_text())
+    data["points"].reverse()  # ids out of order: a KitError, not bad input
+    space_file = tmp_path / "reversed.json"
+    space_file.write_text(json.dumps(data))
+    code, line = refused_cleanly(["strain", "--space", str(space_file), "--subset", "all",
+                                  "--k", "1", "--delta", "0.2", "--ell", "0.3"], capsys)
+    assert (code, line) == (1, "error: point ids must be 0..N-1 in order")
+
+
+def test_run_config_true_flag_is_the_option(polygon_file, tmp_path):
+    direct, via_run = tmp_path / "direct.json", tmp_path / "run.json"
+    options = {"space": polygon_file, "subset": "boundary", "m": 1, "delta": 0.25,
+               "ell": 0.12, "r": 0.4, "rho": 0.07}
+    assert main(["glue", "--full", "--out", str(direct)]
+                + [a for k, v in options.items() for a in (f"--{k}", str(v))]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"command": "glue", "full": True, "out": str(via_run),
+                                  **options}))
+    assert main(["run", "--config", str(config)]) == 0
+    assert via_run.read_text() == direct.read_text().replace(str(direct), str(via_run))
+    assert "map" in json.loads(via_run.read_text())
 
 
 def test_glue_full_embeds_the_map(polygon_file, tmp_path):

@@ -31,6 +31,27 @@ def test_step_below_two_pitches_refused(square):
         FlowConfig(step=1.9 * H, witness_radius=4 * H).check(square)
 
 
+def test_witness_radius_below_the_step_refused(square):
+    with pytest.raises(Refusal, match="^witness_radius must be >= step$"):
+        FlowConfig(step=3 * H, witness_radius=2.5 * H).check(square)
+
+
+def test_invariance_refuses_q_in_the_subset_or_starts_outside_it(square, cfg):
+    boundary = square.subsets["boundary"]
+    inside = np.setdiff1d(np.arange(square.n_points), boundary.indices)
+    with pytest.raises(Refusal, match="^q must lie outside the subset"):
+        extremal_invariance_test(boundary, int(boundary.indices[0]), boundary.indices[:3], cfg)
+    with pytest.raises(Refusal, match="^starts must lie in the subset$"):
+        extremal_invariance_test(boundary, int(inside[0]), inside[1:3], cfg)
+
+
+def test_gradient_bound_refuses_an_empty_band(square, cfg):
+    # no point of the unit square is further than 0.5 from its boundary
+    with pytest.raises(Refusal, match="^band contains no ambient sample points$"):
+        dist_gradient_lower_bound(square.subsets["boundary"], {"inner": 0.6, "outer": 0.7},
+                                  cfg)
+
+
 def test_derivative_is_one_straight_away_from_q():
     segment = models.gen_segment(1.0, 0.1)
     # x = 0.5 lies between q = 0 and the witnesses beyond it on the segment

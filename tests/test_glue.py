@@ -61,7 +61,7 @@ def test_cross_space_digest(monkeypatch):
     out = cross_space_almost_isometry(se.subsets["boundary"], sf.subsets["boundary"],
                                       nearest, 1, 0.25, 0.1, 0.16, epsilon=0.03)
     (strained,) = netted  # the strained part of E, the net's subset
-    assert strained.link_radius == se.link_radius()
+    assert strained.space is se
     assert (out["net"].size, out["domain"].size) == (32, 96)
     assert np.isin(out["assignment"], sf.subsets["boundary"].indices).all()
     assert digest(out) == (
@@ -89,6 +89,49 @@ def test_chart_gluing_refuses_dimension_below_one(m):
     with pytest.raises(Refusal, match=f"m >= 1, got m = {m}"):
         cross_space_almost_isometry(sub, sub, np.arange(space.n_points), m,
                                     0.25, 0.1, 0.4)
+
+
+@pytest.fixture(scope="module")
+def octagon():
+    return models.gen_regular_polygon(8, 0.1)
+
+
+def test_projection_refuses_a_collar_too_wide_for_the_net(octagon):
+    with pytest.raises(Refusal, match=r"^\(3 \+ 2\*sqrt\(m\)\) \* rho = 0\.5 must be < r = 0\.4$"):
+        build_projection(octagon.subsets["boundary"], 1, 0.25, 0.1, 0.4, rho=0.1)
+
+
+def test_projection_refuses_unstrained_subset_points(octagon):
+    # the corners and their neighbours: a corner's comparison angles are at
+    # most 3 pi / 4, a margin of pi / 4 > delta
+    with pytest.raises(Refusal, match=r"^24 subset point\(s\) not \(m=1, delta=0\.25\)-"
+                                      r"strained with length > 0\.1: first ids \[0, 1, 7, "):
+        build_projection(octagon.subsets["boundary"], 1, 0.25, 0.1, 0.4)
+
+
+def test_cross_space_refuses_a_short_correspondence(octagon):
+    sub = octagon.subsets["boundary"]
+    with pytest.raises(Refusal, match="^correspondence must cover every ambient point"):
+        cross_space_almost_isometry(sub, sub, np.arange(octagon.n_points - 1),
+                                    1, 0.25, 0.1, 0.4)
+
+
+def test_cross_space_refuses_a_subset_without_strained_points(octagon):
+    corners = octagon.subset(octagon.annotations["subsets"]["boundary"]["singular_ids"],
+                             name="corners")
+    with pytest.raises(Refusal, match="^no strained points to map$"):
+        cross_space_almost_isometry(corners, octagon.subsets["boundary"],
+                                    np.arange(octagon.n_points), 1, 0.25, 0.1, 0.4)
+
+
+def test_cross_space_refuses_a_strainer_the_correspondence_breaks(octagon):
+    # a correspondence that scrambles the points: the first net point's
+    # rebased strainer lands on points that strain nothing
+    sub = octagon.subsets["boundary"]
+    scramble = np.random.default_rng(0).permutation(octagon.n_points)
+    with pytest.raises(Refusal, match=r"^strainer gap at net point 2: rebased margin "
+                                      r"1\.3252 >= 0\.3500 in the target space$"):
+        cross_space_almost_isometry(sub, sub, scramble, 1, 0.25, 0.1, 0.4)
 
 
 def test_net_is_discrete_and_maximal():

@@ -4,6 +4,8 @@ and imports at module level; every test file uses what it imports and every
 local it assigns.  Every public function or class of the package is read by
 another part of it or carries a claim of the ledger in the package
 docstring, and every ledger entry names a real function and a real test.
+Every parameter with a default, of a function or method of the package, is
+passed by some call in ``src/`` or ``tests/``.
 
 No linter is installed, so a walk over each module's syntax tree stands in
 for pyflakes' unused-import and unused-local checks and for vulture's unused
@@ -13,6 +15,7 @@ first, so every module imports at its top level.
 """
 
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -287,3 +290,88 @@ def test_checker_finds_function_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_imports_at_module_level(path):
     assert function_imports(path.read_text()) == []
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, str, int | None, str]]:
+    """(qualified name, callee name, position, parameter) for each parameter
+    with a default of each function and method of a module, nested ones
+    included.  A constructor's callee name is its class's name; a method's
+    positions do not count ``self``; a keyword-only parameter has position
+    None.  Dataclass fields are not parameters of any definition here."""
+    found = []
+
+    def visit(node, prefix, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a, qual = child.args, f"{prefix}{child.name}"
+                positional = a.posonlyargs + a.args
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in child.decorator_list)
+                skip = 1 if cls and not static else 0
+                callee = cls if child.name == "__init__" else child.name
+                found.extend((qual, callee, i - skip, positional[i].arg)
+                             for i in range(len(positional) - len(a.defaults),
+                                            len(positional)))
+                found.extend((qual, callee, None, arg.arg)
+                             for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+                             if default is not None)
+                visit(child, f"{qual}.", None)
+            else:
+                visit(child, prefix, cls)
+
+    visit(ast.parse(source), "", None)
+    return found
+
+
+def passed_arguments(callers: list[str]) -> dict[str, tuple[int, set[str], bool]]:
+    """For each callee name (a called name or attribute): the most positional
+    arguments one call passes (a ``*`` argument counts as all), the keywords
+    passed, and whether some call passes ``**``."""
+    calls = {}
+    for node in (n for text in callers for n in ast.walk(ast.parse(text))):
+        name = (getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if isinstance(node, ast.Call) else None)
+        if name is None:
+            continue
+        most, keywords, mapping = calls.get(name, (0, set(), False))
+        count = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
+                 else len(node.args))
+        calls[name] = (max(most, count), keywords | {k.arg for k in node.keywords},
+                       mapping or any(k.arg is None for k in node.keywords))
+    return calls
+
+
+def never_passed_parameters(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.function(parameter)`` for each parameter with a default of the
+    ``modules`` (module name -> source) that no call in the ``callers``
+    passes, by position, by keyword or through ``**``: a name-based check."""
+    calls = passed_arguments(callers)
+    found = []
+    for module, text in modules.items():
+        for qual, callee, pos, param in defaulted_parameters(text):
+            most, keywords, mapping = calls.get(callee, (0, set(), False))
+            if not (mapping or param in keywords or pos is not None and pos < most):
+                found.append(f"{module}.{qual}({param})")
+    return sorted(found)
+
+
+def test_checker_finds_never_passed_parameters():
+    source = ("class A:\n    def __init__(self, x, y=1, z=2):\n        pass\n"
+              "    def m(self, a=0, *, b=1, c=2):\n        def inner(q=3):\n"
+              "            pass\n        return inner\n"
+              "    @staticmethod\n    def s(u=0):\n        pass\n\n"
+              "def f(p, r=0, t=1):\n    pass\n\ndef g(v=0, w=1):\n    pass\n\n"
+              "def h(k=0):\n    pass\n")
+    caller = ("A(1, 2).m(c=5)\nA(0, z=3).s(4)\nf(*args)\ng(**opts)\n"
+              "h\nobj.inner()\n")
+    assert never_passed_parameters({"mod": source}, [source, caller]) == [
+        "mod.A.m(a)", "mod.A.m(b)", "mod.A.m.inner(q)", "mod.h(k)"]
+
+
+def test_every_defaulted_parameter_is_passed():
+    modules = {p.stem: p.read_text() for p in MODULES}
+    callers = [p.read_text() for d in ("src", "tests")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    assert never_passed_parameters(modules, callers) == []

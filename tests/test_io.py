@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from alexkit import models
 from alexkit.cli import main
-from alexkit.errors import KitError
+from alexkit.errors import KitError, Refusal
 from alexkit.io import (FLOAT_CHUNK, dumps_stable, from_lower_triangle, load_space,
                         lower_triangle, save_space, space_to_dict)
 from alexkit.space import Space
@@ -67,6 +68,34 @@ def test_lower_triangle_is_row_major():
 def test_wrong_triangle_length_refused():
     with pytest.raises(KitError, match="needs 3 entries, got 2"):
         from_lower_triangle([1.0, 2.0], 3)
+
+
+@pytest.mark.parametrize("change, error, reason", [
+    (lambda d: d.update(schema_version=2), Refusal, "unsupported schema_version 2"),
+    (lambda d: d["points"].reverse(), KitError, "point ids must be 0..N-1 in order"),
+    (lambda d: [p.pop("coords") for p in d["points"]], KitError,
+     "euclidean metric type needs coords on every point"),
+    (lambda d: d["metric"].update(type="taxicab"), KitError, "unknown metric type 'taxicab'"),
+], ids=["schema-version", "ids-out-of-order", "euclidean-without-coords",
+        "unknown-metric-type"])
+def test_malformed_space_file_is_refused_on_load(polygon, change, error, reason, tmp_path):
+    data = space_to_dict(polygon, "euclidean")
+    change(data)
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(error, match=f"^{re.escape(reason)}$"):
+        load_space(path)
+
+
+@pytest.mark.parametrize("metric_type, error, reason", [
+    ("euclidean", Refusal, "euclidean metric type needs coordinates"),
+    ("taxicab", KitError, "unknown metric type 'taxicab'"),
+])
+def test_save_refuses_a_metric_type_it_cannot_write(metric_type, error, reason, tmp_path):
+    path = tmp_path / "space.json"
+    with pytest.raises(error, match=f"^{re.escape(reason)}$"):
+        save_space(models.gen_circle(2 * math.pi, 0.5), path, metric_type)  # no coordinates
+    assert list(tmp_path.iterdir()) == []
 
 
 GEN_H = 0.25

@@ -185,10 +185,13 @@ def test_kernel_matches_the_50_digit_law_of_cosines():
     a = rng.uniform(0.2, 1.5, 50)
     b = rng.uniform(0.2, 1.5, 50)
     c = np.abs(a - b) + rng.uniform(0.01, 1.0, 50) * (a + b - np.abs(a - b) - 0.02)
-    for kappa in KAPPAS:
-        vec = comparison_angles_array(kappa, a, b, c)
+    # and kappa = -1 triangles with sides short against 1, where the
+    # hyperbolic law of cosines must not cancel
+    for kappa, scale in [(kappa, 1.0) for kappa in KAPPAS] + [(-1.0, 1e-6), (-1.0, 1e-3)]:
+        sa, sb, sc = a * scale, b * scale, c * scale
+        vec = comparison_angles_array(kappa, sa, sb, sc)
         for i in range(50):
-            assert vec[i] == pytest.approx(law_of_cosines_50(kappa, a[i], b[i], c[i]),
+            assert vec[i] == pytest.approx(law_of_cosines_50(kappa, sa[i], sb[i], sc[i]),
                                            abs=1e-12)
 
 

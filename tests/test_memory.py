@@ -259,7 +259,7 @@ def link_budget(subset) -> int:
     validated, transposed or spanning-tree copies and per-point work."""
     s = subset.size
     block = max(1, ROW_BLOCK_ELEMENTS // s) * s
-    edges = link_graph(subset.space, subset.indices, subset.link_radius).nnz
+    edges = link_graph(subset.space, subset.indices, subset.space.link_radius()).nnz
     return 35 * block + 64 * (edges + s)
 
 
@@ -272,12 +272,14 @@ def test_intrinsic_metric_budget(long_boundary):
 
 
 def test_intrinsic_shortest_path_budget(long_boundary):
-    # two graph builds, each within the link budget: the 3h graph and its
-    # spanning forest, then the graph at the bottleneck radius (no more
-    # edges) and one Dijkstra row with its predecessors
+    # one graph build within the link budget: the 3h graph, cut down in place
+    # to the bottleneck radius; its spanning forest (S - 1 edges: data, index
+    # and pointer, under two entries a point); and per point the
+    # breadth-first order and predecessors, then one Dijkstra row with its
+    # predecessors (four entries)
     sub = long_boundary
     ids = sub.indices
-    budget = 2 * link_budget(sub)
+    budget = link_budget(sub) + 2 * F64 * sub.size + 4 * F64 * sub.size
     assert budget < F64 * sub.size**2  # less than one S x S block
     path = []
     assert traced_peak(lambda: path.append(

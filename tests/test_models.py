@@ -36,6 +36,14 @@ class TestConvexPolygon:
         with pytest.raises(Refusal):
             models.gen_convex_polygon([(0, 0), (1, 0), (0.4, 0.4), (0, 1)], 0.05)
 
+    @pytest.mark.parametrize("vertices, reason", [
+        (UNIT_SQUARE[:2], "need at least 3 vertices"),
+        (UNIT_SQUARE[::-1], "vertices must be in counterclockwise order"),
+    ])
+    def test_too_few_or_clockwise_vertices_refused(self, vertices, reason):
+        with pytest.raises(Refusal, match=f"^{reason}$"):
+            models.gen_convex_polygon(vertices, 0.1)
+
     def test_collinear_refused(self):
         with pytest.raises(Refusal):
             models.gen_convex_polygon([(0, 0), (0.5, 0), (1, 0), (1, 1)], 0.05)
@@ -178,6 +186,19 @@ class TestSuspension:
         space = models.gen_segment(1.0, 0.1)
         with pytest.raises(Refusal):
             models.gen_spherical_suspension(space, 0.1)
+
+    @pytest.mark.parametrize("dist, reason", [
+        ([[0, 4.0], [4.0, 0]], r"suspension base diameter 4\.0 exceeds pi"),
+        ([[0, 1, 3.0], [1, 0, 1], [3.0, 1, 0]],
+         r"suspension base fails validation: \['triangle_inequality'\]"),
+    ], ids=["diameter-above-pi", "fails-validation"])
+    def test_rejects_a_base_that_is_not_a_curvature_1_space(self, dist, reason):
+        with pytest.raises(Refusal, match=f"^{reason}$"):
+            models.gen_spherical_suspension(Space("base", 1.0, dist), 0.1)
+
+    def test_circle_longer_than_2pi_refused(self):
+        with pytest.raises(Refusal, match="circle longer than 2\\*pi"):
+            models.gen_circle(2 * math.pi + 1e-6, 0.1)
 
     # (1, 0) divided by zero, (-1, 0.1) gave distance -1.667, (nan, 0.1) a
     # ValueError and h = inf a 3-point circle

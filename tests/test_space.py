@@ -138,7 +138,22 @@ class TestValidate:
             assert json.loads(dumps_stable(rep)) == rep
 
 
+class TestSpaceAndSubset:
+    def test_non_square_matrix_is_an_error(self):
+        with pytest.raises(KitError, match="^distance matrix must be square$"):
+            Space("wide", 0.0, np.zeros((2, 3)))
+
+    def test_empty_subset_is_an_error(self, square):
+        with pytest.raises(KitError, match="^empty subset$"):
+            square.subset([], name="none")
+        assert "none" not in square.subsets
+
+
 class TestBall:
+    def test_negative_radius_is_an_error(self, square):
+        with pytest.raises(KitError, match="^ball radius must be nonnegative$"):
+            ball(square, 0, -0.1)
+
     def test_zero_radius_is_empty(self, square):
         space = square
         assert ball(space, 0, 0.0).size == 0
@@ -221,7 +236,7 @@ class TestIntrinsicMetric:
         space = square
         sub = space.all_points_subset()
         d_e = intrinsic_metric(sub, sub.indices)
-        assert np.all(d_e <= space.dist + 2 * sub.link_radius + 1e-9)
+        assert np.all(d_e <= space.dist + 2 * space.link_radius() + 1e-9)
 
     def test_lower_bound_by_ambient(self, square):
         space = square
@@ -251,7 +266,7 @@ class TestIntrinsicMetric:
         for sub in (whole, cut):
             ids = sub.indices if rows == "all" else sub.indices[rows]
             amb = space.dist[np.ix_(sub.indices, sub.indices)]
-            graph = csr_matrix(np.where((amb > 0) & (amb <= sub.link_radius), amb, 0.0))
+            graph = csr_matrix(np.where((amb > 0) & (amb <= space.link_radius()), amb, 0.0))
             want = shortest_path(graph, method="D", directed=False)[sub.position(ids)]
             got = intrinsic_metric(sub, ids)
             assert got.tobytes() == want.tobytes()
@@ -411,7 +426,7 @@ FLOORS = {
         lambda space, sub, v: extremality_check(sub, witness_radius=v),
         "witness_radius", 2.0),
     "unstrained_mass": (
-        lambda space, sub, v: unstrained_mass(sub, 1, 1, 0.1, 0.1, v), "eps", 2.0),
+        lambda space, sub, v: unstrained_mass(sub, 1, 0.1, 0.1, v), "eps", 2.0),
     "local_strainer_number": (
         lambda space, sub, v: local_strainer_number(sub, int(sub.indices[0]), 0.1,
                                                     [1.0, v]),
@@ -481,6 +496,11 @@ class TestPackingDimension:
         space = models.gen_segment(1.0, 0.01)
         out = packing_dimension_estimate(space, [7], [0.05, 0.2, 0.5])
         assert out["dimension"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_refuses_fewer_than_3_grid_values(self):
+        space = models.gen_segment(1.0, 0.01)
+        with pytest.raises(Refusal, match="^eps_grid needs at least 3 values$"):
+            packing_dimension_estimate(space, np.arange(space.n_points), [0.05, 0.5])
 
     def test_refuses_narrow_grid(self):
         space = models.gen_segment(1.0, 0.01)

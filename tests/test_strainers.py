@@ -222,7 +222,7 @@ def test_strainer_number_is_the_largest_k_with_members(classified):
     # every case has full classify masks at k = 1, 2 and 3, and one is empty
     empty = {}
     for (sub, _k, delta, ell, radius), mask in classified:
-        empty.setdefault((sub, delta, ell, radius), []).append(mask.is_empty())
+        empty.setdefault((sub, delta, ell, radius), []).append(not mask.witnesses)
     for (sub, delta, ell, radius), at_k in empty.items():
         assert strainer_number(sub, delta, ell, radius) == at_k.index(True)
 
@@ -272,21 +272,48 @@ def k1_equivalence_cases():
     yield Subset(knife, np.arange(70, 95), name="around-82"), 0.05, 0.2
 
 
+K1_DELTAS = (1e-8, 0.05, 0.1, 0.2, 0.25, 0.4, 0.8, 2.0, 4.0)
+# (space, subset, witnesses found at each of K1_DELTAS) for each of the k = 1
+# equivalence cases, in order.  On the hyperbolic square at 1e-8, collinear
+# pairs score margin 0 with the kernel's cancellation-free kappa < 0 law of
+# cosines.
+K1_FOUND = [
+    ("polygon4", "all", [125, 127, 129, 129, 129, 129, 129, 145, 145]),
+    ("polygon4", "all", [105, 109, 109, 109, 109, 111, 127, 145, 145]),
+    ("polygon4", "mixed", [30, 31, 31, 31, 31, 31, 31, 34, 34]),
+    ("polygon4", "mixed", [26, 27, 27, 27, 27, 27, 30, 34, 34]),
+    ("regular6gon", "all", [105, 109, 109, 109, 109, 109, 121, 127, 127]),
+    ("regular6gon", "all", [86, 87, 91, 91, 91, 109, 121, 127, 127]),
+    ("regular6gon", "mixed", [25, 26, 26, 26, 26, 26, 29, 30, 30]),
+    ("regular6gon", "mixed", [21, 21, 22, 22, 22, 26, 29, 30, 30]),
+    ("cone3.142", "all", [10, 46, 46, 46, 46, 66, 66, 70, 70]),
+    ("cone3.142", "all", [10, 31, 39, 39, 39, 39, 66, 70, 70]),
+    ("segment", "all", [22, 22, 22, 22, 22, 22, 22, 22, 26]),
+    ("segment", "all", [20, 20, 20, 20, 20, 20, 20, 20, 26]),
+    ("susp(circle)", "all", [82, 82, 82, 82, 82, 82, 82, 82, 82]),
+    ("susp(circle)", "all", [82, 82, 82, 82, 82, 82, 82, 82, 82]),
+    ("hyperbolic-square", "all", [124, 127, 129, 129, 129, 129, 129, 145, 145]),
+    ("polygon4", "around-82", [24, 24, 24, 24, 24, 24, 25, 25, 25]),
+]
+
+
 def test_k1_search_is_the_full_array_argmin():
     # every witness, bit for bit, at every point and at the corpus deltas,
     # at the workloads' 0.25, at 1e-8, where collinear pool points are live
     # only by rounding and the bound's 1 - 1e-9 slack must keep them, and at
     # 4 > pi, where pairs without a comparison triangle (margin pi) are live
     # and the bound keeps every pair
-    found = 0
+    found = []
     for sub, ell, radius in k1_equivalence_cases():
-        for delta in (1e-8, 0.05, 0.1, 0.2, 0.25, 0.4, 0.8, 2.0, 4.0):
+        counts = []
+        for delta in K1_DELTAS:
             mask = classify(sub, 1, delta, ell, radius)
             for p in sub.indices.tolist():
                 want = full_array_pair(sub.space, p, delta, ell, radius)
                 assert repr(mask.witnesses.get(p)) == repr(want), (sub.name, p, delta)
-                found += want is not None
-    assert found == 9351
+            counts.append(len(mask.witnesses))
+        found.append((sub.space.name, sub.name, counts))
+    assert found == K1_FOUND
 
 
 class TestClassify:
@@ -316,7 +343,7 @@ class TestClassify:
         space = fine_boundary
         sub = space.subsets["boundary"]
         mask = classify(sub, 2, delta=0.1, ell=0.05, search_radius=0.2)
-        assert mask.is_empty()
+        assert not mask.witnesses
 
     def test_masks_monotone_in_delta_and_ell(self, fine_boundary):
         space = fine_boundary
@@ -403,7 +430,7 @@ class TestLocalStrainerNumber:
         corner = space.annotations["subsets"]["boundary"]["singular_ids"][0]
         local_strainer_number(space.subsets["boundary"], corner, 0.1, scales=[0.2, 0.1])
         assert len(seen) == 2
-        assert all(sub.link_radius == space.link_radius() for sub in seen)
+        assert all(sub.space is space for sub in seen)
 
 
 class TestRegularPoints:
@@ -477,25 +504,25 @@ class TestUnstrainedMass:
         space = fine_boundary
         sub = space.subsets["boundary"]
         ell = 0.05
-        mass = unstrained_mass(sub, 1, 1, delta=0.1, ell=ell, eps=0.02)
+        mass = unstrained_mass(sub, 1, delta=0.1, ell=ell, eps=0.02)
         assert mass <= 16 * ell
 
     def test_nonincreasing_as_ell_shrinks(self, fine_boundary):
         space = fine_boundary
         sub = space.subsets["boundary"]
-        masses = [unstrained_mass(sub, 1, 1, delta=0.1, ell=l, eps=0.02)
+        masses = [unstrained_mass(sub, 1, delta=0.1, ell=l, eps=0.02)
                   for l in (0.08, 0.04, 0.02)]
         assert masses[0] >= masses[1] >= masses[2]
 
     def test_refuses_negative_dimension(self, fine_boundary):
         with pytest.raises(Refusal, match="got -1"):
-            unstrained_mass(fine_boundary.subsets["boundary"], -1, 1, delta=0.1,
+            unstrained_mass(fine_boundary.subsets["boundary"], -1, delta=0.1,
                             ell=0.05, eps=0.02)
 
     def test_zero_when_everything_strained(self):
         space = models.gen_segment(1.0, 0.01)
         sub = space.subset(np.arange(30, 70), name="middle")
-        mass = unstrained_mass(sub, 1, 1, delta=0.1, ell=0.05, eps=0.02,
+        mass = unstrained_mass(sub, 1, delta=0.1, ell=0.05, eps=0.02,
                                search_radius=0.4)
         assert mass == 0.0
 
@@ -541,7 +568,7 @@ def test_regular_points_are_dense_and_of_full_measure_as_h_falls(name):
         out = regular_points(sub, 1, delta_schedule=(0.1, 0.05), ell=ell)
         to_regular = space.dist[np.ix_(sub.indices, out["regular_ids"])]
         assert to_regular.min(axis=1).max() <= ell + 2 * h  # the density radius
-        mass = unstrained_mass(sub, 1, 1, delta=0.05, ell=ell, eps=2 * h)
+        mass = unstrained_mass(sub, 1, delta=0.05, ell=ell, eps=2 * h)
         assert 0 < mass <= 8 * h * corners
         fractions.append(out["fractions"][0.05])
     assert fractions[0] < fractions[1] < fractions[2]
