@@ -264,27 +264,6 @@ def cmd_converge(args):
     return 0
 
 
-def cmd_run(args):
-    cfg = json.loads(Path(args.config).read_text())
-    if not isinstance(cfg, dict):
-        raise Refusal("config must be a JSON object")
-    command = cfg.pop("command", None)
-    if not isinstance(command, str) or command == "run":
-        raise Refusal(f"config 'command' must name a command other than 'run', "
-                      f"got {command!r}")
-    argv = [command]
-    for key, value in sorted(cfg.items()):
-        option = f"--{key.replace('_', '-')}"
-        if isinstance(value, bool):
-            if value:
-                argv.append(option)
-        elif key == "kind":
-            argv.append(str(value))
-        else:
-            argv.extend([option, str(value)])
-    return main(argv)
-
-
 # ---------------------------------------------------------------------------
 
 def _missing_option(args) -> str | None:
@@ -417,10 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--eps", type=float, required=True)
     cv.add_argument("--csv", default=None)
     cv.set_defaults(func=cmd_converge)
-
-    r = sub.add_parser("run", help="run a command described by a config file")
-    r.add_argument("--config", required=True)
-    r.set_defaults(func=cmd_run)
 
     return ap
 

@@ -1,22 +1,18 @@
-"""Gluing local strainer charts into global maps.
+"""Gluing local strainer charts into global maps, inside one space.
 
-Three constructions share the same machinery:
+Two constructions:
 
 * a projection from a collar neighborhood of a strained subset onto the
   subset, built by blending local distance-map charts over a maximal
   r/2-discrete net with a smoothstep partition of unity;
-* an almost isometry between strained parts of two subsets in different
-  spaces related by a Hausdorff approximation;
 * a volume-convergence experiment harness comparing packing-based measure
   estimates along a family of spaces.
 
-The first two are one construction from a source to a target space; the
-projection is the case where the two are the same space.  A chart
-(:class:`NetChart`) sits at each point of the net: its strainer re-based
-along sampled shortest paths and mapped into the target.  One inductive
-blend (``_blend``) glues the charts in chart coordinates (R^m) and pulls
-back by nearest-value inversion; chart order is net id order, fixed and
-recorded (the induction is order-dependent).
+A chart (:class:`NetChart`) sits at each point of the net: its strainer
+re-based along sampled shortest paths.  One inductive blend (``_blend``)
+glues the charts in chart coordinates (R^m) and pulls back by nearest-value
+inversion; chart order is net id order, fixed and recorded (the induction is
+order-dependent).
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ from .strainers import Strainer, classify, is_strainer
 
 NET_MIN_PITCH_FACTOR = 4.0       # r >= 4h keeps the net resolvable
 REBASE_MARGIN_SLACK = 0.05       # rebased strainers may lose this much margin
-LIFT_MARGIN_SLACK = 0.1          # ... and lifted ones, in the other space, this much
 QUALITY_PAIR_FLOOR_FACTOR = 2.0  # ratio stats use pairs with d >= 2r
 QUALITY_POINT_CAP = 2500
 
@@ -70,19 +65,14 @@ def bump(t):
 
 @dataclass
 class NetChart:
-    """The distance-map chart at a net point, from a source to a target space.
-
-    phi = d(a_i, .) in the source space is inverted by nearest value of
-    psi = d(target_a_i, .) over the inversion pool; for the collar projection
-    the two spaces are one and ``target_a_ids`` is ``a_ids``.
-    """
+    """The distance-map chart phi = d(a_i, .) at a net point, inverted by
+    nearest value over the inversion pool."""
 
     base: int
-    a_ids: np.ndarray            # rebased strainer a-points, source ids
+    a_ids: np.ndarray            # rebased strainer a-points
     b_ids: np.ndarray
-    margin: float                # margin of the rebased strainer in the target
-    inversion_pool: np.ndarray   # target ids eligible for nearest-value lookup
-    target_a_ids: np.ndarray     # images of the a-points, target ids
+    margin: float                # margin of the rebased strainer
+    inversion_pool: np.ndarray   # subset ids eligible for nearest-value lookup
 
 
 @dataclass
@@ -130,50 +120,48 @@ def _rebase_strainer(space: Space, witness: Strainer, pred_row,
     return moved[0::2], moved[1::2]
 
 
-def _net_charts(mask, net: np.ndarray, target: Subset, g: np.ndarray, r: float,
-                pool_radius: float, max_margin: float) -> list[NetChart]:
-    """One chart per net point, from the mask's space to the target's.
+def _net_charts(mask, net: np.ndarray, r: float) -> list[NetChart]:
+    """One chart per net point of the mask's subset.
 
     Each witness is re-based at distance max(ell * delta, 4r) along sampled
-    shortest paths and mapped by ``g`` (source id -> target id); its margin in
-    the target space must stay below ``max_margin``.  The inversion pool is
-    the target subset within ``pool_radius`` of the base's image.
+    shortest paths; its margin must stay below delta + REBASE_MARGIN_SLACK.
+    The inversion pool is the subset within 3r of the base.
     """
-    source, space_t = mask.subset.space, target.space
+    subset = mask.subset
+    space = subset.space
     ell, delta = mask.ell, mask.delta
     rebase_distance = max(ell * delta, 4.0 * r)
-    graph = link_graph(source, np.arange(source.n_points), source.link_radius())
+    max_margin = delta + REBASE_MARGIN_SLACK
+    graph = link_graph(space, np.arange(space.n_points), space.link_radius())
     _, pred_rows = dijkstra(graph, directed=False, indices=net, return_predecessors=True)
     charts = []
     for row, p in enumerate(net):
-        a_ids, b_ids = _rebase_strainer(source, mask.witnesses[int(p)],
+        a_ids, b_ids = _rebase_strainer(space, mask.witnesses[int(p)],
                                         pred_rows[row], rebase_distance)
-        ga, gb = g[a_ids], g[b_ids]
-        ok, margin = is_strainer(space_t, int(g[p]),
-                                 list(zip(ga.tolist(), gb.tolist())), max_margin)
+        ok, margin = is_strainer(space, int(p),
+                                 list(zip(a_ids.tolist(), b_ids.tolist())), max_margin)
         if not ok:
             raise Refusal(f"strainer gap at net point {int(p)}: rebased margin "
-                          f"{margin:.4f} >= {max_margin:.4f} in the target space")
-        pool = np.intersect1d(target.indices, ball(space_t, int(g[p]), pool_radius))
+                          f"{margin:.4f} >= {max_margin:.4f}")
+        pool = np.intersect1d(subset.indices, ball(space, int(p), 3.0 * r))
         charts.append(NetChart(base=int(p), a_ids=a_ids, b_ids=b_ids, margin=margin,
-                               inversion_pool=pool, target_a_ids=ga))
+                               inversion_pool=pool))
     return charts
 
 
-def _blend(source: Space, target: Space, charts: list[NetChart],
-           domain: np.ndarray, r: float):
-    """Glue the chart inversions, in net order, into a map domain -> target.
+def _blend(space: Space, charts: list[NetChart], domain: np.ndarray, r: float):
+    """Glue the chart inversions, in net order, into a map domain -> subset.
 
-    On each chart's ball B(base, 2r) the target value is the convex
-    combination (1 - chi) psi(f_prev) + chi phi where the map is already
-    defined, and phi where chi = 1; it is pulled back by nearest value over
-    the chart's inversion pool.  Returns the target id of each domain
-    position and the largest lookup residual it had at any chart.
+    On each chart's ball B(base, 2r) the value in chart coordinates is the
+    convex combination (1 - chi) phi(f_prev) + chi phi where the map is
+    already defined, and phi where chi = 1; it is pulled back by nearest
+    value over the chart's inversion pool.  Returns the subset id of each
+    domain position and the largest lookup residual it had at any chart.
     """
     assignment = np.full(domain.size, -1, dtype=int)
     resid = np.zeros(domain.size)
     for chart in charts:
-        dpk = source.dist[chart.base, domain]
+        dpk = space.dist[chart.base, domain]
         in2u = np.flatnonzero(dpk < 2.0 * r)
         if in2u.size == 0:
             continue
@@ -181,12 +169,12 @@ def _blend(source: Space, target: Space, charts: list[NetChart],
         use = (assignment[in2u] >= 0) | (chi >= 1.0)
         idx, chi = in2u[use], chi[use][:, None]
         prev = assignment[idx]
-        phi = source.dist[np.ix_(chart.a_ids, domain[idx])].T
-        psi_prev = target.dist[np.ix_(chart.target_a_ids, np.maximum(prev, 0))].T
-        targets = np.where((prev >= 0)[:, None],
-                           (1.0 - chi) * psi_prev + chi * phi, phi)
-        psi_pool = target.dist[np.ix_(chart.target_a_ids, chart.inversion_pool)].T
-        nearest, gap = nearest_values(psi_pool, targets)
+        phi = space.dist[np.ix_(chart.a_ids, domain[idx])].T
+        phi_prev = space.dist[np.ix_(chart.a_ids, np.maximum(prev, 0))].T
+        values = np.where((prev >= 0)[:, None],
+                          (1.0 - chi) * phi_prev + chi * phi, phi)
+        phi_pool = space.dist[np.ix_(chart.a_ids, chart.inversion_pool)].T
+        nearest, gap = nearest_values(phi_pool, values)
         resid[idx] = np.maximum(resid[idx], np.sqrt(gap))
         assignment[idx] = chart.inversion_pool[nearest]
     if (assignment < 0).any():
@@ -203,10 +191,17 @@ def build_projection(subset: Subset, m: int, delta: float, ell: float, r: float,
     refusal).  A maximal r/2-discrete net is built, a strainer found at each
     net point with its points re-based at max(ell * delta, 4r) along sampled
     shortest paths, and the local chart inversions are blended inductively
-    over net order: on each new chart ball the target value is the convex
-    combination (1 - chi) psi(f_prev) + chi phi, pulled back by nearest-value
-    lookup over the chart's own piece of the subset (radius 3r).  The
-    restriction to the subset is the identity exactly.
+    over net order: on each new chart ball the value in chart coordinates is
+    the convex combination (1 - chi) phi(f_prev) + chi phi, pulled back by
+    nearest-value lookup over the chart's own piece of the subset (radius 3r).
+
+    That the restriction to the subset is the identity is checked and
+    reported as ``identity_exact``, not guaranteed.  One-coordinate charts
+    are inverted over pools wider than the stretch where d(a, .) is
+    one-to-one, so a subset point can go to its mirror image across a: on the
+    collar-32gon workload subset points 13, 43 and 87 move by 0.156, 0.156
+    and 0.667, and ``identity_exact`` is False (FOUND 10 in CHANGES.md,
+    ROADMAP item 7).
     """
     if m < 1:
         raise Refusal(f"a projection needs m >= 1, got m = {m}")
@@ -231,13 +226,12 @@ def build_projection(subset: Subset, m: int, delta: float, ell: float, r: float,
             f"strained with length > {ell}: first ids {violators[:10].tolist()}")
 
     net = discrete_net(subset, r)
-    charts = _net_charts(mask, net, subset, np.arange(space.n_points), r,
-                         3.0 * r, delta + REBASE_MARGIN_SLACK)
+    charts = _net_charts(mask, net, r)
 
     d_to_sub = distance_to(space, np.arange(space.n_points), subset.indices)
     domain = np.flatnonzero(d_to_sub < rho)
     domain = np.union1d(domain, subset.indices)
-    assignment, resid = _blend(space, space, charts, domain, r)
+    assignment, resid = _blend(space, charts, domain, r)
 
     sub_positions = np.searchsorted(domain, subset.indices)
     identity_exact = bool(np.all(assignment[sub_positions] == subset.indices))
@@ -329,62 +323,6 @@ def _composite_openness(d, values, inner, probe):
     defects = (direction_defects(values, values[i], d[i], probe, dirs) for i in inner)
     return max((float(per_dir.max()) for per_dir in defects if per_dir is not None),
                default=None)
-
-
-# ---------------------------------------------------------------------------
-# cross-space almost isometry
-
-def cross_space_almost_isometry(e_subset: Subset, f_subset: Subset,
-                                correspondence, m: int, delta: float,
-                                ell: float, r: float,
-                                epsilon: float | None = None) -> dict:
-    """Chart-glued map from the strained part of E to F along a Hausdorff
-    approximation.
-
-    ``correspondence`` maps ambient ids of E's space to ids of F's space and
-    must cover E and the strainer points.  At each net point the distance map
-    from the strainer is matched with the distance map from the images of the
-    strainer points in F; local inverses are glued with the same smoothstep
-    blend as the collar projection.  Strainers are searched out to
-    min(4 ell, diameter), inverted over pools of radius 4r, and may lose
-    LIFT_MARGIN_SLACK of margin in F.  Distortion is measured over pairs at
-    distance >= r (extrinsic metrics); displacement is reported against
-    ``epsilon``.
-    """
-    if m < 1:
-        raise Refusal(f"an almost isometry needs m >= 1, got m = {m}")
-    space_e = e_subset.space
-    space_f = f_subset.space
-    g = np.asarray(correspondence, dtype=int)
-    if g.shape[0] != space_e.n_points:
-        raise Refusal("correspondence must cover every ambient point of E's space")
-    mask = classify(e_subset, m, delta, ell)
-    if not mask.witnesses:
-        raise Refusal("no strained points to map")
-    domain_sub = Subset(space_e, mask.member_ids, name=f"{e_subset.name}(strained)")
-    net = discrete_net(domain_sub, r)
-    charts = _net_charts(mask, net, f_subset, g, r, 4.0 * r,
-                         delta + LIFT_MARGIN_SLACK)
-    domain = mask.member_ids
-    assignment, _ = _blend(space_e, space_f, charts, domain, r)
-
-    dd = space_e.dist[np.ix_(domain, domain)]
-    fd = space_f.dist[np.ix_(assignment, assignment)]
-    iu, ju = np.triu_indices(domain.size, k=1)
-    sel = dd[iu, ju] >= r
-    if not sel.any():
-        raise Refusal(f"no usable pairs: no strained points are >= r = {r} apart")
-    distortion = float(np.abs(fd[iu, ju][sel] / dd[iu, ju][sel] - 1.0).max())
-    displacement = float(space_f.dist[assignment, g[domain]].max())
-    out = {
-        "domain": domain, "assignment": assignment, "net": net,
-        "distortion": distortion, "displacement": displacement,
-        "charts": [{"base": c.base, "margin": c.margin} for c in charts],
-    }
-    if epsilon is not None:
-        out["epsilon"] = epsilon
-        out["displacement_over_epsilon"] = displacement / epsilon
-    return out
 
 
 # ---------------------------------------------------------------------------

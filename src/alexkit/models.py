@@ -276,8 +276,10 @@ def gen_cone(total_angle: float, radius: float, h: float, name: str | None = Non
 # ---------------------------------------------------------------------------
 # the doubled square ("pillow")
 
-# neighbor offsets within radius sqrt(5): angular gaps <= ~13 degrees keep the
-# graph-metric stretch below 1 %
+# neighbor offsets within radius sqrt(5), 16 directions: the largest angular
+# gap, atan(1/2) = 26.6 degrees between (1, 0) and (2, 1), lets the graph metric
+# stretch a distance within a sheet by up to 1/cos(13.3 degrees) - 1, about
+# 2.7 %; across the seam the stretch is larger (8.0 % measured at h = 0.05)
 _PILLOW_OFFSETS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1), (1, -2)]
 
 

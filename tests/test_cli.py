@@ -74,18 +74,6 @@ def test_non_finite_parameter_refused(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("config, subset, size", [
-    ({"kind": "regular-polygon", "n": 8, "h": 0.25}, "boundary", 8 * 3),
-    ({"kind": "segment", "length": 0.5, "h": 0.25}, "all", 3),
-])
-def test_run_passes_generator_parameters_as_options(config, subset, size, tmp_path):
-    out = tmp_path / "space.json"
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"command": "gen", "out": str(out), **config}))
-    assert exit_code(["run", "--config", str(cfg)]) == 0
-    assert load_space(str(out)).subsets[subset].size == size
-
-
 @pytest.mark.parametrize("extra, name", [([], "regular8gon"),
                                          (["--name", "octagon"], "octagon")])
 def test_gen_regular_polygon_name(extra, name, tmp_path):
@@ -215,14 +203,6 @@ def test_qcheck_path_non_integer_id_refused(path, segment_file, tmp_path, capsys
 
 
 @pytest.mark.parametrize("argv, name, text, reason", [
-    *[pytest.param(["run", "--config"], "config.json", config,
-                   "config must be a JSON object", id=f"run-{config}")
-      for config in ['"command"', '["command"]']],
-    *[pytest.param(["run", "--config"], "config.json", config,
-                   f"config 'command' must name a command other than 'run', got {got}",
-                   id=f"run-command-{got}")
-      for config, got in [('{"command": 5}', "5"), ("{}", "None"),
-                          ('{"command": "run", "config": "SELF"}', "'run'")]],
     *[pytest.param(["converge", "--m", "1", "--eps", "0.5", "--family"], "family.json",
                    family, "family must be an object whose members are a list of objects",
                    id=f"converge-{family}")
@@ -270,7 +250,7 @@ def test_qcheck_path_non_integer_id_refused(path, segment_file, tmp_path, capsys
 def test_json_input_of_the_wrong_shape_is_a_refusal(argv, name, text, reason,
                                                     segment_file, tmp_path, capsys):
     path = tmp_path / name
-    path.write_text(text.replace("SELF", str(path)))  # a config that runs itself
+    path.write_text(text)
     argv = [segment_file if a == "SEGMENT" else a for a in argv] + [str(path)]
     code, line = refused_cleanly(argv, capsys)
     assert (code, line) == (2, f"refusal: {reason}")
@@ -392,20 +372,6 @@ def test_internal_error_is_one_error_line_and_exit_1(segment_file, tmp_path, cap
     code, line = refused_cleanly(["strain", "--space", str(space_file), "--subset", "all",
                                   "--k", "1", "--delta", "0.2", "--ell", "0.3"], capsys)
     assert (code, line) == (1, "error: point ids must be 0..N-1 in order")
-
-
-def test_run_config_true_flag_is_the_option(polygon_file, tmp_path):
-    direct, via_run = tmp_path / "direct.json", tmp_path / "run.json"
-    options = {"space": polygon_file, "subset": "boundary", "m": 1, "delta": 0.25,
-               "ell": 0.12, "r": 0.4, "rho": 0.07}
-    assert main(["glue", "--full", "--out", str(direct)]
-                + [a for k, v in options.items() for a in (f"--{k}", str(v))]) == 0
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"command": "glue", "full": True, "out": str(via_run),
-                                  **options}))
-    assert main(["run", "--config", str(config)]) == 0
-    assert via_run.read_text() == direct.read_text().replace(str(direct), str(via_run))
-    assert "map" in json.loads(via_run.read_text())
 
 
 def test_glue_full_embeds_the_map(polygon_file, tmp_path):

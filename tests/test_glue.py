@@ -1,11 +1,9 @@
-"""Chart gluing: the collar projection and the cross-space almost isometry.
+"""Chart gluing: the collar projection onto a strained subset.
 
-The digests pin every output byte of both constructions; they were recorded
-before the two blends were merged into one, so they prove the merge kept the
-outputs.  Some pinned values are known defects (the collar's co-Lipschitz
-constant is negative and its map moves 3 subset points, so
-``identity_exact`` is False; the cross-space displacement exceeds the
-polygon's radius); a change that mends them re-records the digests.
+The digest pins every output byte of the projection.  Some pinned values are
+known defects (the collar's co-Lipschitz constant is negative and its map
+moves 3 subset points, so ``identity_exact`` is False); a change that mends
+them re-records the digest.
 """
 
 import hashlib
@@ -15,8 +13,7 @@ import pytest
 
 from alexkit import glue, models
 from alexkit.errors import Refusal
-from alexkit.glue import (bump, build_projection, cross_space_almost_isometry,
-                          discrete_net, projection_quality)
+from alexkit.glue import bump, build_projection, discrete_net, projection_quality
 from alexkit.io import dumps_stable
 
 
@@ -49,46 +46,12 @@ def test_projection_domain_holds_the_subset(collar):
     assert np.isin(gmap.assignment, sub).all()
 
 
-def test_cross_space_digest(monkeypatch):
-    se = models.gen_regular_polygon(32, 0.04, circumradius=0.6)
-    sf = models.gen_regular_polygon(32, 0.03, circumradius=0.6)
-    nearest = np.argmin(((se.coords[:, None, :] - sf.coords[None, :, :]) ** 2)
-                        .sum(axis=-1), axis=1)
-    netted = []
-    real = glue.discrete_net
-    monkeypatch.setattr(glue, "discrete_net",
-                        lambda sub, r: netted.append(sub) or real(sub, r))
-    out = cross_space_almost_isometry(se.subsets["boundary"], sf.subsets["boundary"],
-                                      nearest, 1, 0.25, 0.1, 0.16, epsilon=0.03)
-    (strained,) = netted  # the strained part of E, the net's subset
-    assert strained.space is se
-    assert (out["net"].size, out["domain"].size) == (32, 96)
-    assert np.isin(out["assignment"], sf.subsets["boundary"].indices).all()
-    assert digest(out) == (
-        "d490b3f642c407927550c4b27a5a144a75c1e0900907783146b00bef818950df")
-
-
-def test_cross_space_refuses_when_no_pair_is_r_apart():
-    se = models.gen_segment(1.0, 0.05)
-    sf = models.gen_segment(1.0, 0.04)
-    nearest = np.argmin(np.abs(se.coords[:, None, 0] - sf.coords[None, :, 0]), axis=1)
-    # the middle tenth of the segment: no two strained points are r = 0.2 apart
-    middle = se.subset(np.flatnonzero(np.abs(se.coords[:, 0] - 0.5) <= 0.05),
-                       name="middle")
-    with pytest.raises(Refusal, match="no usable pairs"):
-        cross_space_almost_isometry(middle, sf.subsets["all"], nearest,
-                                    1, 0.25, 0.1, 0.2)
-
-
 @pytest.mark.parametrize("m", [0, -1])
 def test_chart_gluing_refuses_dimension_below_one(m):
     space = models.gen_regular_polygon(8, 0.1)
     sub = space.subsets["boundary"]
     with pytest.raises(Refusal, match=f"m >= 1, got m = {m}"):
         build_projection(sub, m, 0.25, 0.1, 0.4)
-    with pytest.raises(Refusal, match=f"m >= 1, got m = {m}"):
-        cross_space_almost_isometry(sub, sub, np.arange(space.n_points), m,
-                                    0.25, 0.1, 0.4)
 
 
 @pytest.fixture(scope="module")
@@ -109,29 +72,12 @@ def test_projection_refuses_unstrained_subset_points(octagon):
         build_projection(octagon.subsets["boundary"], 1, 0.25, 0.1, 0.4)
 
 
-def test_cross_space_refuses_a_short_correspondence(octagon):
-    sub = octagon.subsets["boundary"]
-    with pytest.raises(Refusal, match="^correspondence must cover every ambient point"):
-        cross_space_almost_isometry(sub, sub, np.arange(octagon.n_points - 1),
-                                    1, 0.25, 0.1, 0.4)
-
-
-def test_cross_space_refuses_a_subset_without_strained_points(octagon):
-    corners = octagon.subset(octagon.annotations["subsets"]["boundary"]["singular_ids"],
-                             name="corners")
-    with pytest.raises(Refusal, match="^no strained points to map$"):
-        cross_space_almost_isometry(corners, octagon.subsets["boundary"],
-                                    np.arange(octagon.n_points), 1, 0.25, 0.1, 0.4)
-
-
-def test_cross_space_refuses_a_strainer_the_correspondence_breaks(octagon):
-    # a correspondence that scrambles the points: the first net point's
-    # rebased strainer lands on points that strain nothing
-    sub = octagon.subsets["boundary"]
-    scramble = np.random.default_rng(0).permutation(octagon.n_points)
-    with pytest.raises(Refusal, match=r"^strainer gap at net point 2: rebased margin "
-                                      r"1\.3252 >= 0\.3500 in the target space$"):
-        cross_space_almost_isometry(sub, sub, scramble, 1, 0.25, 0.1, 0.4)
+def test_projection_refuses_a_strainer_the_rebase_breaks(monkeypatch):
+    # a slack of -delta bounds the rebased margin by 0, below every margin
+    monkeypatch.setattr(glue, "REBASE_MARGIN_SLACK", -0.25)
+    space = models.gen_regular_polygon(32, 0.04, circumradius=0.6)
+    with pytest.raises(Refusal, match=r"^strainer gap at net point \d+: rebased margin "):
+        build_projection(space.subsets["boundary"], 1, 0.25, 0.1, 0.16, rho=0.03)
 
 
 def test_net_is_discrete_and_maximal():

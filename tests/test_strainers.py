@@ -97,6 +97,28 @@ class TestFindStrainer:
         assert s is not None
         assert s.delta_achieved == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("turns", [1.95, 1.9, 1.8])
+    def test_cone_vertex_is_strained_at_exactly_half_the_angle_deficit(self, turns):
+        """A strained point that is not regular, with an exact oracle.
+
+        At the vertex o of a cone of angle theta in (pi, 2 pi], two points
+        whose rays are phi <= theta / 2 apart (the shorter way round) are
+        joined through the flat sector, so their comparison angle at o is
+        phi.  A pair's margin pi - phi is therefore at least pi - theta / 2,
+        attained by opposite rays.  Two opposite pairs a quarter turn theta / 4
+        apart make all four cross angles theta / 4, a cross margin
+        pi / 2 - theta / 4 = (2 pi - theta) / 4, below the pair margin.  So
+        delta_achieved = pi - theta / 2 = (2 pi - theta) / 2: the vertex is
+        (2, delta)-strained exactly for delta above it, and regular only at
+        theta = 2 pi.  The k = 2 search is a beam search, so this gates that
+        it reaches the optimum.
+        """
+        theta = turns * math.pi
+        s = find_strainer(models.gen_cone(theta, 0.6, 0.02), 0, 2, 0.6, 0.15,
+                          search_radius=0.5)
+        assert s.delta_achieved == pytest.approx((2.0 * math.pi - theta) / 2.0,
+                                                 abs=1e-12)
+
     def test_k_zero_is_vacuous(self, square):
         space = square
         s = find_strainer(space, 0, 0, delta=0.1, ell=0.05, search_radius=0.3)
