@@ -111,14 +111,18 @@ Background (Perelman and Petrunin 1993; Burago, Gromov and Perelman 1992).
      tests/test_kplane.py::test_kernel_matches_the_50_digit_law_of_cosines
      tests/test_kplane.py::TestComparisonAngle::test_hyperbolic_equilateral_against_high_precision_oracle
 
-9. Model spaces with known curvature bound: the spherical suspension of a
-   circle of length 2 pi is the round sphere (kappa = 1), and that of two
-   points at distance pi is a circle.
+9. Model spaces with known curvature bound, each passing the (1+3)-point
+   comparison at its kappa: the spherical suspension of a circle of length
+   2 pi is the round sphere (kappa = 1), and that of two points at distance
+   pi is a circle; the doubled square has curvature >= 0 (Perelman).
 
    - ``models.gen_circle``
      tests/test_models.py::TestSuspension::test_suspension_of_circle_is_round_sphere
    - ``models.gen_two_point_base``
      tests/test_models.py::TestSuspension::test_suspension_of_two_points_is_circle
+   - ``models.gen_pillow``
+     tests/test_models.py::test_every_generator_satisfies_the_four_point_comparison_at_its_kappa
+     tests/test_models.py::TestPillow::test_twin_points_are_twice_the_distance_to_the_seam
 """
 
 __version__ = "0.1.0"

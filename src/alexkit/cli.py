@@ -152,8 +152,8 @@ def cmd_chart(args):
     sr = resolve_search_radius(space, args.ell, args.search_radius)
     strainer = find_strainer(space, args.base, args.k, args.delta, args.ell, sr)
     if strainer is None:
-        raise Refusal(f"no ({args.k}, {args.delta})-strainer found at point "
-                      f"{args.base} (heuristic search)")
+        how = "exhaustive over the pool, ell < d < R" if args.k == 1 else "heuristic search"
+        raise Refusal(f"no ({args.k}, {args.delta})-strainer found at point {args.base} ({how})")
     chart = build_chart(subset, strainer, radius=args.radius)
     return _emit(args, "chart", {"chart": chart.to_dict(),
                                  "openness": openness_measure(chart)})

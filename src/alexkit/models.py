@@ -5,8 +5,7 @@ Every generator returns a Space.  A model's ground truth lives only in
 {"ids", "extremal", "exact_measure"?, "regular_ids"?, "singular_ids"?}},
 "extra": {...}}``, ids as lists.  It carries exact measures (perimeters,
 areas), marked extremal subsets, and regular/singular point ids used as
-oracles by the tests.  Doubles freeze graph-computed geodesic distances into
-the matrix; the O(h) graph error is absorbed into the declared resolution.
+oracles by the tests.
 """
 
 from __future__ import annotations
@@ -15,11 +14,9 @@ import math
 import numbers
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import Refusal
-from .space import Space, euclidean_matrix, validate
+from .space import ROW_BLOCK_ELEMENTS, Space, euclidean_matrix, validate
 
 CORNER_EXCLUSION_FACTOR = 2.0  # regular ids stay 2h clear of corners
 
@@ -276,15 +273,18 @@ def gen_cone(total_angle: float, radius: float, h: float, name: str | None = Non
 # ---------------------------------------------------------------------------
 # the doubled square ("pillow")
 
-# neighbor offsets within radius sqrt(5), 16 directions: the largest angular
-# gap, atan(1/2) = 26.6 degrees between (1, 0) and (2, 1), lets the graph metric
-# stretch a distance within a sheet by up to 1/cos(13.3 degrees) - 1, about
-# 2.7 %; across the seam the stretch is larger (8.0 % measured at h = 0.05)
-_PILLOW_OFFSETS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1), (1, -2)]
-
-
 def gen_pillow(side: float, h: float, name: str | None = None) -> Space:
-    """Double of a square glued along its boundary, distances via geodesic graph.
+    """Double of a square glued along its boundary, with its exact metric.
+
+    Within a sheet, and from a boundary point (on both sheets) to any point,
+    the distance is Euclidean: folding the pillow onto the square is
+    1-Lipschitz, and the segment in one sheet attains the bound.  A path
+    from an interior point p of sheet A to one q of sheet B first meets the
+    boundary at some z, so d(p, q) is the least |p - z| + |z - q| over z on
+    the four edges.  On an edge the sum is convex in z; with u the
+    coordinate along the edge and h_p, h_q the distances to its line, it is
+    least where the segment from p to q's mirror image crosses the line, at
+    u_p + (u_q - u_p) h_p / (h_p + h_q), clamped to the edge.
 
     The four corners have cone angle pi (two right angles glued) and are
     marked as one-point extremal subsets; total area is 2 * side^2.
@@ -293,32 +293,27 @@ def gen_pillow(side: float, h: float, name: str | None = None) -> Space:
     m = max(2, round(side / h))
     pitch = side / m
 
-    # sheet A numbers the (m+1)^2 grid [j, i]; sheet B shares its boundary and
-    # numbers its own interior after sheet A's n_a points
-    sheet_a = np.arange((m + 1) ** 2).reshape(m + 1, m + 1)
-    n_a = sheet_a.size
-    sheet_b = sheet_a.copy()
-    sheet_b[1:m, 1:m] = n_a + np.arange((m - 1) ** 2).reshape(m - 1, m - 1)
-    n = n_a + (m - 1) ** 2
+    # sheet A numbers the (m+1)^2 grid [j, i] at (i, j) * pitch, and sheet B
+    # its interior after A's n_a points, sharing A's boundary
+    axis = np.arange(m + 1) * pitch
+    grid = np.column_stack([np.tile(axis, m + 1), np.repeat(axis, m + 1)])
+    sheet_a = np.arange(len(grid)).reshape(m + 1, m + 1)
+    n_a, a_inner = sheet_a.size, sheet_a[1:m, 1:m].ravel()
+    dist = euclidean_matrix(np.vstack([grid, grid[a_inner]]))
 
-    # each offset's edges, from [j, i] to [j + dj, i + di] row-major, sheet A
-    # first; csr_matrix sums duplicate entries, so an edge between two shared
-    # boundary nodes is added with sheet A only
-    rows, cols, vals = [], [], []
-    for sheet, first_own in ((sheet_a, 0), (sheet_b, n_a)):
-        for di, dj in _PILLOW_OFFSETS:
-            a = sheet[max(0, -dj):m + 1 - max(0, dj), max(0, -di):m + 1 - max(0, di)]
-            b = sheet[max(0, dj):m + 1 + min(0, dj), max(0, di):m + 1 + min(0, di)]
-            own = np.maximum(a, b).ravel() >= first_own
-            rows.append(a.ravel()[own])
-            cols.append(b.ravel()[own])
-            vals.append(np.full(own.sum(), math.hypot(di, dj) * pitch))
-    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
-
-    graph = csr_matrix((vals, (rows, cols)), shape=(n, n))
-    dist = shortest_path(graph, method="D", directed=False)
-    np.fill_diagonal(dist, 0.0)
-    dist = np.minimum(dist, dist.T)
+    # A's interior x B's interior, one row block and its transpose at a time:
+    # (coordinate along the edge, distance to its line) for each edge
+    x, y = grid[a_inner].T
+    step = max(1, ROW_BLOCK_ELEMENTS // len(a_inner))
+    for a in range(0, len(a_inner), step):
+        rows = a_inner[a:a + step]
+        best = np.full((len(rows), len(a_inner)), np.inf)
+        for u, hgt in ((x, y), (x, side - y), (y, x), (y, side - x)):
+            up, hp = u[a:a + step, None], hgt[a:a + step, None]
+            z = np.clip(up + (u - up) * (hp / (hp + hgt)), 0.0, side)
+            np.minimum(best, np.hypot(up - z, hp) + np.hypot(u - z, hgt), out=best)
+        dist[rows, n_a:] = best
+        dist[n_a:, rows] = best.T
 
     space = Space(name or "pillow", kappa=0.0, dist=dist, coords=None,
                   resolution=pitch)

@@ -159,7 +159,10 @@ def test_eps_grid_values_refused(grid, reason, segment_file, capsys):
      "ell must be <= 1.0, got 2.0"),
     # the segment's end point 0 has one point, 1, in its pool (0.1 < d < 0.4)
     (["chart", "--subset", "all", "--base", "0", "--k", "1", "--delta", "0.2"],
-     "no (1, 0.2)-strainer found at point 0 (heuristic search)"),
+     "no (1, 0.2)-strainer found at point 0 (exhaustive over the pool, ell < d < R)"),
+    # the middle point 2 has one pool pair, (1, 3), where k = 2 needs two
+    (["chart", "--subset", "all", "--base", "2", "--k", "2", "--delta", "0.2"],
+     "no (2, 0.2)-strainer found at point 2 (heuristic search)"),
 ])
 def test_meaningless_parameter_is_a_refusal(args, reason, segment_file, tmp_path,
                                             capsys):

@@ -128,6 +128,22 @@ def test_euclidean_matrix_budget(twelve_gon):
     assert traced_peak(lambda: euclidean_matrix(coords)) <= budget
 
 
+def test_gen_pillow_budget():
+    # h = 0.05: N = 802 points, 361 in each sheet's interior.  The output;
+    # euclidean_matrix's row block; then, for A's interior x B's interior,
+    # five seam row blocks: the least sum so far and at most four
+    # temporaries of one edge at once (the clamped crossing, the first leg,
+    # and the second leg with the difference it is taken of); and numpy's
+    # ufunc buffers as above.  The two phases run one after the other, so
+    # their sum bounds both
+    n, inner = 802, 19**2
+    budget = (F64 * n * n + F64 * max(ROW_BLOCK_ELEMENTS, n)
+              + 5 * F64 * max(ROW_BLOCK_ELEMENTS, inner) + 3 * F64 * np.getbufsize())
+    space = []
+    assert traced_peak(lambda: space.append(models.gen_pillow(1.0, 0.05))) <= budget
+    assert space[0].n_points == n
+
+
 def test_save_space_budget(twelve_gon, tmp_path):
     # the lower triangle (T float64 entries) and the N^2-byte mask that
     # selects it, plus one chunk of work.  Per value of the chunk, at most:

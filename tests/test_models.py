@@ -6,6 +6,7 @@ import pytest
 
 from alexkit import models
 from alexkit.errors import Refusal
+from alexkit.kplane import comparison_angles_array
 from alexkit.space import Space, extremality_check, validate
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -119,14 +120,61 @@ class TestPillow:
     def test_antipodal_corner_distance(self, pillow):
         space = pillow
         i, j = space.annotations["extra"]["antipodal_pair"]
-        h = space.resolution
-        assert space.dist[i, j] == pytest.approx(math.sqrt(2), abs=2 * h)
+        assert space.dist[i, j] == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_same_sheet_distances_euclidean(self, pillow):
         space = pillow
         # corner to corner along one side stays a straight segment
         i, j = space.annotations["extra"]["corner_ids"][:2]
-        assert space.dist[i, j] == pytest.approx(1.0, abs=2 * space.resolution)
+        assert space.dist[i, j] == pytest.approx(1.0, abs=1e-12)
+
+    def test_twin_points_are_twice_the_distance_to_the_seam(self, pillow):
+        # the two copies of an interior point (x, y) are joined through the
+        # nearest edge, straight there and back
+        space, extra = pillow, pillow.annotations["extra"]
+        side, n_a = extra["side"], extra["sheet_a_size"]
+        m = round(side / space.resolution)
+        j, i = np.divmod(np.arange(n_a), m + 1)
+        inner = np.flatnonzero((i > 0) & (i < m) & (j > 0) & (j < m))
+        x, y = i[inner] * space.resolution, j[inner] * space.resolution
+        expected = 2 * np.minimum.reduce([x, y, side - x, side - y])
+        np.testing.assert_allclose(space.dist[inner, n_a + np.arange(inner.size)], expected,
+                                   rtol=0, atol=1e-12)
+
+    def test_seam_distances_match_a_dense_boundary_search(self):
+        # across the seam d(p, q) is the least |p - z| + |z - q| over boundary
+        # points z; a search over z at pitch 1e-3, corners included, reads
+        # above the closed form by O(1e-7) where the least z lies between two
+        # of its samples (2.8e-7 here)
+        space = models.gen_pillow(1.0, 0.25)
+        n_a = space.annotations["extra"]["sheet_a_size"]
+        j, i = np.divmod(np.arange(n_a), 5)
+        inner = np.flatnonzero((i > 0) & (i < 4) & (j > 0) & (j < 4))
+        points = np.column_stack([i[inner], j[inner]]) * 0.25
+        s, o = np.linspace(0.0, 1.0, 1001), np.zeros(1001)
+        z = np.concatenate([np.column_stack(e) for e in ((s, o), (s, o + 1), (o, s), (o + 1, s))])
+        legs = np.linalg.norm(points[:, None, :] - z[None, :, :], axis=-1)
+        gap = (legs[:, None, :] + legs[None, :, :]).min(axis=-1) - space.dist[inner, n_a:]
+        assert gap.min() >= -1e-12 and gap.max() <= 1e-6
+
+    def test_corner_direction_diameter_is_half_the_cone_angle(self, pillow):
+        # a corner's space of directions is a circle of length pi, so of
+        # diameter pi/2: the largest comparison angle at the corner over
+        # pairs at distance 0.1-0.3 reaches it, on the two sides through it,
+        # and never exceeds it
+        space = pillow
+        half = space.annotations["extra"]["corner_cone_angle"] / 2
+        for c in space.annotations["extra"]["corner_ids"]:
+            ids = np.flatnonzero((space.dist[c] >= 0.1) & (space.dist[c] <= 0.3))
+            sides = space.dist[c, ids]
+            angles = comparison_angles_array(space.kappa, sides[:, None], sides[None, :],
+                                             space.dist[np.ix_(ids, ids)])
+            assert angles.max() == pytest.approx(half, abs=1e-12)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_corner_passes_extremality_exactly(self, pillow, k):
+        report = extremality_check(pillow.subsets[f"corner_{k}"])
+        assert report["passed"] and report["worst_excess"] <= 1e-12
 
     def test_seam_edges_count_once(self, pillow):
         space = pillow
@@ -139,12 +187,11 @@ class TestPillow:
         for i, j in ((0, 1), (0, 2), (1, 3), (2, 3)):
             assert space.dist[c[i], c[j]] == pytest.approx(side, abs=1e-9)
 
-    # SHA-256 of the distance bits, recorded with the per-node edge loops
-    # that the index grids replaced; (1.0, 0.5) is the smallest grid, m = 2
+    # SHA-256 of the distance bits; (1.0, 0.5) is the smallest grid, m = 2
     @pytest.mark.parametrize("side, h, n, digest", [
         (1.0, 0.5, 10, "e002a75ddf60d6f2ca6fdcb52fc9736533db0bf9649d4c0495f3c300980a16c6"),
-        (1.0, 0.2, 52, "225674b47762e90cb619ae41ab9f6e9b27843cb30d0d1cc1d78792d965cf8f84"),
-        (2.0, 0.1, 802, "fe08134746f656d0506f8a307fa2596e8033f1366476538f5f2eca8b3d607399"),
+        (1.0, 0.2, 52, "c94c9a8a0d3034775bcd75be2303431f8c44f703084ec7f829d1db762851f090"),
+        (2.0, 0.1, 802, "217f4f316df87e2807cf56dbcb9e9ac86394b60ec20a8235444ea7385e43e289"),
     ])
     def test_distance_digest(self, side, h, n, digest):
         space = models.gen_pillow(side, h)
@@ -262,6 +309,52 @@ def test_every_generator_returns_the_space_its_annotations_describe(gen):
         assert regular <= ids and singular <= ids and not regular & singular
         assert space.subsets[name].indices.tolist() == info["ids"]
         assert space.subsets[name].extremal_claim == info["extremal"]
+
+
+QUADRUPLES = 2**16
+# arccos at a straight angle errs by about sqrt(eps), 1.5e-8 rad: the segment
+# reads 7.9e-8 and the pillow at h = 0.08 reads 2.1e-8
+FOUR_POINT_SLACK = 1e-6
+
+
+def worst_four_point_excess(space: Space) -> float:
+    """The worst of the comparison angles at p of (a, b), (b, c) and (c, a),
+    summed, minus 2 pi, over QUADRUPLES quadruples (p, a, b, c) drawn with
+    seed 0, p apart from a, b and c, at the space's own kappa.  A space of
+    curvature >= kappa has none above 0 (the (1+3)-point comparison of
+    Alexander, Kapovitch and Petrunin, arXiv:1903.08539), up to rounding."""
+    rng = np.random.default_rng(0)
+    p, a, b, c = (rng.integers(0, space.n_points, QUADRUPLES, dtype=np.int32)
+                  for _ in range(4))
+    keep = (p != a) & (p != b) & (p != c)
+    p, a, b, c = p[keep], a[keep], b[keep], c[keep]
+    d = space.dist
+    total = sum(comparison_angles_array(space.kappa, d[p, x], d[p, y], d[x, y])
+                for x, y in ((a, b), (b, c), (c, a)))
+    return float(total.max()) - 2 * math.pi
+
+
+@pytest.mark.parametrize("gen", ALL_GENERATORS + [lambda: models.gen_pillow(1.0, 0.1)])
+def test_every_generator_satisfies_the_four_point_comparison_at_its_kappa(gen):
+    assert worst_four_point_excess(gen()) <= FOUR_POINT_SLACK
+
+
+def tripod() -> Space:
+    """Three unit segments joined at point 0, four points on each: a tree, of
+    no curvature bound below, whose legs make angle pi pairwise at point 0."""
+    t = np.concatenate([[0.0], np.tile([0.25, 0.5, 0.75, 1.0], 3)])
+    leg = np.concatenate([[-1], np.repeat(np.arange(3), 4)])
+    dist = np.where(leg[:, None] == leg[None, :], np.abs(t[:, None] - t[None, :]),
+                    t[:, None] + t[None, :])
+    return Space("tripod", kappa=0.0, dist=dist, coords=None, resolution=0.25)
+
+
+def test_four_point_comparison_fails_where_the_curvature_bound_does():
+    square = models.gen_convex_polygon(UNIT_SQUARE, 0.05)
+    retagged = Space("square", kappa=0.25, dist=square.dist, coords=square.coords,
+                     resolution=square.resolution)
+    assert worst_four_point_excess(retagged) > 0.03  # 0.040 rad
+    assert worst_four_point_excess(tripod()) == pytest.approx(math.pi, abs=FOUR_POINT_SLACK)
 
 
 def test_polygon_boundary_extremality():
