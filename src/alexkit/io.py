@@ -12,13 +12,14 @@ Space files are JSON with schema_version 1:
     }
 
 Matrix data is the strict lower triangle, row-major, 64-bit floats.  The
-"euclidean" metric type recomputes distances from coords on load.  ``gen``
-writes "euclidean" for polygon, regular-polygon and segment models, whose
-generators compute their distances with ``euclidean_matrix`` from the same
-coordinates; cone, pillow and suspension files hold the matrix.  Each
-coordinate is written as its ``repr`` and parses back to the same float, and
-loading calls the same ``euclidean_matrix``, so the loaded matrix is
-bit-identical to the generator's.
+"euclidean" metric type stores no distances: a loaded file gives its
+coordinates to the Space, which computes distances from them when they are
+read (see ``alexkit.space``), as the generated Space did.  ``gen`` writes
+"euclidean" for polygon, regular-polygon and segment models, whose
+generators make coordinate spaces; cone, pillow and suspension files hold
+the matrix.  Each coordinate is written as its ``repr`` and parses back to
+the same float, so the loaded space's distances are bit-identical to the
+generator's.
 
 One JSON walker writes space files and CLI reports alike: sorted keys,
 one-space indent, ``repr`` floats, no timestamps, so identical runs are
@@ -45,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import KitError, Refusal
-from .space import Space, euclidean_matrix
+from .space import Space
 
 SCHEMA_VERSION = 1
 FLOAT_CHUNK = 2**15  # most floats of one run joined into one string by the writer
@@ -110,14 +111,14 @@ def space_from_dict(data: dict) -> Space:
         raise KitError("point ids must be 0..N-1 in order")
     coords = None
     if points and "coords" in points[0]:
-        coords = np.asarray([p["coords"] for p in points], dtype=float)
+        coords = [p["coords"] for p in points]
     metric = data["metric"]
     if metric["type"] == "matrix":
         dist = from_lower_triangle(metric["data"], n)
     elif metric["type"] == "euclidean":
         if coords is None:
             raise KitError("euclidean metric type needs coords on every point")
-        dist = euclidean_matrix(coords)
+        dist = None  # the Space builds it from the coordinates when it is read
     else:
         raise KitError(f"unknown metric type {metric['type']!r}")
     space = Space(data["name"], data["kappa"], dist, coords=coords,

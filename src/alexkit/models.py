@@ -173,9 +173,8 @@ def gen_convex_polygon(vertices, h: float, name: str | None = None,
         if inner.size:
             coords = np.vstack([bpts, inner])
 
-    dist = euclidean_matrix(coords)
-    space = Space(name or f"polygon{len(vertices)}", kappa=0.0, dist=dist,
-                  coords=coords, resolution=pitch)
+    space = Space(name or f"polygon{len(vertices)}", kappa=0.0, coords=coords,
+                  resolution=pitch)
 
     boundary_ids = np.arange(len(bpts))
     corner_ids = boundary_ids[corner_pos]
@@ -216,9 +215,7 @@ def gen_segment(length: float, h: float, name: str | None = None) -> Space:
     pitch = length / m
     xs = np.arange(m + 1) * pitch
     coords = np.column_stack([xs, np.zeros_like(xs)])
-    dist = euclidean_matrix(coords)
-    space = Space(name or "segment", kappa=0.0, dist=dist, coords=coords,
-                  resolution=pitch)
+    space = Space(name or "segment", kappa=0.0, coords=coords, resolution=pitch)
     ids = list(range(m + 1))
     return _annotate(space,
                      {"all": {"ids": ids, "extremal": True, "exact_measure": length,

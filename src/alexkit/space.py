@@ -4,16 +4,21 @@ A :class:`Space` is a point set 0..N-1 with a frozen symmetric distance
 matrix, a lower curvature bound tag ``kappa``, optional generator coordinates
 and an optional sampling ``resolution`` h (the intended Hausdorff distance
 between the sample and the idealized space it approximates).  Algorithms
-read distances only, never coordinates; a space file of metric type
-``euclidean`` stores coordinates in place of the matrix, and loading it
-rebuilds the matrix from them with :func:`euclidean_matrix`.
+read distances only, never coordinates.  A space given coordinates and no
+matrix (the polygon and segment generators, and a space file of metric type
+``euclidean``) has Euclidean distances: it builds its matrix with
+:func:`euclidean_matrix` on the first read of ``space.dist``, and until then
+:meth:`Space.block` computes each block asked for from the coordinates, with
+the same bits as the matrix's.
 
 The rules derived from h have one owner, the Space: the floor below which a
 scale is refused (:meth:`Space.require_scale`) and the link radius 3h of
 every intrinsic metric (:meth:`Space.link_radius`).
 
-All matrices are immutable after construction and safe to share across
-threads.  A :class:`Subset` refers to its Space and never the reverse: the
+Every matrix is read-only once it exists, and safe to share across
+threads.  Two threads that read ``space.dist`` of a coordinate space at once
+may both build its matrix; they get the same bits, and the space keeps one.
+A :class:`Subset` refers to its Space and never the reverse: the
 Space keeps each named subset's ids and extremal flag, and ``space.subsets``
 gives fresh Subset views of them.  So no reference cycle holds a distance
 matrix, and a space is freed as soon as its last user lets it go.
@@ -21,7 +26,7 @@ matrix, and a space is freed as soon as its last user lets it go.
 Link graphs and shortest paths have one owner here: the link rule
 (:func:`linked`), its csr graph on given ids (:func:`link_graph`, the only
 code that applies the rule to a matrix, built from one row block of
-``space.dist`` at a time) and the walk along the predecessors that scipy's
+:meth:`Space.block` at a time) and the walk along the predecessors that scipy's
 ``dijkstra`` returns (:func:`graph_path`).  The intrinsic metric, intrinsic
 shortest paths, the extremality check and the glue's rebase paths all read
 that graph, and none copies an S x S block.  So do packings: every packing
@@ -78,22 +83,53 @@ def euclidean_matrix(coords: np.ndarray, others: np.ndarray | None = None) -> np
 
 
 class Space:
-    def __init__(self, name, kappa, dist, coords=None, resolution=None):
-        dist = np.ascontiguousarray(dist, dtype=float)
-        if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-            raise KitError("distance matrix must be square")
+    def __init__(self, name, kappa, dist=None, coords=None, resolution=None):
+        if dist is not None:
+            dist = np.ascontiguousarray(dist, dtype=float)
+            if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+                raise KitError("distance matrix must be square")
+            dist.setflags(write=False)
+        elif coords is None:
+            raise KitError("a space needs a distance matrix or coordinates")
+        if coords is not None:
+            try:
+                coords = np.asarray(coords, dtype=float)
+                rows = coords.ndim == 2 and (dist is None or len(coords) == len(dist))
+            except (TypeError, ValueError):  # ragged, or a coordinate that is no number
+                rows = False
+            if not rows:
+                raise KitError("coordinates must be one row of numbers per point")
         self.name = str(name)
         self.kappa = float(kappa)
-        self.dist = dist
-        self.coords = None if coords is None else np.asarray(coords, dtype=float)
+        self._dist = dist
+        self.coords = coords
         self.resolution = None if resolution is None else float(resolution)
         self._subsets: dict[str, tuple[np.ndarray, bool]] = {}  # name -> (ids, extremal)
         self.annotations: dict = {}
-        self.dist.setflags(write=False)
+
+    @property
+    def dist(self) -> np.ndarray:
+        """The N x N distance matrix, read-only.  A space given coordinates
+        and no matrix builds it with :func:`euclidean_matrix` on the first
+        read, and keeps it."""
+        if self._dist is None:
+            dist = euclidean_matrix(self.coords)
+            dist.setflags(write=False)
+            self._dist = dist
+        return self._dist
+
+    def block(self, rows, cols) -> np.ndarray:
+        """The distances from each of the ``rows`` to each of the ``cols``:
+        gathered from the matrix once it is built, else computed from the
+        coordinates with the matrix's own operations, so the bits are the
+        same either way."""
+        if self._dist is None:
+            return euclidean_matrix(self.coords[rows], self.coords[cols])
+        return self._dist[np.ix_(rows, cols)]
 
     @property
     def n_points(self) -> int:
-        return self.dist.shape[0]
+        return len(self.coords if self._dist is None else self._dist)
 
     @property
     def diameter(self) -> float:
@@ -355,7 +391,7 @@ def link_graph(space: Space, ids: np.ndarray, radius: float) -> csr_matrix:
     """The graph of the link rule on the positions of ``ids``, weighted by
     distance: node i is ``ids[i]``.
 
-    Built one block of rows of ``space.dist[np.ix_(ids, ids)]`` at a time
+    Built one :meth:`Space.block` of rows of the ids x ids block at a time
     (ROW_BLOCK_ELEMENTS entries or one row), straight into csr arrays: from
     (row, col) lists, scipy would sum duplicates, which adds 64 KiB of its
     code to the peak RSS of a CLI run.
@@ -364,7 +400,7 @@ def link_graph(space: Space, ids: np.ndarray, radius: float) -> csr_matrix:
     step = max(1, ROW_BLOCK_ELEMENTS // max(n, 1))
     indptr, cols, data = [np.zeros(1, dtype=int)], [], []
     for a in range(0, n, step):
-        block = space.dist[np.ix_(ids[a:a + step], ids)]
+        block = space.block(ids[a:a + step], ids)
         mask = linked(block, radius)
         indptr.append(indptr[-1][-1] + np.cumsum(mask.sum(axis=1)))
         cols.append(np.nonzero(mask)[1])
@@ -414,14 +450,14 @@ def packing_number(space: Space, indices, eps: float) -> int:
 def packing_ids(space: Space, ids, eps: float, metric: str = "extrinsic") -> np.ndarray:
     """Ids kept by the id-order greedy packing of the ascending ``ids``.
 
-    Extrinsic rows are read from ``space.dist`` for kept points only;
+    Extrinsic rows are :meth:`Space.block` rows of kept points only;
     intrinsic rows are the link-graph distances of the subset of ``ids``
     (:func:`intrinsic_metric`), from every point in one call.
     """
     ids = np.unique(space.check_ids(ids))
     if metric == "extrinsic":
         def row(pos):
-            return space.dist[ids[pos], ids]
+            return space.block(ids[pos:pos + 1], ids)[0]
     elif metric == "intrinsic":
         row = intrinsic_metric(Subset(space, ids), ids).__getitem__
     else:

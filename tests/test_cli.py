@@ -6,7 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alexkit import models
 from alexkit.charts import quasigeodesic_check
 from alexkit.cli import DEFAULT_SEED, build_parser, main
 from alexkit.glue import build_projection, projection_quality
@@ -297,13 +296,15 @@ def test_gen_malformed_vertices_is_a_refusal(vertices, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_a_sample_too_large_to_allocate_is_one_error_line(tmp_path, capsys, monkeypatch):
+def test_a_sample_too_large_to_allocate_is_one_error_line(segment_file, tmp_path, capsys,
+                                                         monkeypatch):
+    # validate reads the whole matrix, which a coordinate file builds on that read
     def out_of_memory(coords):  # what numpy raises for a matrix it cannot allocate
         raise MemoryError(f"Unable to allocate the {len(coords)}-point distance matrix")
 
-    monkeypatch.setattr(models, "euclidean_matrix", out_of_memory)
+    monkeypatch.setattr("alexkit.space.euclidean_matrix", out_of_memory)
     out = tmp_path / "out.json"
-    code, line = refused_cleanly(["gen", "segment", "--h", "0.25", "--out", str(out)],
+    code, line = refused_cleanly(["validate", "--space", segment_file, "--out", str(out)],
                                  capsys)
     assert (code, line) == (1, "error: MemoryError: Unable to allocate the 5-point "
                                "distance matrix")

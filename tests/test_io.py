@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from alexkit import models
+from alexkit import space as space_module
 from alexkit.cli import main
 from alexkit.errors import KitError, Refusal
 from alexkit.io import (FLOAT_CHUNK, dumps_stable, from_lower_triangle, load_space,
@@ -65,6 +66,19 @@ def test_lower_triangle_is_row_major():
     assert np.array_equal(from_lower_triangle([1.0, 2.0, 3.0], 3), d)
 
 
+def test_a_euclidean_file_loads_its_matrix_when_it_is_read(polygon, tmp_path, monkeypatch):
+    path = tmp_path / "space.json"
+    save_space(polygon, path, "euclidean")
+    build = space_module.euclidean_matrix
+    builds = []
+    monkeypatch.setattr(space_module, "euclidean_matrix",
+                        lambda coords: builds.append(len(coords)) or build(coords))
+    space = load_space(path)
+    assert builds == []
+    assert space.dist.tobytes() == build(space.coords).tobytes()
+    assert builds == [space.n_points]
+
+
 def test_wrong_triangle_length_refused():
     with pytest.raises(KitError, match="needs 3 entries, got 2"):
         from_lower_triangle([1.0, 2.0], 3)
@@ -76,8 +90,12 @@ def test_wrong_triangle_length_refused():
     (lambda d: [p.pop("coords") for p in d["points"]], KitError,
      "euclidean metric type needs coords on every point"),
     (lambda d: d["metric"].update(type="taxicab"), KitError, "unknown metric type 'taxicab'"),
+    (lambda d: [p.update(coords=0.0) for p in d["points"]], KitError,
+     "coordinates must be one row of numbers per point"),
+    (lambda d: d["points"][0]["coords"].append(0.0), KitError,
+     "coordinates must be one row of numbers per point"),
 ], ids=["schema-version", "ids-out-of-order", "euclidean-without-coords",
-        "unknown-metric-type"])
+        "unknown-metric-type", "scalar-coords", "ragged-coords"])
 def test_malformed_space_file_is_refused_on_load(polygon, change, error, reason, tmp_path):
     data = space_to_dict(polygon, "euclidean")
     change(data)

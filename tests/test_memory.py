@@ -22,7 +22,8 @@ from alexkit.flow import FlowConfig, dist_gradient_lower_bound
 from alexkit.io import FLOAT_CHUNK, WRITE_BATCH, dumps_stable, load_space, save_space
 from alexkit.space import (RANDOM_TRIPLES, ROW_BLOCK_ELEMENTS, TRIPLE_CHUNK,
                            calibration_constant, euclidean_matrix, extremality_check,
-                           intrinsic_metric, link_graph, validate)
+                           hausdorff_measure_estimate, intrinsic_metric, link_graph,
+                           validate)
 from alexkit.strainers import _BLOCK_ELEMENTS, classify
 
 F64 = 8  # bytes of one float64 or int64 entry
@@ -213,6 +214,39 @@ def test_converge_peak_is_its_largest_members(tmp_path):
     assert traced_peak(lambda: converge(family, tmp_path / "out.json")) <= alone + 2**14
 
 
+def test_gen_polygon_builds_no_matrix(tmp_path):
+    # gen writes a polygon's coordinates, so it never needs its N x N matrix:
+    # the 12-gon at h = 0.05 has N = 1,456, whose matrix would take 16.2 MiB
+    vertices = models.regular_polygon_vertices(12).tolist()
+    path = tmp_path / "space.json"
+    argv = ["gen", "polygon", "--vertices", json.dumps(vertices), "--h", "0.05",
+            "--out", str(path)]
+    peak = traced_peak(lambda: cli.main(argv))
+    n = load_space(path).n_points
+    assert n == 1456
+    assert peak < F64 * n * n
+
+
+def test_measuring_a_generated_boundary_builds_no_matrix():
+    # converge's work on one member: generate the filled 32-gon at h = 0.05
+    # (N = 1,518, a 17.6 MiB matrix) and pack its boundary in both metrics,
+    # which reads the boundary's own distances only
+    calibration_constant(1)  # cached for the process; computed outside the budget
+    spaces, estimates = [], []
+
+    def member():
+        boundary = models.gen_regular_polygon(32, 0.05).subsets["boundary"]
+        spaces.append(boundary.space)
+        estimates.extend(hausdorff_measure_estimate(boundary, 1, 0.12, metric)
+                         for metric in ("extrinsic", "intrinsic"))
+
+    peak = traced_peak(member)
+    n = spaces[0].n_points
+    assert n == 1518
+    assert peak < F64 * n * n
+    assert len(estimates) == 2
+
+
 def test_validate_budget(twelve_gon):
     # N = 584 > 300, so triangles are sampled: the three int32 draws of
     # RANDOM_TRIPLES ids, then one chunk of TRIPLE_CHUNK triples at a time
@@ -295,6 +329,7 @@ def test_intrinsic_shortest_path_budget(long_boundary):
     # predecessors (four entries)
     sub = long_boundary
     ids = sub.indices
+    sub.space.dist  # built before the trace: the budget is the path's own work
     budget = link_budget(sub) + 2 * F64 * sub.size + 4 * F64 * sub.size
     assert budget < F64 * sub.size**2  # less than one S x S block
     path = []
@@ -310,6 +345,7 @@ def test_extremality_check_budget_on_a_filled_polygon():
     # entries or one row) and, per exterior point, an id, a gap and a flag
     # (under 3 x 8 bytes); then the link graph and the per-point work as above
     space = models.gen_convex_polygon([[0, 0], [1, 0], [1, 1], [0, 1]], 0.02)
+    space.dist  # built before the trace: the budget is the check's own work
     boundary = space.subsets["boundary"]
     n, s = space.n_points, boundary.size
     budget = F64 * max(ROW_BLOCK_ELEMENTS, s) + 3 * F64 * n + link_budget(boundary)
@@ -328,6 +364,7 @@ def test_dist_gradient_lower_bound_budget_on_a_filled_polygon():
     # annulus's witnesses, is smaller than that
     h = 0.02
     space = models.gen_convex_polygon([[0, 0], [1, 0], [1, 1], [0, 1]], h)
+    space.dist  # built before the trace: the budget is the flow test's own work
     boundary = space.subsets["boundary"]
     n, s = space.n_points, boundary.size
     budget = 2 * F64 * max(ROW_BLOCK_ELEMENTS, s) + 4 * F64 * n

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
@@ -64,6 +67,79 @@ class TestEuclideanMatrix:
         want = one_temporary_euclidean_matrix(coords)
         monkeypatch.setattr(space_module, "ROW_BLOCK_ELEMENTS", elements)
         assert euclidean_matrix(coords).tobytes() == want.tobytes()
+
+
+@st.composite
+def coordinates_and_blocks(draw):
+    """Coordinates of n points drawn from fewer distinct ones, so points
+    repeat, and two id lists into them (repeats and empty lists included)."""
+    n, dim = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    pool = draw(hnp.arrays(np.float64, (draw(st.integers(1, n)), dim),
+                           elements=st.floats(-1e3, 1e3)))
+    coords = pool[draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))]
+    ids = st.lists(st.integers(0, n - 1), max_size=2 * n).map(lambda i: np.array(i, dtype=int))
+    return coords, draw(ids), draw(ids)
+
+
+def count_matrix_builds(monkeypatch) -> list:
+    """Patch the space module's euclidean_matrix to record each whole-matrix
+    build (a call without ``others``) and return the record."""
+    builds, build = [], space_module.euclidean_matrix
+
+    def counted(coords, others=None):
+        if others is None:
+            builds.append(len(coords))
+        return build(coords, others)
+
+    monkeypatch.setattr(space_module, "euclidean_matrix", counted)
+    return builds
+
+
+class TestBlock:
+    """A coordinate space's blocks before its matrix is built are the
+    built matrix's blocks, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(coordinates_and_blocks())
+    def test_an_unbuilt_block_is_the_matrix_block(self, case):
+        coords, rows, cols = case
+        lazy, built = Space("lazy", 0.0, coords=coords), Space("built", 0.0, coords=coords)
+        want = built.dist[np.ix_(rows, cols)]
+        assert lazy.block(rows, cols).tobytes() == want.tobytes()
+        assert built.block(rows, cols).tobytes() == want.tobytes()
+
+    def test_a_polygon_block_is_the_matrix_block(self, square):
+        lazy = models.gen_convex_polygon(UNIT_SQUARE, 0.05)
+        every = np.arange(lazy.n_points)
+        assert lazy.block(every, every).tobytes() == square.dist.tobytes()
+        rng = np.random.default_rng(0)
+        rows, cols = rng.integers(0, lazy.n_points, (2, 300))
+        rows[:50] = cols[:50]  # diagonal entries among them
+        assert lazy.block(rows, cols).tobytes() == square.dist[np.ix_(rows, cols)].tobytes()
+        assert not np.diag(lazy.block(rows, rows)).any()
+
+    def test_only_a_whole_matrix_read_builds_the_matrix(self, monkeypatch):
+        builds = count_matrix_builds(monkeypatch)
+        space = models.gen_regular_polygon(12, 0.2)
+        boundary = space.subsets["boundary"]
+        assert space.n_points == len(space.coords)
+        space.block(boundary.indices, boundary.indices)
+        hausdorff_measure_estimate(boundary, 1, 0.5, "extrinsic")
+        hausdorff_measure_estimate(boundary, 1, 0.5, "intrinsic")
+        assert builds == []
+        dist = space.dist
+        assert builds == [space.n_points]
+        assert space.dist is dist and builds == [space.n_points]
+        assert not dist.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            dist[0, 1] = 1.0
+
+    def test_a_given_matrix_is_read_only_and_blocks_gather_from_it(self):
+        # a matrix given beside coordinates wins, whatever the coordinates say
+        d = np.array([[0.0, 2.0], [2.0, 0.0]])
+        space = Space("given", 0.0, d, coords=[[0.0, 0.0], [1.0, 0.0]])
+        assert not space.dist.flags.writeable
+        assert space.block([0], [1]).tolist() == [[2.0]]
 
 
 class TestDistanceTo:
@@ -142,6 +218,17 @@ class TestSpaceAndSubset:
     def test_non_square_matrix_is_an_error(self):
         with pytest.raises(KitError, match="^distance matrix must be square$"):
             Space("wide", 0.0, np.zeros((2, 3)))
+
+    def test_a_space_needs_a_matrix_or_coordinates(self):
+        with pytest.raises(KitError, match="^a space needs a distance matrix or coordinates$"):
+            Space("nothing", 0.0)
+
+    @pytest.mark.parametrize("coords", [[0.0, 1.0], [[0.0], [1.0, 2.0]], [["x"], [1.0]],
+                                        [[0.0], [1.0], [2.0]], [[{}], [1.0]]],
+                             ids=["scalar", "ragged", "text", "a-row-too-many", "object"])
+    def test_coordinates_must_be_one_row_per_point(self, coords):
+        with pytest.raises(KitError, match="^coordinates must be one row of numbers per point$"):
+            Space("bad", 0.0, np.zeros((2, 2)), coords=coords)
 
     def test_empty_subset_is_an_error(self, square):
         with pytest.raises(KitError, match="^empty subset$"):
