@@ -123,6 +123,24 @@ Background (Perelman and Petrunin 1993; Burago, Gromov and Perelman 1992).
    - ``models.gen_pillow``
      tests/test_models.py::test_every_generator_satisfies_the_four_point_comparison_at_its_kappa
      tests/test_models.py::TestPillow::test_twin_points_are_twice_the_distance_to_the_seam
+
+Computation (Dijkstra 1959).
+
+10. Shortest paths in a link graph, which measure the intrinsic metric d_E:
+    each distance is the least float sum (d[u] + w, left to right) over all
+    paths, Dijkstra's bits, and a path is read back from the distances by
+    one rule: from v, step to the neighbour u with d[u] + w == d[v], of
+    least d[u], then of least id.
+
+   - ``space.shortest_paths`` (scipy's Dijkstra, bit for bit, with a limit
+     and with targets; with np.maximum, the largest edge on the
+     spanning-tree path)
+     tests/test_space.py::TestShortestPaths::test_distances_are_dijkstras_bits
+     tests/test_charts.py::TestQuasigeodesic::test_least_joining_radius_is_the_spanning_tree_bottleneck
+   - ``space.graph_path`` (scipy's predecessor chains on square and
+     triangular lattices; on exact ties, the rule)
+     tests/test_space.py::TestShortestPaths::test_read_back_chains_are_scipys_predecessor_chains
+     tests/test_space.py::TestShortestPaths::test_chains_on_exact_ties_follow_the_rule
 """
 
 __version__ = "0.1.0"

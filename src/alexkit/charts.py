@@ -13,14 +13,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import breadth_first_order, dijkstra, minimum_spanning_tree
 
 # intrinsic_metric is called through its home module, where wrappers are installed
 from . import space as _space
 from .errors import KitError, Refusal
 from .kplane import comparison_angles_array
 from .space import (Curve, Space, Subset, ball, euclidean_matrix, graph_path, link_graph,
-                    linked)
+                    linked, shortest_paths)
 from .strainers import Strainer
 
 RATIO_QUANTILES = (0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0)
@@ -96,7 +95,7 @@ def build_chart(subset: Subset, strainer: Strainer, radius: float | None = None)
 
     fdiff = euclidean_matrix(values)
     stats = {"extrinsic": _ratio_stats(fdiff, space.dist[np.ix_(region, region)])}
-    d_e = _space.intrinsic_metric(subset, region)[:, subset.position(region)]
+    d_e = _space.intrinsic_metric(subset, region, region)
     stats["intrinsic"] = _ratio_stats(fdiff, d_e)
     return Chart(subset=subset, strainer=strainer, radius=float(radius),
                  region=region, values=values, stats=stats)
@@ -184,7 +183,7 @@ def metric_comparison(subset: Subset, p: int, radius: float) -> dict:
     ids = np.intersect1d(subset.indices, ball(space, p, radius))
     if ids.size < 2:
         raise Refusal("fewer than 2 subset points in the ball")
-    d_e = _space.intrinsic_metric(subset, ids)[:, subset.position(ids)]
+    d_e = _space.intrinsic_metric(subset, ids, ids)
     d = space.dist[np.ix_(ids, ids)]
     iu, ju = np.triu_indices(ids.size, k=1)
     ratios = d_e[iu, ju] / d[iu, ju]
@@ -251,30 +250,27 @@ def intrinsic_shortest_path(subset: Subset, start: int, end: int) -> Curve:
     under the sampling error.  The reported length is the true weight sum.
 
     The link radius is the smallest radius whose link graph joins start to
-    end: the longest edge on their path through a minimum spanning forest of
-    the subset's :func:`link_graph`.  The path then never jumps further than
-    it must, so it stays on the subset instead of cutting its corners by up
-    to the subset's own link radius.  Points in different components of that
-    graph, at d_E = inf, raise KitError.
+    end: the least, over paths of the subset's :func:`link_graph`, of the
+    longest edge (:func:`shortest_paths` with ``np.maximum``), which is the
+    longest edge on their path through a minimum spanning forest.  The path
+    then never jumps further than it must, so it stays on the subset instead
+    of cutting its corners by up to the subset's own link radius.  Points in
+    different components of that graph, at d_E = inf, raise KitError.
     """
     space, ids = subset.space, subset.indices
     i0, i1 = subset.position([start, end]).tolist()
     graph = link_graph(space, ids, space.link_radius())
-    _, pred = breadth_first_order(minimum_spanning_tree(graph), i0, directed=False,
-                                  return_predecessors=True)
-    chain = graph_path(pred, i0, i1)
-    if chain is None:
+    bottleneck = shortest_paths(graph, [i0], targets=[i1], combine=np.maximum)[0, i1]
+    if bottleneck == math.inf:
         raise KitError(f"{start} and {end} are in different link components")
-    # the link graph at the bottleneck radius: the same csr entries, in order
-    bottleneck = space.dist[ids[chain[:-1]], ids[chain[1:]]].max(initial=0.0)
-    graph.data[graph.data > bottleneck] = 0
-    graph.eliminate_zeros()
-    graph.data **= 1.01
-    _, pred = dijkstra(graph, directed=False, indices=i0, return_predecessors=True)
-    ids = ids[graph_path(pred, i0, i1)]
+    # the link graph at the bottleneck radius, weighted by d^1.01
+    indptr, cols, data = graph
+    near = data <= bottleneck
+    graph = (np.r_[0, np.cumsum(near)][indptr], cols[near], data[near] ** 1.01)
+    dist = shortest_paths(graph, [i0], targets=[i1])[0]
+    ids = ids[graph_path(graph, dist, i0, i1)]
     gaps = space.dist[ids[:-1], ids[1:]]
     step = float(np.median(gaps)) if gaps.size else 0.0  # start == end
     return Curve(points=ids, step=step,
                  kind="intrinsic-geodesic",
                  meta={"length": float(gaps.sum())})
-

@@ -11,6 +11,7 @@ spot checks on large spaces) is seeded from it.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
@@ -26,6 +27,10 @@ from .space import (Curve, calibration_constant, hausdorff_measure_estimate,
                     packing_dimension_estimate, validate)
 from .strainers import (MAX_STRAINER_LENGTH, classify, find_strainer,
                         resolve_search_radius, strainer_number)
+
+# argparse's messages load the locale module when the first parser is built;
+# loaded here, the import pays for it and no command does
+importlib.import_module("locale")
 
 DEFAULT_SEED = 20260809
 MAX_DELTA = 0.3

@@ -21,15 +21,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
 
 from .charts import (DIRECTION_COUNT, direction_defects, direction_grid,
                      nearest_values)
 from .errors import KitError, Refusal
 from .space import (Space, Subset, ball, calibration_constant, distance_to,
                     effective_spacing, even_positions, graph_path,
-                    hausdorff_measure_estimate, link_graph, packing_ids)
-from .strainers import Strainer, classify, is_strainer
+                    hausdorff_measure_estimate, link_graph, packing_ids, shortest_paths)
+from .strainers import classify, is_strainer
 
 NET_MIN_PITCH_FACTOR = 4.0       # r >= 4h keeps the net resolvable
 REBASE_MARGIN_SLACK = 0.05       # rebased strainers may lose this much margin
@@ -104,14 +103,16 @@ class GlueMap:
         }
 
 
-def _rebase_strainer(space: Space, witness: Strainer, pred_row,
+def _rebase_strainer(space: Space, base: int, points: list, graph, dist,
                      target_distance: float) -> tuple[np.ndarray, np.ndarray]:
-    """The witness's a- and b-points, each moved along its graph path from the
-    base (``pred_row``) to the first node at distance >= ``target_distance``
-    from the base, or left where it is when the path is shorter."""
-    base, moved = witness.base, []
-    for point in [q for pair in witness.pairs for q in pair]:  # a0, b0, a1, ...
-        chain = graph_path(pred_row, base, point)
+    """A strainer's points at ``base`` (a0, b0, a1, ...), each moved along its
+    graph path from the base (read back from ``dist``, the base's row of
+    graph distances) to the first node at distance >= ``target_distance``
+    from the base, or left where it is when the path is shorter; returns the
+    moved a- and b-points."""
+    moved = []
+    for point in points:
+        chain = graph_path(graph, dist, base, point)
         if chain is None:
             raise KitError(f"no graph path from {base} to {point}")
         far = chain[space.dist[base, chain] >= target_distance]
@@ -133,11 +134,13 @@ def _net_charts(mask, net: np.ndarray, r: float) -> list[NetChart]:
     rebase_distance = max(ell * delta, 4.0 * r)
     max_margin = delta + REBASE_MARGIN_SLACK
     graph = link_graph(space, np.arange(space.n_points), space.link_radius())
-    _, pred_rows = dijkstra(graph, directed=False, indices=net, return_predecessors=True)
+    points = [[q for pair in mask.witnesses[int(p)].pairs for q in pair]  # a0, b0, a1, ...
+              for p in net]
+    dist = shortest_paths(graph, net, targets=points)
     charts = []
     for row, p in enumerate(net):
-        a_ids, b_ids = _rebase_strainer(space, mask.witnesses[int(p)],
-                                        pred_rows[row], rebase_distance)
+        a_ids, b_ids = _rebase_strainer(space, int(p), points[row], graph, dist[row],
+                                        rebase_distance)
         ok, margin = is_strainer(space, int(p),
                                  list(zip(a_ids.tolist(), b_ids.tolist())), max_margin)
         if not ok:

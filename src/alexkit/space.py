@@ -24,15 +24,18 @@ gives fresh Subset views of them.  So no reference cycle holds a distance
 matrix, and a space is freed as soon as its last user lets it go.
 
 Link graphs and shortest paths have one owner here: the link rule
-(:func:`linked`), its csr graph on given ids (:func:`link_graph`, the only
-code that applies the rule to a matrix, built from one row block of
-:meth:`Space.block` at a time) and the walk along the predecessors that scipy's
-``dijkstra`` returns (:func:`graph_path`).  The intrinsic metric, intrinsic
-shortest paths, the extremality check and the glue's rebase paths all read
-that graph, and none copies an S x S block.  So do packings: every packing
-number, measure and dimension estimate and r/2-net is the id-order greedy
-packing of :func:`packing_ids`, which reads the rows of the points it keeps
-only.
+(:func:`linked`), its graph on given ids as csr arrays (:func:`link_graph`,
+the only code that applies the rule to a matrix, built from one row block of
+:meth:`Space.block` at a time), the shortest-path kernel
+(:func:`shortest_paths`: Dijkstra's distances bit for bit, from many sources
+at once, cut at a limit or stopped once given targets are settled) and the
+path read back from its distances (:func:`graph_path`).  The intrinsic
+metric, intrinsic shortest paths, the extremality check and the glue's
+rebase paths all read that graph, and none copies an S x S block.  So do
+packings: every packing number, measure and dimension estimate and r/2-net
+is the id-order greedy packing of :func:`packing_ids`, which reads the rows
+of the points it keeps, and in the intrinsic metric those of one block of
+candidates at a time.
 
 The distance function of a subset, dist_E(x) = min over e in E of d(x, e),
 has one owner too: :func:`distance_to`, which reads one row block at a time.
@@ -42,16 +45,20 @@ The extremality check, the gradient-flow tests and the glue all call it.
 from __future__ import annotations
 
 import functools
+import importlib
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from numpy.random import default_rng
 
 from .errors import KitError, Refusal
 from .kplane import comparison_angles_array
+
+# np.unique loads numpy.ma on its first call, to test for a masked array;
+# loaded here, the import pays for it and no command does
+importlib.import_module("numpy.ma")
 
 DEFAULT_LINK_FACTOR = 3.0  # link_radius = 3 * resolution keeps geodesic graphs connected
 ROW_BLOCK_ELEMENTS = 2**16  # most elements in one row block of any walk over a matrix
@@ -345,7 +352,7 @@ def _triangle_check(d, n, seed):
     # in tests/test_memory.py) at half the memory; the triples are then
     # evaluated a chunk at a time, the first maximum and the first NaN
     # winning as in validate's row-block loop
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     ii, jj, kk = (rng.integers(0, n, RANDOM_TRIPLES, dtype=np.int32) for _ in range(3))
     worst, a = -math.inf, 0
     for c in range(0, RANDOM_TRIPLES, TRIPLE_CHUNK):
@@ -387,14 +394,14 @@ def linked(d: np.ndarray, radius: float) -> np.ndarray:
     return (d > 0) & (d <= radius)
 
 
-def link_graph(space: Space, ids: np.ndarray, radius: float) -> csr_matrix:
+def link_graph(space: Space, ids: np.ndarray, radius: float) -> tuple:
     """The graph of the link rule on the positions of ``ids``, weighted by
-    distance: node i is ``ids[i]``.
+    distance, as csr arrays ``(indptr, indices, data)``: node i is
+    ``ids[i]``, and the edges of node u are ``indices[indptr[u]:indptr[u +
+    1]]``, in ascending order, with weights ``data`` at the same places.
 
     Built one :meth:`Space.block` of rows of the ids x ids block at a time
-    (ROW_BLOCK_ELEMENTS entries or one row), straight into csr arrays: from
-    (row, col) lists, scipy would sum duplicates, which adds 64 KiB of its
-    code to the peak RSS of a CLI run.
+    (ROW_BLOCK_ELEMENTS entries or one row), so no S x S block is made.
     """
     n = len(ids)
     step = max(1, ROW_BLOCK_ELEMENTS // max(n, 1))
@@ -405,32 +412,102 @@ def link_graph(space: Space, ids: np.ndarray, radius: float) -> csr_matrix:
         indptr.append(indptr[-1][-1] + np.cumsum(mask.sum(axis=1)))
         cols.append(np.nonzero(mask)[1])
         data.append(block[mask])  # row-major, as the columns
-    return csr_matrix((np.concatenate(data), np.concatenate(cols), np.concatenate(indptr)),
-                      shape=(n, n))
+    return np.concatenate(indptr), np.concatenate(cols), np.concatenate(data)
 
 
-def graph_path(pred: np.ndarray, source: int, target: int) -> np.ndarray | None:
-    """The nodes from source to target along a predecessor row; None if the
-    row holds no path between them."""
+def shortest_paths(graph: tuple, sources, limit: float = math.inf, targets=None,
+                   combine=np.add) -> np.ndarray:
+    """Least path weights in a symmetric csr ``graph`` (:func:`link_graph`)
+    from each of the ``sources`` (rows) to every node (columns).
+
+    A path's weight is ``combine`` folded left to right along its edge
+    weights, from 0 at the source: ``np.add`` gives the float sum
+    ``(w1 + w2) + w3 ...``, ``np.maximum`` its largest edge.  Labels are
+    corrected in rounds, all sources at once, until no label falls; each
+    round relaxes the edges of the pending nodes (those whose label fell
+    since they last did) that lie within the largest edge weight of their
+    row's least pending label.  Rounding is monotone, so the fixed point is
+    the least folded weight over all paths, which is what Dijkstra's
+    algorithm returns, bit for bit.
+
+    A weight above ``limit`` reads inf, and no path is followed past it.
+    With ``targets`` (node ids, the same for every row, or one row of them
+    per source) a row stops once every one of its targets lies below its
+    least pending label: the targets' weights, and those of every node
+    below them, are then final, and the other entries of the row are upper
+    bounds.  Nodes no path joins read inf.
+    """
+    indptr, indices, data = graph
+    n, rows = len(indptr) - 1, len(sources)
+    degree = np.diff(indptr)
+    reach = data.max(initial=0.0)
+    dist = np.full((rows, n), math.inf)
+    flat = dist.reshape(-1)
+    pending = np.arange(rows) * n + np.asarray(sources, dtype=int)  # flat (row, node) keys
+    flat[pending] = 0.0
+    if targets is not None:
+        targets = np.arange(rows)[:, None] * n + np.asarray(targets, dtype=int)
+    while pending.size:
+        label, row = flat[pending], pending // n
+        least = np.full(rows, math.inf)
+        np.minimum.at(least, row, label)
+        if targets is not None:  # drop the rows whose targets are settled
+            live = ~(flat[targets] < least[:, None]).all(axis=1)[row]
+            pending, label, row = pending[live], label[live], row[live]
+        near = label <= least[row] + reach
+        relax, nodes = pending[near], pending[near] - row[near] * n
+        count = degree[nodes]
+        edge = np.arange(count.sum()) + np.repeat(indptr[nodes] - np.cumsum(count) + count,
+                                                  count)
+        weight = combine(np.repeat(flat[relax], count), data[edge])
+        key = np.repeat(relax - nodes, count) + indices[edge]
+        fell = (weight < flat[key]) & (weight <= limit)
+        key = key[fell]
+        np.minimum.at(flat, key, weight[fell])
+        pending = np.union1d(pending[~near], key)
+    return dist
+
+
+def graph_path(graph: tuple, dist: np.ndarray, source: int, target: int) -> np.ndarray | None:
+    """The nodes from source to target read back from ``dist``, a row of
+    :func:`shortest_paths` from the source (summed weights), settled at
+    least up to the target: from the target, each step goes to the
+    neighbour u with ``dist[u] + w == dist[v]``, of least ``dist[u]``, then
+    of least id.  None if the target is at inf.  Only an edge weight lost in
+    rounding (``dist[u] + w == dist[u]``) can make the rule circle; that
+    raises KitError."""
+    indptr, indices, data = graph
+    if not dist[target] < math.inf:
+        return None
     chain = [target]
-    while chain[-1] != source:
-        prev = int(pred[chain[-1]])
-        if prev < 0:
-            return None
-        chain.append(prev)
-    return np.array(chain[::-1], dtype=int)
+    for _ in range(len(dist)):
+        v = chain[-1]
+        if v == source:
+            return np.array(chain[::-1], dtype=int)
+        nbr = indices[indptr[v]:indptr[v + 1]]
+        before = dist[nbr]
+        on = np.flatnonzero(before + data[indptr[v]:indptr[v + 1]] == dist[v])
+        chain.append(int(nbr[on[np.argmin(before[on])]]))
+    raise KitError(f"no shortest chain from {target} back to {source}")
 
 
-def intrinsic_metric(subset: Subset, ids) -> np.ndarray:
-    """Link-graph distances d_E from each of the ids (rows) to every subset
-    point (columns, in ``subset.indices`` order).
+def intrinsic_metric(subset: Subset, ids, targets=None) -> np.ndarray:
+    """Link-graph distances d_E from each of the ids (rows) to each of the
+    ``targets`` (columns; default every subset point, in ``subset.indices``
+    order), with :func:`shortest_paths` on the subset's :func:`link_graph`.
 
-    Dijkstra runs on the subset's :func:`link_graph` from the given ids only;
-    pass ``subset.indices`` for all pairs.  No S x S block is made beyond the
-    rows asked for.  A non-member id raises KitError.
+    Pass ``subset.indices`` for all pairs; one id gives one row.  The
+    searches stop once the targets are settled.  No S x S block is made
+    beyond the rows asked for.  A non-member id raises KitError.
     """
     graph = link_graph(subset.space, subset.indices, subset.space.link_radius())
-    return dijkstra(graph, directed=False, indices=subset.position(ids))
+    rows = np.atleast_1d(subset.position(ids))
+    if targets is None:
+        d = shortest_paths(graph, rows)
+    else:
+        cols = np.atleast_1d(subset.position(targets))
+        d = shortest_paths(graph, rows, targets=cols)[:, cols]
+    return d if np.ndim(ids) else d[0]
 
 
 # ---------------------------------------------------------------------------
@@ -452,32 +529,49 @@ def packing_ids(space: Space, ids, eps: float, metric: str = "extrinsic") -> np.
 
     Extrinsic rows are :meth:`Space.block` rows of kept points only;
     intrinsic rows are the link-graph distances of the subset of ``ids``
-    (:func:`intrinsic_metric`), from every point in one call.
+    (:func:`shortest_paths` on its :func:`link_graph`, built once), found for
+    ROW_BLOCK_ELEMENTS // len(ids) candidates at a time, each search stopped
+    at eps.
     """
     ids = np.unique(space.check_ids(ids))
     if metric == "extrinsic":
-        def row(pos):
-            return space.block(ids[pos:pos + 1], ids)[0]
+        def rows(pos):
+            return space.block(ids[pos], ids)
+        block = 1
     elif metric == "intrinsic":
-        row = intrinsic_metric(Subset(space, ids), ids).__getitem__
+        graph = link_graph(space, ids, space.link_radius())
+
+        def rows(pos):
+            return shortest_paths(graph, pos, eps)
+        block = max(1, ROW_BLOCK_ELEMENTS // max(ids.size, 1))
     else:
         raise KitError(f"metric must be extrinsic|intrinsic, got {metric!r}")
-    return ids[greedy_packing_ids(ids.size, row, eps)]
+    return ids[greedy_packing_ids(ids.size, rows, eps, block)]
 
 
-def greedy_packing_ids(n: int, row, eps: float) -> np.ndarray:
+def greedy_packing_ids(n: int, rows, eps: float, block: int = 1) -> np.ndarray:
     """Positions kept by the id-order greedy packing of positions 0..n-1.
 
-    A position is kept iff it is > eps from every position kept before it;
-    ``row(pos)`` gives the distances from pos to all n positions and is called
-    only for kept positions, so a caller need not hold the whole matrix.
+    A position is kept iff it is > eps from every position kept before it.
+    ``rows(positions)`` gives the distances from each of the positions to
+    all n positions.  It is called for ``block`` positions at a time, from
+    the next one not yet ruled out and leaving out those that are, so a
+    caller need not hold the whole matrix; only the first of them is sure
+    to be kept.
     """
     alive = np.ones(n, dtype=bool)
     kept = []
-    for pos in range(n):
-        if alive[pos]:
-            kept.append(pos)
-            alive &= row(pos) > eps
+    pos = 0
+    while pos < n:
+        pos += int(np.argmax(alive[pos:]))  # the next position not ruled out, if any
+        if not alive[pos]:
+            break
+        todo = pos + np.flatnonzero(alive[pos:pos + block])
+        for p, row in zip(todo, rows(todo)):
+            if alive[p]:
+                kept.append(p)
+                alive &= row > eps
+        pos += block
     return np.array(kept, dtype=int)
 
 
@@ -527,8 +621,7 @@ def calibration_constant(m: int) -> dict:
     pitch = 1.0 / per_axis
     # rows on demand: the m = 2 grid's full matrix would take 13 GB
     beta = len(greedy_packing_ids(
-        len(pts), lambda pos: euclidean_matrix(pts[pos:pos + 1], pts)[0],
-        CALIBRATION_EPS))
+        len(pts), lambda pos: euclidean_matrix(pts[pos], pts), CALIBRATION_EPS))
     s_eff = effective_spacing(CALIBRATION_EPS, pitch)
     c = 1.0 / (s_eff**m * beta)
     return {"m": m, "c": c, "eps": CALIBRATION_EPS, "pitch": pitch, "beta": beta}
@@ -646,8 +739,8 @@ def extremality_check(subset: Subset, witness_radius: float | None = None) -> di
     exterior = exterior[distance_to(space, exterior, subset.indices) >= 4.0 * h]
     exterior = exterior[even_positions(exterior.size, EXTERIOR_CAP)]
 
-    graph = link_graph(space, subset.indices, space.link_radius())
-    rows = np.repeat(np.arange(subset.size), np.diff(graph.indptr))  # each edge's source
+    indptr, cols, _ = link_graph(space, subset.indices, space.link_radius())
+    rows = np.repeat(np.arange(subset.size), np.diff(indptr))  # each edge's source
 
     worst_excess = -np.inf
     worst_triple = [-1, -1, -1]
@@ -656,7 +749,7 @@ def extremality_check(subset: Subset, witness_radius: float | None = None) -> di
 
     for q in exterior:
         dq = space.dist[q, subset.indices]
-        lower = np.bincount(rows, dq[rows] > dq[graph.indices] + 1e-12, subset.size)
+        lower = np.bincount(rows, dq[rows] > dq[cols] + 1e-12, subset.size)
         for pos in np.flatnonzero(lower == 0):  # no link neighbour lower
             p = int(subset.indices[pos])
             minima_count += 1

@@ -3,13 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 from alexkit import models
 from alexkit.charts import (build_chart, direction_defects, direction_grid,
                             intrinsic_shortest_path, metric_comparison,
                             openness_measure, quasigeodesic_check)
 from alexkit.errors import KitError, Refusal
-from alexkit.space import Curve, intrinsic_metric
+from alexkit.space import Curve, intrinsic_metric, link_graph, shortest_paths
 from alexkit.strainers import find_strainer
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -258,6 +260,38 @@ class TestQuasigeodesic:
         with pytest.raises(KitError, match="in different link components"):
             intrinsic_shortest_path(sub, start, end)
         assert intrinsic_shortest_path(sub, start, int(bottom[1])).points.size == 2
+
+    @pytest.mark.parametrize("share", [0.6, 0.15])
+    def test_least_joining_radius_is_the_spanning_tree_bottleneck(self, share):
+        # a random share of the filled square's points, so that the gaps vary
+        # (and at 15 % some points are cut off): the least radius joining two
+        # points, the largest edge of their minimax path, is the largest edge
+        # on their path through scipy's minimum spanning forest, and the
+        # intrinsic shortest path jumps exactly that far and no further
+        space = models.gen_convex_polygon(UNIT_SQUARE, 0.05)
+        keep = np.random.default_rng(1).random(space.n_points) < share
+        sub = space.subset(np.flatnonzero(keep), name="sparse")
+        ids = sub.indices
+        graph = link_graph(space, ids, space.link_radius())
+        indptr, indices, data = graph
+        tree = minimum_spanning_tree(csr_matrix((data, indices, indptr),
+                                                shape=(ids.size, ids.size)))
+        for i0 in range(0, ids.size, ids.size // 6):
+            radius = shortest_paths(graph, [i0], combine=np.maximum)[0]
+            _, pred = breadth_first_order(tree, i0, directed=False,
+                                          return_predecessors=True)
+            for i1 in range(ids.size):
+                chain = [i1]
+                while chain[-1] != i0 and pred[chain[-1]] >= 0:
+                    chain.append(int(pred[chain[-1]]))
+                if chain[-1] != i0:
+                    assert radius[i1] == math.inf
+                    continue
+                chain = ids[chain]
+                assert radius[i1] == space.dist[chain[:-1], chain[1:]].max(initial=0.0)
+            for i1 in np.flatnonzero(np.isfinite(radius))[::60]:
+                path = intrinsic_shortest_path(sub, int(ids[i0]), int(ids[i1])).points
+                assert space.dist[path[:-1], path[1:]].max(initial=0.0) == radius[i1]
 
     def test_zigzag_negative_control(self, square_with_interior):
         space = square_with_interior

@@ -10,13 +10,19 @@ passed by some call in ``src/`` or ``tests/``.
 No linter is installed, so a walk over each module's syntax tree stands in
 for pyflakes' unused-import and unused-local checks and for vulture's unused
 attributes and definitions.  An import inside a function would hide its cost
-(scipy's submodules cost RSS and start-up time) in whichever call runs it
-first, so every module imports at its top level.
+(a library's submodules cost RSS and start-up time) in whichever call runs
+it first, so every module imports at its top level.  For the same reason, in a
+fresh interpreter ``import alexkit.cli`` loads no scipy, and no workload
+command loads a module that the import did not.
 """
 
 import ast
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -375,3 +381,47 @@ def test_every_defaulted_parameter_is_passed():
     callers = [p.read_text() for d in ("src", "tests")
                for p in sorted((ROOT / d).rglob("*.py"))]
     assert never_passed_parameters(modules, callers) == []
+
+
+# run in a fresh interpreter: import the CLI, then every workload's tiny
+# set-up and pipeline in process through cli.main, as the benchmark's workers
+# do; print the scipy modules the import loaded and the modules the commands
+# added
+FRESH_PROCESS_RUN = """
+import json, os, sys, tempfile
+from pathlib import Path
+
+sys.path.insert(0, sys.argv[1])
+import workloads
+from alexkit import cli
+
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+before = set(sys.modules)
+with tempfile.TemporaryDirectory() as tmp:
+    for name in workloads.WORKLOADS:
+        wl = workloads.make(name, 0, "tiny")
+        work = Path(tmp, name)
+        work.mkdir()
+        os.chdir(work)
+        for file, text in wl.setup_files.items():
+            Path(file).write_text(text)
+        for argv in wl.setup:
+            assert cli.main(argv) == 0, argv
+        for argv in wl.pipeline(wl.facts(json.loads(Path(wl.space_file).read_text()))):
+            assert cli.main(argv) == 0, argv
+        os.chdir(tmp)
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_the_cli_loads_no_scipy_and_its_commands_load_no_module():
+    # scipy's csgraph would cost every CLI process about 33 MiB of RSS and
+    # 0.24 s; a module a command loads on its first call (numpy.random,
+    # numpy.ma, locale) lands in that command's time
+    proc = subprocess.run([sys.executable, "-c", FRESH_PROCESS_RUN, str(ROOT / "perfbench")],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    scipy, added = map(json.loads, proc.stdout.splitlines()[-2:])
+    assert scipy == []
+    assert added == []

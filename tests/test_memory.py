@@ -300,17 +300,21 @@ def long_boundary():
 
 def link_budget(subset) -> int:
     """The design's peak for building the subset's link graph and running
-    scipy on it, output left out.  One row block of B entries (the rows that
-    fit ROW_BLOCK_ELEMENTS, or one row) costs at most 35 bytes an entry: the
-    block held from the step before, the next one with numpy's gather
-    buffers (two blocks more), and the link rule's three boolean masks.  The
-    graph costs at most 64 bytes an edge and a point: its csr arrays (12
-    bytes an edge), their pieces before they are joined, and scipy's
-    validated, transposed or spanning-tree copies and per-point work."""
+    the shortest-path kernel on it, output left out.  One row block of B
+    entries (the rows that fit ROW_BLOCK_ELEMENTS, or one row) costs at most
+    35 bytes an entry: the block held from the step before, the next one
+    with numpy's gather buffers (two blocks more), and the link rule's three
+    boolean masks.  The graph costs at most 64 bytes an edge and a point:
+    its csr arrays (16 bytes an edge and 8 a point), their pieces before
+    they are joined (as much again), and the kernel's work in one round:
+    about 48 bytes for each edge it relaxes, those of the pending nodes
+    within one link radius of their row's least pending label, which on a
+    curve are a few nodes a source, and its pending (row, node) keys, labels
+    and rows, under 32 bytes a point a source."""
     s = subset.size
     block = max(1, ROW_BLOCK_ELEMENTS // s) * s
-    edges = link_graph(subset.space, subset.indices, subset.space.link_radius()).nnz
-    return 35 * block + 64 * (edges + s)
+    _, edges, _ = link_graph(subset.space, subset.indices, subset.space.link_radius())
+    return 35 * block + 64 * (edges.size + s)
 
 
 def test_intrinsic_metric_budget(long_boundary):
@@ -321,12 +325,30 @@ def test_intrinsic_metric_budget(long_boundary):
     assert traced_peak(lambda: intrinsic_metric(sub, sub.indices[:2])) <= budget
 
 
+def test_intrinsic_packing_budget():
+    # the loop-uniform unit-square boundary at h = 0.02 / 25.95: S = 5,190
+    # points, whose S x S block of d_E would take 206 MiB.  The packing
+    # holds the link graph (within the link budget) and one block of rows,
+    # ROW_BLOCK_ELEMENTS // S sources, each row with its pending keys
+    space = models.gen_convex_polygon([[0, 0], [1, 0], [1, 1], [0, 1]], 0.02 / 25.95,
+                                      interior=False, boundary_mode="loop-uniform")
+    sub = space.subsets["boundary"]
+    calibration_constant(1)  # cached before the trace: the budget is the packing's
+    budget = link_budget(sub) + 2 * F64 * max(ROW_BLOCK_ELEMENTS, sub.size)
+    assert budget < F64 * sub.size**2  # less than one S x S block
+    estimate = []
+    assert traced_peak(lambda: estimate.append(
+        hausdorff_measure_estimate(sub, 1, 0.02, "intrinsic"))) <= budget
+    assert estimate[0] == pytest.approx(4.0, abs=0.2)
+
+
 def test_intrinsic_shortest_path_budget(long_boundary):
-    # one graph build within the link budget: the 3h graph, cut down in place
-    # to the bottleneck radius; its spanning forest (S - 1 edges: data, index
-    # and pointer, under two entries a point); and per point the
-    # breadth-first order and predecessors, then one Dijkstra row with its
-    # predecessors (four entries)
+    # one graph build within the link budget: the 3h graph, then its copy at
+    # the bottleneck radius with the cut's mask and running count, which
+    # take the place of the build's pieces (under 32 bytes an edge); the
+    # bottleneck search's row of labels and its pending keys (two entries a
+    # point); then one search row, its pending keys and the read-back chain
+    # (four entries)
     sub = long_boundary
     ids = sub.indices
     sub.space.dist  # built before the trace: the budget is the path's own work

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import dijkstra, shortest_path
 
 from alexkit import models
 from alexkit import space as space_module
@@ -18,9 +18,9 @@ from alexkit.glue import NET_MIN_PITCH_FACTOR, discrete_net
 from alexkit.io import dumps_stable
 from alexkit.space import (ROW_BLOCK_ELEMENTS, Space, ball, calibration_constant,
                            distance_to, effective_spacing, euclidean_matrix, extremality_check,
-                           greedy_packing_ids, hausdorff_measure_estimate,
-                           intrinsic_metric, packing_dimension_estimate, packing_ids,
-                           packing_number, validate)
+                           graph_path, greedy_packing_ids, hausdorff_measure_estimate,
+                           intrinsic_metric, link_graph, packing_dimension_estimate,
+                           packing_ids, packing_number, shortest_paths, validate)
 from alexkit.strainers import local_strainer_number, unstrained_mass
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -292,12 +292,12 @@ class TestLinkGraph:
         radius = space.link_radius()
         want = dense_mask_link_graph(space.dist[np.ix_(ids, ids)], radius)
         monkeypatch.setattr(space_module, "ROW_BLOCK_ELEMENTS", elements)
-        got = space_module.link_graph(space, ids, radius)
-        assert got.shape == want.shape == (ids.size, ids.size)
-        for name in ("data", "indices", "indptr"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert got.nnz > 0
+        indptr, indices, data = space_module.link_graph(space, ids, radius)
+        assert want.shape == (ids.size, ids.size) and indptr.size == ids.size + 1
+        assert indptr.tolist() == want.indptr.tolist()
+        assert indices.tolist() == want.indices.tolist()
+        assert data.dtype == want.data.dtype and data.tobytes() == want.data.tobytes()
+        assert want.nnz > 0
 
 
 class TestIntrinsicMetric:
@@ -306,6 +306,7 @@ class TestIntrinsicMetric:
         sub = space.subsets["boundary"]
         corners = space.annotations["subsets"]["boundary"]["singular_ids"]
         d_e = intrinsic_metric(sub, corners[0])
+        assert d_e.shape == (sub.size,)  # one id, one row
         # two edges along the boundary, against the sqrt(2) chord
         assert d_e[sub.position(corners[2])] == pytest.approx(2.0, abs=0.02)
         assert space.dist[corners[0], corners[2]] == pytest.approx(math.sqrt(2))
@@ -370,6 +371,124 @@ class TestIntrinsicMetric:
         sub = space.all_points_subset()
         with pytest.raises(Refusal, match="no declared resolution"):
             intrinsic_metric(sub, sub.indices)
+
+
+def as_csr(graph):
+    indptr, indices, data = graph
+    return csr_matrix((data, indices, indptr), shape=(len(indptr) - 1,) * 2)
+
+
+def scipy_chain(pred: np.ndarray, source: int, target: int) -> list[int]:
+    """The nodes from source to target along scipy's predecessor row."""
+    chain = [target]
+    while chain[-1] != source:
+        chain.append(int(pred[chain[-1]]))
+    return chain[::-1]
+
+
+@st.composite
+def geometric_graphs(draw):
+    """The link graph of up to 40 points of the plane, some of them on a
+    half-integer grid (so that distances tie), some repeated (at distance 0,
+    so never linked) and some 100 away (in other pieces), with sources,
+    targets for every row and for each row, and a limit."""
+    n = draw(st.integers(1, 40))
+    coordinate = st.one_of(st.floats(0.0, 4.0), st.integers(0, 8).map(lambda k: k / 2))
+    coords = draw(hnp.arrays(float, (n, 2), elements=coordinate))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=5)):
+        coords[i] = coords[j]
+    coords[draw(hnp.arrays(bool, n)), 0] += 100.0
+    graph = link_graph(Space("plane", 0.0, coords=coords), np.arange(n),
+                       draw(st.floats(0.3, 2.0)))
+    node = st.integers(0, n - 1)
+    sources = np.array(draw(st.lists(node, min_size=1, max_size=5)))
+    targets = np.array(draw(st.lists(node, min_size=1, max_size=4)))
+    per_row = draw(hnp.arrays(int, (sources.size, 2), elements=node))
+    return graph, sources, targets, per_row, draw(st.floats(0.0, 6.0))
+
+
+@st.composite
+def integer_graphs(draw):
+    """A symmetric graph on up to 25 nodes with weights 1, 2 or 3, so that
+    many paths tie exactly, and its sources."""
+    n = draw(st.integers(1, 25))
+    w = np.triu(draw(hnp.arrays(int, (n, n), elements=st.integers(0, 3))), 1)
+    w = w + w.T  # 0: no edge
+    adjacent = w > 0
+    graph = (np.r_[0, np.cumsum(adjacent.sum(axis=1))], np.nonzero(adjacent)[1],
+             w[adjacent].astype(float))
+    return graph, np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)))
+
+
+class TestShortestPaths:
+    """The kernel's distances are scipy's Dijkstra's, bit for bit, and its
+    paths follow the documented read-back rule."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(geometric_graphs())
+    def test_distances_are_dijkstras_bits(self, case):
+        graph, sources, targets, per_row, limit = case
+        want = dijkstra(as_csr(graph), directed=False, indices=sources)
+        assert shortest_paths(graph, sources).tobytes() == want.tobytes()
+        within = dijkstra(as_csr(graph), directed=False, indices=sources, limit=limit)
+        assert shortest_paths(graph, sources, limit).tobytes() == within.tobytes()
+        got = shortest_paths(graph, sources, targets=targets)[:, targets]
+        assert got.tobytes() == want[:, targets].tobytes()
+        got = shortest_paths(graph, sources, targets=per_row)
+        assert (np.take_along_axis(got, per_row, axis=1).tobytes()
+                == np.take_along_axis(want, per_row, axis=1).tobytes())
+
+    @pytest.mark.parametrize("lattice", ["square", "triangular"])
+    @pytest.mark.parametrize("h", [0.1, 0.05])
+    def test_read_back_chains_are_scipys_predecessor_chains(self, lattice, h):
+        space = models.gen_convex_polygon(UNIT_SQUARE, h, lattice=lattice)
+        n = space.n_points
+        graph = link_graph(space, np.arange(n), space.link_radius())
+        sources = np.arange(0, n, n // 8)
+        dist = shortest_paths(graph, sources)
+        _, pred = dijkstra(as_csr(graph), directed=False, indices=sources,
+                           return_predecessors=True)
+        for row, source in enumerate(sources):
+            for target in range(n):
+                chain = graph_path(graph, dist[row], source, target)
+                assert chain.tolist() == scipy_chain(pred[row], source, target)
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_graphs())
+    def test_chains_on_exact_ties_follow_the_rule(self, case):
+        # scipy breaks these ties its own way, so only the rule is checked
+        graph, sources = case
+        indptr, indices, data = graph
+        dist = shortest_paths(graph, sources)
+        assert dist.tobytes() == dijkstra(as_csr(graph), directed=False,
+                                          indices=sources).tobytes()
+        for row, source in enumerate(sources):
+            d = dist[row]
+            for target in range(len(d)):
+                chain = graph_path(graph, d, source, target)
+                if d[target] == math.inf:
+                    assert chain is None
+                    continue
+                assert chain[0] == source and chain[-1] == target
+                for u, v in zip(chain[:-1], chain[1:]):
+                    nbr = indices[indptr[v]:indptr[v + 1]]
+                    on = nbr[d[nbr] + data[indptr[v]:indptr[v + 1]] == d[v]]
+                    assert u in on and min(zip(d[on], on)) == (d[u], u)
+
+    def test_a_read_back_that_circles_is_an_error(self):
+        # weights of 1e-17 vanish in 1 + w, so nodes 1 and 2 are each other's
+        # least-id step at d = 1 and the rule circles between them; node 3, also
+        # at d = 1, steps to the source
+        adjacent = np.array([[0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 1, 0]], dtype=bool)
+        w = np.where(adjacent, 1e-17, 0.0)
+        w[0, 3] = w[3, 0] = 1.0
+        graph = (np.r_[0, np.cumsum(adjacent.sum(axis=1))], np.nonzero(adjacent)[1], w[adjacent])
+        d = shortest_paths(graph, [0])[0]
+        assert d.tolist() == [0.0, 1.0, 1.0, 1.0]
+        assert graph_path(graph, d, 0, 3).tolist() == [0, 3]
+        with pytest.raises(KitError, match="no shortest chain from 1 back to 0"):
+            graph_path(graph, d, 0, 1)
 
 
 class TestPackingNumber:
